@@ -277,11 +277,9 @@ def main() -> int:
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
         "git_commit": git_commit(),
-        # The backend is a perf-relevant knob, not leakage — record it
-        # (and leave it set) so dict- and array-backend points in the
-        # trajectory are distinguishable.
-        "uarch_backend":
-            os.environ.get("REPRO_UARCH_BACKEND", "").strip() or "dict",
+        # One uarch representation remains; the stamp keeps new points
+        # comparable with older ones that recorded a backend choice.
+        "uarch_backend": "dict",
         "cpu_count": os.cpu_count(),
         "repro_scale": float(os.environ.get("REPRO_SCALE", "0.05") or 0.05),
         "timing": f"best of {BEST_OF}, imports excluded",

@@ -10,9 +10,9 @@ point**.
 
 "Comparable" means same ``cpu_count`` and same ``uarch_backend`` — the
 two stamps ``perf_report.py`` records exactly so that a CI runner with
-a different core count (or an array-backend experiment) is never graded
-against a dev-machine dict-backend record.  A point with no comparable
-predecessor passes trivially, with a note.
+a different core count (or a point from the since-removed array
+backend) is never graded against a dev-machine dict-backend record.  A
+point with no comparable predecessor passes trivially, with a note.
 """
 
 from __future__ import annotations

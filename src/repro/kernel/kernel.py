@@ -55,7 +55,7 @@ from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task, TaskState
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import RngStreams
-from repro.uarch.timing import cycles_to_ns
+from repro.uarch.timing import CPU_FREQ_GHZ, cycles_to_ns
 from repro.victims.layout import ATTACKER_HUGE_REGION
 
 _EPS = 1e-6
@@ -131,7 +131,10 @@ class _KernelExecContext(ExecContext):
     context transiently, and two bodies never run on one CPU at once.
     """
 
-    __slots__ = ("kernel", "cpu", "task", "core", "asid")
+    __slots__ = ("kernel", "cpu", "task", "core", "asid", "_access",
+                 "_translate_data", "_clflush", "_huge_lo", "_huge_hi",
+                 "_base_inst", "_timed_extra", "_store_ns", "_flush_ns",
+                 "_jitter", "_jitter_sigma")
 
     def __init__(self, kernel: "Kernel", cpu: int, task: Task):
         self.kernel = kernel
@@ -139,12 +142,22 @@ class _KernelExecContext(ExecContext):
         self.task = task
         self.core = kernel.machine.core(cpu)
         self.asid = task.pid
-
-    @staticmethod
-    def _is_huge(addr: int) -> bool:
-        """Userspace attack buffers in the LLC arena use 2 MiB pages."""
-        lo, hi = ATTACKER_HUGE_REGION
-        return lo <= addr < hi
+        # The load/flush handlers run for every probe of every attack;
+        # their constants (the latency model and kernel config are fixed
+        # for the kernel's life), the μarch entry points and the
+        # ``timed_load`` jitter stream are bound once here.
+        lat = kernel.machine.config.latency
+        self._access = self.core.hierarchy.access
+        self._translate_data = self.core.tlbs.translate_data
+        self._clflush = self.core.hierarchy.clflush
+        # Userspace attack buffers in the LLC arena use 2 MiB pages.
+        self._huge_lo, self._huge_hi = ATTACKER_HUGE_REGION
+        self._base_inst = lat.base_inst
+        self._timed_extra = 2 * lat.rdtscp + lat.base_inst
+        self._store_ns = cycles_to_ns(lat.base_inst)
+        self._flush_ns = cycles_to_ns(lat.clflush)
+        self._jitter = kernel.rng.stream("timed_load").gauss
+        self._jitter_sigma = kernel.config.timed_load_jitter_cycles
 
     def draw_spec_window(self) -> int:
         window = self.kernel.machine.config.spec_window
@@ -158,44 +171,42 @@ class _KernelExecContext(ExecContext):
     # runs for every userspace step of every coroutine body).
     # ------------------------------------------------------------------
     def exec_action(self, action, now: float):
-        handler = _DISPATCH.get(type(action))
-        if handler is None:
-            raise TypeError(f"unknown action {action!r}")
+        try:
+            handler = _DISPATCH[type(action)]
+        except KeyError:
+            raise TypeError(f"unknown action {action!r}") from None
         return handler(self, action, now)
 
     def _act_compute(self, action, now):
         return action.ns, None, None
 
+    # ``x / CPU_FREQ_GHZ`` below is :func:`cycles_to_ns` inlined.
     def _act_load(self, action, now):
-        cycles = self.core.tlbs.translate_data(
-            self.cpu, self.asid, action.addr, huge=self._is_huge(action.addr)
-        )
-        cycles += self.core.hierarchy.access(self.cpu, action.addr, "data")
-        lat = self.kernel.machine.config.latency
-        return cycles_to_ns(cycles + lat.base_inst), cycles, None
+        addr = action.addr
+        cycles = self._translate_data(
+            self.cpu, self.asid, addr,
+            huge=self._huge_lo <= addr < self._huge_hi)
+        cycles += self._access(self.cpu, addr, "data")
+        return (cycles + self._base_inst) / CPU_FREQ_GHZ, cycles, None
 
     def _act_timed_load(self, action, now):
-        k = self.kernel
-        lat = k.machine.config.latency
-        cycles = self.core.tlbs.translate_data(
-            self.cpu, self.asid, action.addr, huge=self._is_huge(action.addr)
-        )
-        cycles += self.core.hierarchy.access(self.cpu, action.addr, "data")
-        cost = cycles + 2 * lat.rdtscp + lat.base_inst
-        jitter = k.rng.gauss("timed_load", 0.0, k.config.timed_load_jitter_cycles)
-        measured = max(0.0, cycles + jitter)
-        return cycles_to_ns(cost), measured, None
+        addr = action.addr
+        cycles = self._translate_data(
+            self.cpu, self.asid, addr,
+            huge=self._huge_lo <= addr < self._huge_hi)
+        cycles += self._access(self.cpu, addr, "data")
+        measured = cycles + self._jitter(0.0, self._jitter_sigma)
+        return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
+                measured if measured > 0.0 else 0.0, None)
 
     def _act_store(self, action, now):
-        self.core.tlbs.translate_data(self.cpu, self.asid, action.addr)
-        self.core.hierarchy.access(self.cpu, action.addr, "data")
-        lat = self.kernel.machine.config.latency
-        return cycles_to_ns(lat.base_inst), None, None
+        self._translate_data(self.cpu, self.asid, action.addr)
+        self._access(self.cpu, action.addr, "data")
+        return self._store_ns, None, None
 
     def _act_flush(self, action, now):
-        self.core.hierarchy.clflush(action.addr)
-        lat = self.kernel.machine.config.latency
-        return cycles_to_ns(lat.clflush), None, None
+        self._clflush(action.addr)
+        return self._flush_ns, None, None
 
     def _act_exec_inst(self, action, now):
         cost = self.core.execute(self.asid, action.inst)

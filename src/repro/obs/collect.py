@@ -94,10 +94,7 @@ def publish_kernel_metrics(kernel, metrics: MetricsRegistry) -> None:
     fast = sum(s.ff_insts_fast_forwarded for s in stats)
     metrics.gauge("ff.coverage").set(fast / retired if retired else 0.0)
 
-    # Batched-access accounting and backend selection (array=1, dict=0).
+    # Batched-access accounting.
     metrics.gauge("uarch.access_many.calls").set(hierarchy.batch_calls)
     metrics.gauge("uarch.access_many.addrs").set(hierarchy.batch_addrs)
-    metrics.gauge("uarch.backend_array").set(
-        0 if hierarchy.llc.__class__.__name__ == "CacheLevel" else 1
-    )
     metrics.gauge("kernel.tasks").set(len(kernel.tasks))

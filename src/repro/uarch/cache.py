@@ -19,14 +19,14 @@ last): membership, recency update and LRU eviction are all O(1), where
 the previous list representation paid an O(ways) scan-and-remove on
 every hit — the hottest loop in the whole hierarchy.
 
-Two interchangeable level implementations exist:
-
-* :class:`CacheLevel` — the dict-of-sets reference ("interpreter path");
-* :class:`ArrayCacheLevel` — preallocated flat lists of ints (one tag
-  slot and one age stamp per way), selected with
-  ``REPRO_UARCH_BACKEND=array``.  Exact-LRU equivalence: a monotonic
-  stamp clock reproduces insertion-order recency bit-for-bit, so golden
-  traces are identical under either backend.
+:class:`CacheLevel` owns the sets and counters of one level.
+:class:`MemoryHierarchy` walks them directly: ``access``, ``clflush``
+and the LLC back-invalidation perform the per-level dict operations
+inline, because a simulated attack issues millions of loads and a
+method call per level per load dominated their cost.  The
+``repro.validate.uarch`` reference models check that the flat walk
+matches the per-level semantics (latency, LRU order, counters and
+versions).
 
 Every level also maintains a **version counter** bumped whenever a line
 *leaves* the level (eviction, invalidation, flush).  Fills never bump
@@ -37,7 +37,6 @@ and re-certify in O(1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -199,156 +198,6 @@ class CacheLevel:
         self.version += 1
 
 
-class ArrayCacheLevel:
-    """Flat-array twin of :class:`CacheLevel` (``REPRO_UARCH_BACKEND=array``).
-
-    State is two preallocated flat lists of ints indexed by
-    ``set * n_ways + way``: ``_tags`` holds the resident line address
-    (-1 = empty way) and ``_stamps`` the age from a monotonic per-level
-    clock.  LRU victim = occupied way with the smallest stamp; recency
-    refresh = restamp with the next clock value.  Because the clock is
-    strictly monotonic this reproduces the dict backend's insertion
-    order exactly, so eviction decisions — and therefore every golden
-    trace — are bit-identical between backends.
-    """
-
-    __slots__ = ("name", "geometry", "_tags", "_stamps", "_clock",
-                 "hits", "misses", "evictions", "version",
-                 "_set_mask", "_line_size", "_n_ways")
-
-    def __init__(self, name: str, geometry: CacheGeometry):
-        self.name = name
-        self.geometry = geometry
-        n = geometry.n_sets * geometry.n_ways
-        self._tags: List[int] = [-1] * n
-        self._stamps: List[int] = [0] * n
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.version = 0
-        self._set_mask = geometry.n_sets - 1
-        self._line_size = geometry.line_size
-        self._n_ways = geometry.n_ways
-
-    def lookup(self, addr: int, *, touch: bool = True,
-               count_stats: bool = True) -> bool:
-        line = addr & _LINE_MASK
-        ways = self._n_ways
-        base = ((line // self._line_size) & self._set_mask) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == line:
-                if count_stats:
-                    self.hits += 1
-                if touch:
-                    self._clock += 1
-                    self._stamps[w] = self._clock
-                return True
-        if count_stats:
-            self.misses += 1
-        return False
-
-    def contains(self, addr: int) -> bool:
-        line = addr & _LINE_MASK
-        ways = self._n_ways
-        base = ((line // self._line_size) & self._set_mask) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == line:
-                return True
-        return False
-
-    def contains_all(self, addrs: Iterable[int]) -> bool:
-        for addr in addrs:
-            if not self.contains(addr):
-                return False
-        return True
-
-    def fill(self, addr: int) -> Optional[int]:
-        line = addr & _LINE_MASK
-        ways = self._n_ways
-        base = ((line // self._line_size) & self._set_mask) * ways
-        tags = self._tags
-        stamps = self._stamps
-        free = -1
-        victim_way = base
-        victim_stamp = None
-        for w in range(base, base + ways):
-            tag = tags[w]
-            if tag == line:
-                self._clock += 1
-                stamps[w] = self._clock
-                return None
-            if tag == -1:
-                if free < 0:
-                    free = w
-            elif victim_stamp is None or stamps[w] < victim_stamp:
-                victim_stamp = stamps[w]
-                victim_way = w
-        victim = None
-        if free >= 0:
-            way = free
-        else:
-            way = victim_way
-            victim = tags[way]
-            self.evictions += 1
-            self.version += 1
-        tags[way] = line
-        self._clock += 1
-        stamps[way] = self._clock
-        return victim
-
-    def invalidate(self, addr: int) -> bool:
-        line = addr & _LINE_MASK
-        ways = self._n_ways
-        base = ((line // self._line_size) & self._set_mask) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == line:
-                tags[w] = -1
-                self.version += 1
-                return True
-        return False
-
-    def resident_lines(self, set_index: int) -> Tuple[int, ...]:
-        ways = self._n_ways
-        base = set_index * ways
-        tags = self._tags
-        stamps = self._stamps
-        occupied = [(stamps[w], tags[w]) for w in range(base, base + ways)
-                    if tags[w] != -1]
-        occupied.sort()
-        return tuple(tag for _, tag in occupied)
-
-    def occupied_sets(self):
-        for index in range(self._set_mask + 1):
-            lines = self.resident_lines(index)
-            if lines:
-                yield index, lines
-
-    def flush_all(self) -> None:
-        n = len(self._tags)
-        self._tags = [-1] * n
-        self.version += 1
-
-
-#: Environment switch selecting the cache/TLB level implementation.
-#: ``dict`` (default) is the reference; ``array`` is the flat-list twin.
-UARCH_BACKEND_ENV = "REPRO_UARCH_BACKEND"
-
-
-def cache_level_class():
-    """Level implementation selected by :data:`UARCH_BACKEND_ENV`."""
-    backend = os.environ.get(UARCH_BACKEND_ENV, "dict")
-    if backend == "array":
-        return ArrayCacheLevel
-    if backend != "dict":
-        raise ValueError(f"unknown {UARCH_BACKEND_ENV}={backend!r} "
-                         "(expected 'dict' or 'array')")
-    return CacheLevel
-
-
 class MemoryHierarchy:
     """Per-core private caches plus one shared inclusive LLC.
 
@@ -367,11 +216,17 @@ class MemoryHierarchy:
         self.geometry = geometry or HierarchyGeometry()
         self.latency = latency
         self.n_cores = n_cores
-        level = cache_level_class()
-        self.l1i = [level(f"L1I#{c}", self.geometry.l1i) for c in range(n_cores)]
-        self.l1d = [level(f"L1D#{c}", self.geometry.l1d) for c in range(n_cores)]
-        self.l2 = [level(f"L2#{c}", self.geometry.l2) for c in range(n_cores)]
-        self.llc = level("LLC", self.geometry.llc)
+        geo = self.geometry
+        self.l1i = [CacheLevel(f"L1I#{c}", geo.l1i) for c in range(n_cores)]
+        self.l1d = [CacheLevel(f"L1D#{c}", geo.l1d) for c in range(n_cores)]
+        self.l2 = [CacheLevel(f"L2#{c}", geo.l2) for c in range(n_cores)]
+        self.llc = CacheLevel("LLC", geo.llc)
+        # Every private level in purge order (per core: L1I, L1D, L2),
+        # with its set list and index math, for the flush walks.
+        self._private = tuple(
+            (level._sets, level._line_size, level._set_mask, level)
+            for c in range(n_cores)
+            for level in (self.l1i[c], self.l1d[c], self.l2[c]))
         #: Batched-access accounting (telemetry; pulled at snapshot time):
         #: number of ``access_many``/toucher batches and total addresses
         #: they carried.  Plain int adds, one per *batch* — never per
@@ -400,22 +255,71 @@ class MemoryHierarchy:
         ``kind`` is ``"data"`` or ``"inst"`` and selects the L1 slice.
         ``count_stats=False`` performs all fills and LRU updates but
         skips the hit/miss counters (prefetches, see :meth:`prefetch`).
+
+        The walk inlines each level's lookup and fill: the same dict
+        operations, counter updates and version bumps, in the same
+        order, as :meth:`CacheLevel.lookup` and :meth:`CacheLevel.fill`
+        on every level.  A line missed in a level cannot reappear there
+        before that level's fill (back-invalidation only removes lines),
+        so the fills skip their residency check.  LLC evictions still go
+        through :meth:`_back_invalidate`, one call per eviction.
         """
+        line = addr & _LINE_MASK
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
-        if l1.lookup(addr, count_stats=count_stats):
+        b1 = l1._sets[(line // l1._line_size) & l1._set_mask]
+        if line in b1:
+            if count_stats:
+                l1.hits += 1
+            del b1[line]
+            b1[line] = None
             return self._l1_hit
-        if self.l2[core].lookup(addr, count_stats=count_stats):
-            l1.fill(addr)
-            return self._l2_hit
-        if self.llc.lookup(addr, count_stats=count_stats):
-            self._fill_private(core, l1, addr)
-            return self._llc_hit
-        # DRAM: fill inclusive LLC first, back-invalidating on eviction.
-        evicted = self.llc.fill(addr)
-        if evicted is not None:
-            self._back_invalidate(evicted)
-        self._fill_private(core, l1, addr)
-        return self._dram
+        if count_stats:
+            l1.misses += 1
+        l2 = self.l2[core]
+        b2 = l2._sets[(line // l2._line_size) & l2._set_mask]
+        if line in b2:
+            if count_stats:
+                l2.hits += 1
+            del b2[line]
+            b2[line] = None
+            latency = self._l2_hit
+        else:
+            if count_stats:
+                l2.misses += 1
+            llc = self.llc
+            b3 = llc._sets[(line // llc._line_size) & llc._set_mask]
+            if line in b3:
+                if count_stats:
+                    llc.hits += 1
+                del b3[line]
+                b3[line] = None
+                latency = self._llc_hit
+            else:
+                # DRAM: fill the inclusive LLC first, back-invalidating
+                # the line it evicts.
+                if count_stats:
+                    llc.misses += 1
+                if len(b3) >= llc._n_ways:
+                    victim = next(iter(b3))
+                    del b3[victim]
+                    llc.evictions += 1
+                    llc.version += 1
+                    b3[line] = None
+                    self._back_invalidate(victim)
+                else:
+                    b3[line] = None
+                latency = self._dram
+            if len(b2) >= l2._n_ways:
+                del b2[next(iter(b2))]
+                l2.evictions += 1
+                l2.version += 1
+            b2[line] = None
+        if len(b1) >= l1._n_ways:
+            del b1[next(iter(b1))]
+            l1.evictions += 1
+            l1.version += 1
+        b1[line] = None
+        return latency
 
     def access_many(self, core: int, addrs: Iterable[int], kind: str = "data",
                     *, count_stats: bool = True) -> int:
@@ -430,81 +334,54 @@ class MemoryHierarchy:
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
         l2 = self.l2[core]
         llc = self.llc
+        # The kernel's context-switch footprint toucher lands here with
+        # 16-24 addresses that are nearly always L1 hits after the first
+        # switch, so the L1 probe is inlined down to one list subscript
+        # and one dict membership test.  Counters accumulate locally and
+        # apply once per batch; fills, evictions and recency updates are
+        # the same operations as :meth:`access`, so resulting state and
+        # counter values are bit-equal.
+        sets = l1._sets
+        mask = l1._set_mask
+        size = l1._line_size
+        l1_hit = self._l1_hit
         total = 0
-        if l1.__class__ is CacheLevel:
-            # Dict-backend specialization: the kernel's context-switch
-            # footprint toucher lands here with 16-24 addresses that
-            # are nearly always L1 hits after the first switch, so the
-            # L1 probe is inlined down to one list subscript and one
-            # dict membership test.  Counters accumulate locally and
-            # apply once per batch; fills, evictions and recency
-            # updates are the same operations as the generic walk, so
-            # resulting state and counter values are bit-equal.
-            sets = l1._sets
-            mask = l1._set_mask
-            size = l1._line_size
-            l1_hit = self._l1_hit
-            hits = 0
-            misses = 0
-            l2_lookup = l2.lookup
-            llc_lookup = llc.lookup
-            l1_fill = l1.fill
-            l2_fill = l2.fill
-            for addr in addrs:
-                line = addr & _LINE_MASK
-                bucket = sets[(line // size) & mask]
-                if line in bucket:
-                    hits += 1
-                    del bucket[line]
-                    bucket[line] = None
-                    total += l1_hit
-                elif l2_lookup(addr, count_stats=count_stats):
-                    misses += 1
-                    l1_fill(addr)
-                    total += self._l2_hit
-                elif llc_lookup(addr, count_stats=count_stats):
-                    misses += 1
-                    l2_fill(addr)
-                    l1_fill(addr)
-                    total += self._llc_hit
-                else:
-                    misses += 1
-                    evicted = llc.fill(addr)
-                    if evicted is not None:
-                        self._back_invalidate(evicted)
-                    l2_fill(addr)
-                    l1_fill(addr)
-                    total += self._dram
-            if count_stats:
-                l1.hits += hits
-                l1.misses += misses
-            self.batch_calls += 1
-            self.batch_addrs += hits + misses
-            return total
-        l1_lookup = l1.lookup
+        hits = 0
+        misses = 0
         l2_lookup = l2.lookup
         llc_lookup = llc.lookup
-        n_addrs = 0
+        l1_fill = l1.fill
+        l2_fill = l2.fill
         for addr in addrs:
-            n_addrs += 1
-            if l1_lookup(addr, count_stats=count_stats):
-                total += self._l1_hit
+            line = addr & _LINE_MASK
+            bucket = sets[(line // size) & mask]
+            if line in bucket:
+                hits += 1
+                del bucket[line]
+                bucket[line] = None
+                total += l1_hit
             elif l2_lookup(addr, count_stats=count_stats):
-                l1.fill(addr)
+                misses += 1
+                l1_fill(addr)
                 total += self._l2_hit
             elif llc_lookup(addr, count_stats=count_stats):
-                l2.fill(addr)
-                l1.fill(addr)
+                misses += 1
+                l2_fill(addr)
+                l1_fill(addr)
                 total += self._llc_hit
             else:
+                misses += 1
                 evicted = llc.fill(addr)
                 if evicted is not None:
                     self._back_invalidate(evicted)
-                l2.fill(addr)
-                l1.fill(addr)
+                l2_fill(addr)
+                l1_fill(addr)
                 total += self._dram
+        if count_stats:
+            l1.hits += hits
+            l1.misses += misses
         self.batch_calls += 1
-        self.batch_addrs += n_addrs
+        self.batch_addrs += hits + misses
         return total
 
     def make_line_toucher(self, core: int, addrs: Iterable[int],
@@ -515,20 +392,16 @@ class MemoryHierarchy:
         The kernel's context-switch footprint walks the same 8 rotating
         address windows thousands of times per run; resolving the set
         index of every line once at build time reduces the per-switch
-        walk to one dict membership test per line (dict backend).  The
-        returned zero-argument callable performs exactly the accesses
+        walk to one dict membership test per line.  The returned
+        zero-argument callable performs exactly the accesses
         ``access_many(core, addrs, kind=kind)`` would — same fills,
         evictions, recency updates and counter totals — and returns the
-        summed latency in cycles.  For the array backend (whose flat
-        lists are reallocated on flush) it simply closes over
-        :meth:`access_many`.
+        summed latency in cycles.
         """
         addrs = tuple(addrs)
         if any(a & ~_LINE_MASK for a in addrs):
             raise ValueError("make_line_toucher requires line-aligned addresses")
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
-        if l1.__class__ is not CacheLevel:
-            return lambda: self.access_many(core, addrs, kind=kind)
         l2 = self.l2[core]
         llc = self.llc
         size = l1._line_size
@@ -601,12 +474,21 @@ class MemoryHierarchy:
         self.access(core, addr, kind=kind, count_stats=False)
 
     def clflush(self, addr: int) -> None:
-        """Flush one line from every cache in the system."""
-        self.llc.invalidate(addr)
-        for c in range(self.n_cores):
-            self.l1i[c].invalidate(addr)
-            self.l1d[c].invalidate(addr)
-            self.l2[c].invalidate(addr)
+        """Flush one line from every cache in the system: the LLC, then
+        each core's L1I, L1D and L2, bumping the version of every level
+        that held it (the per-level walk of :meth:`CacheLevel.invalidate`,
+        inlined)."""
+        line = addr & _LINE_MASK
+        llc = self.llc
+        bucket = llc._sets[(line // llc._line_size) & llc._set_mask]
+        if line in bucket:
+            del bucket[line]
+            llc.version += 1
+        for sets, size, mask, level in self._private:
+            bucket = sets[(line // size) & mask]
+            if line in bucket:
+                del bucket[line]
+                level.version += 1
 
     def is_cached_anywhere(self, addr: int) -> bool:
         """Presence probe used by tests and oracles (no side effects)."""
@@ -628,13 +510,15 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _fill_private(self, core: int, l1: CacheLevel, addr: int) -> None:
-        self.l2[core].fill(addr)
-        l1.fill(addr)
-
     def _back_invalidate(self, line: int) -> None:
-        """Inclusive LLC eviction: purge the line from all private caches."""
-        for c in range(self.n_cores):
-            self.l1i[c].invalidate(line)
-            self.l1d[c].invalidate(line)
-            self.l2[c].invalidate(line)
+        """Inclusive LLC eviction: purge the line from all private caches.
+
+        A method of its own, not inlined into :meth:`access`, so that the
+        validate layer's ``inclusive-llc-leak`` bug can disable exactly
+        this purge on one instance (:func:`repro.validate.uarch.inject_llc_leak`).
+        """
+        for sets, size, mask, level in self._private:
+            bucket = sets[(line // size) & mask]
+            if line in bucket:
+                del bucket[line]
+                level.version += 1

@@ -13,23 +13,16 @@ is ``vpn mod n_sets``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.uarch.address import page_number
-from repro.uarch.cache import UARCH_BACKEND_ENV
+from repro.uarch.address import PAGE_SIZE, page_number
 from repro.uarch.timing import LATENCY, LatencyModel
 
 Tag = Tuple[int, int]  # (asid, vpn)
 
 _HUGE_PAGE_SIZE = 2 * 1024 * 1024
 _HUGE_VPN_BASE = 1 << 48  # disjoint from any 4 KiB VPN
-
-#: Packed-tag shift for the array backend: ``asid << 72 | vpn`` keeps the
-#: tag a single machine-comparable int (every vpn, including the huge-
-#: page namespace at ``1 << 48``, fits well below 2**72).
-_ASID_SHIFT = 72
 
 
 @dataclass(frozen=True)
@@ -118,6 +111,10 @@ class Tlb:
             return True
         return False
 
+    def resident_tags(self, set_index: int) -> Tuple[Tag, ...]:
+        """Tags currently resident in ``set_index`` (LRU → MRU order)."""
+        return tuple(self._sets[set_index])
+
     def occupied_sets(self):
         """Yield ``(set_index, tags)`` for every non-empty set, tags in
         LRU → MRU order.  Read-only view for structural oracles."""
@@ -131,146 +128,17 @@ class Tlb:
         self.version += 1
 
 
-class ArrayTlb:
-    """Flat-array twin of :class:`Tlb` (``REPRO_UARCH_BACKEND=array``).
-
-    Tags are packed to a single int (``asid << _ASID_SHIFT | vpn``) in a
-    preallocated flat list, with a monotonic stamp clock for exact-LRU
-    recency — the same construction as
-    :class:`repro.uarch.cache.ArrayCacheLevel`, and bit-identical to the
-    dict backend for the same reason.
-    """
-
-    __slots__ = ("name", "geometry", "_tags", "_stamps", "_clock",
-                 "hits", "misses", "evictions", "version",
-                 "_n_sets", "_n_ways")
-
-    def __init__(self, name: str, geometry: TlbGeometry):
-        self.name = name
-        self.geometry = geometry
-        n = geometry.n_sets * geometry.n_ways
-        self._tags: List[int] = [-1] * n
-        self._stamps: List[int] = [0] * n
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.version = 0
-        self._n_sets = geometry.n_sets
-        self._n_ways = geometry.n_ways
-
-    def lookup(self, asid: int, vpn: int, *, touch: bool = True) -> bool:
-        tag = (asid << _ASID_SHIFT) | vpn
-        ways = self._n_ways
-        base = (vpn % self._n_sets) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == tag:
-                self.hits += 1
-                if touch:
-                    self._clock += 1
-                    self._stamps[w] = self._clock
-                return True
-        self.misses += 1
-        return False
-
-    def contains(self, asid: int, vpn: int) -> bool:
-        tag = (asid << _ASID_SHIFT) | vpn
-        ways = self._n_ways
-        base = (vpn % self._n_sets) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == tag:
-                return True
-        return False
-
-    def contains_all(self, asid: int, vpns: Iterable[int]) -> bool:
-        for vpn in vpns:
-            if not self.contains(asid, vpn):
-                return False
-        return True
-
-    def fill(self, asid: int, vpn: int) -> None:
-        tag = (asid << _ASID_SHIFT) | vpn
-        ways = self._n_ways
-        base = (vpn % self._n_sets) * ways
-        tags = self._tags
-        stamps = self._stamps
-        free = -1
-        victim_way = base
-        victim_stamp = None
-        for w in range(base, base + ways):
-            t = tags[w]
-            if t == tag:
-                self._clock += 1
-                stamps[w] = self._clock
-                return
-            if t == -1:
-                if free < 0:
-                    free = w
-            elif victim_stamp is None or stamps[w] < victim_stamp:
-                victim_stamp = stamps[w]
-                victim_way = w
-        if free >= 0:
-            way = free
-        else:
-            way = victim_way
-            self.evictions += 1
-            self.version += 1
-        tags[way] = tag
-        self._clock += 1
-        stamps[way] = self._clock
-
-    def invalidate(self, asid: int, vpn: int) -> bool:
-        tag = (asid << _ASID_SHIFT) | vpn
-        ways = self._n_ways
-        base = (vpn % self._n_sets) * ways
-        tags = self._tags
-        for w in range(base, base + ways):
-            if tags[w] == tag:
-                tags[w] = -1
-                self.version += 1
-                return True
-        return False
-
-    def occupied_sets(self):
-        ways = self._n_ways
-        tags = self._tags
-        stamps = self._stamps
-        for index in range(self._n_sets):
-            base = index * ways
-            occupied = [(stamps[w], tags[w]) for w in range(base, base + ways)
-                        if tags[w] != -1]
-            if occupied:
-                occupied.sort()
-                yield index, tuple(
-                    (t >> _ASID_SHIFT, t & ((1 << _ASID_SHIFT) - 1))
-                    for _, t in occupied
-                )
-
-    def flush_all(self) -> None:
-        n = len(self._tags)
-        self._tags = [-1] * n
-        self.version += 1
-
-
-def tlb_class():
-    """TLB level implementation selected by ``REPRO_UARCH_BACKEND``."""
-    backend = os.environ.get(UARCH_BACKEND_ENV, "dict")
-    if backend == "array":
-        return ArrayTlb
-    if backend != "dict":
-        raise ValueError(f"unknown {UARCH_BACKEND_ENV}={backend!r} "
-                         "(expected 'dict' or 'array')")
-    return Tlb
-
-
 class TlbHierarchy:
     """Per-core iTLB + unified STLB with i9-9900K-like shapes.
 
     The data-side L1 TLB is not modelled separately: the paper only
     degrades *instruction* translations, and data loads reuse the STLB
     path, which is enough for every experiment.
+
+    Both translations inline each level's lookup and fill: the same dict
+    operations, counter updates and version bumps, in the same order, as
+    :meth:`Tlb.lookup` and :meth:`Tlb.fill`.  A tag missed in a level is
+    still absent at that level's fill, so the fills skip the check.
     """
 
     # Coffee Lake: 64-entry 8-way iTLB; 1536-entry 12-way STLB.
@@ -279,21 +147,45 @@ class TlbHierarchy:
 
     def __init__(self, n_cores: int, latency: LatencyModel = LATENCY):
         self.latency = latency
-        level = tlb_class()
-        self.itlb = [level(f"iTLB#{c}", self.ITLB) for c in range(n_cores)]
-        self.stlb = [level(f"STLB#{c}", self.STLB) for c in range(n_cores)]
+        self.itlb = [Tlb(f"iTLB#{c}", self.ITLB) for c in range(n_cores)]
+        self.stlb = [Tlb(f"STLB#{c}", self.STLB) for c in range(n_cores)]
+        # Hoisted miss costs (the model is frozen).
+        self._stlb_hit = latency.stlb_hit
+        self._page_walk = latency.page_walk
 
     def translate_fetch(self, core: int, asid: int, addr: int) -> int:
         """Translate an instruction fetch; returns extra cycles."""
-        vpn = page_number(addr)
-        if self.itlb[core].lookup(asid, vpn):
+        vpn = addr // PAGE_SIZE
+        tag = (asid, vpn)
+        itlb = self.itlb[core]
+        b1 = itlb._sets[vpn % itlb._n_sets]
+        if tag in b1:
+            itlb.hits += 1
+            del b1[tag]
+            b1[tag] = None
             return 0
-        if self.stlb[core].lookup(asid, vpn):
-            self.itlb[core].fill(asid, vpn)
-            return self.latency.stlb_hit
-        self.stlb[core].fill(asid, vpn)
-        self.itlb[core].fill(asid, vpn)
-        return self.latency.page_walk
+        itlb.misses += 1
+        stlb = self.stlb[core]
+        b2 = stlb._sets[vpn % stlb._n_sets]
+        if tag in b2:
+            stlb.hits += 1
+            del b2[tag]
+            b2[tag] = None
+            latency = self._stlb_hit
+        else:
+            stlb.misses += 1
+            if len(b2) >= stlb._n_ways:
+                del b2[next(iter(b2))]
+                stlb.evictions += 1
+                stlb.version += 1
+            b2[tag] = None
+            latency = self._page_walk
+        if len(b1) >= itlb._n_ways:
+            del b1[next(iter(b1))]
+            itlb.evictions += 1
+            itlb.version += 1
+        b1[tag] = None
+        return latency
 
     def translate_data(
         self, core: int, asid: int, addr: int, *, huge: bool = False
@@ -311,11 +203,22 @@ class TlbHierarchy:
             # Tag huge translations in a disjoint VPN namespace.
             vpn = _HUGE_VPN_BASE + addr // _HUGE_PAGE_SIZE
         else:
-            vpn = page_number(addr)
-        if self.stlb[core].lookup(asid, vpn):
+            vpn = addr // PAGE_SIZE
+        tag = (asid, vpn)
+        stlb = self.stlb[core]
+        bucket = stlb._sets[vpn % stlb._n_sets]
+        if tag in bucket:
+            stlb.hits += 1
+            del bucket[tag]
+            bucket[tag] = None
             return 0
-        self.stlb[core].fill(asid, vpn)
-        return self.latency.page_walk
+        stlb.misses += 1
+        if len(bucket) >= stlb._n_ways:
+            del bucket[next(iter(bucket))]
+            stlb.evictions += 1
+            stlb.version += 1
+        bucket[tag] = None
+        return self._page_walk
 
     def flush_core(self, core: int) -> None:
         """Flush both levels on one core (SGX AEX, or full CR3 switch

@@ -13,9 +13,16 @@ Two complementary mechanisms cover the memory system:
   hierarchy and a deliberately naive reference model (plain lists, no
   O(1) tricks, structure transcribed from the hardware manuals rather
   than from ``repro.uarch``) through the same scripted access sequence
-  and compares latency classes, hit/miss/eviction counters and per-set
-  LRU order after every operation.  A bug in the optimized
-  insertion-ordered-dict representation cannot hide in its own oracle.
+  and compares latency classes, hit/miss/eviction counters, per-set
+  LRU order (caches and TLBs) and the version rule after every
+  operation.  A bug in the optimized insertion-ordered-dict
+  representation cannot hide in its own oracle.
+
+The version rule is what ``Core._footprint_resident`` memoizes on: a
+level's ``version`` advances iff a line or entry left it, and fills
+never bump it.  A missed bump would let fast-forward certify a footprint
+that was evicted, so the reference models count departures and the
+runner checks every level after every operation.
 
 :func:`inject_llc_leak` plants the ``inclusive-llc-leak`` bug: LLC
 evictions stop back-invalidating private copies, silently breaking the
@@ -25,7 +32,7 @@ inclusivity guarantee §5.2's attack depends on.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cpu.machine import Machine, MachineConfig
 from repro.uarch.address import page_number
@@ -49,6 +56,8 @@ class RefLevel:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Lines that left this level (evictions plus invalidations).
+        self.version = 0
 
     def _line(self, addr: int) -> int:
         return addr - (addr % self.line_size)
@@ -82,6 +91,7 @@ class RefLevel:
         if len(bucket) >= self.n_ways:
             victim = bucket.pop(0)
             self.evictions += 1
+            self.version += 1
         bucket.append(line)
         return victim
 
@@ -90,6 +100,7 @@ class RefLevel:
         bucket = self._bucket(addr)
         if line in bucket:
             bucket.remove(line)
+            self.version += 1
 
 
 class RefHierarchy:
@@ -149,6 +160,8 @@ class RefTlb:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Entries that left this level.
+        self.version = 0
 
     def lookup(self, asid: int, vpn: int) -> bool:
         bucket = self.sets[vpn % self.n_sets]
@@ -169,6 +182,7 @@ class RefTlb:
         elif len(bucket) >= self.n_ways:
             bucket.pop(0)
             self.evictions += 1
+            self.version += 1
         bucket.append(tag)
 
 
@@ -280,32 +294,17 @@ class UarchProbe:
 # ----------------------------------------------------------------------
 # Differential uarch fuzzing (scripted sequences, machine vs reference)
 # ----------------------------------------------------------------------
-def _counter_snapshot(machine: Machine) -> Dict[str, Tuple[int, int, int]]:
+def _level_pairs(machine: Machine, ref: "RefHierarchy",
+                 rtlb: "RefTlbHierarchy") -> List[Tuple]:
+    """Every (machine level, reference level) pair, caches then TLBs
+    per core, LLC first."""
     h, t = machine.hierarchy, machine.tlbs
-    snap = {"LLC": (h.llc.hits, h.llc.misses, h.llc.evictions)}
+    pairs: List[Tuple] = [(h.llc, ref.llc)]
     for c in range(machine.n_cores):
-        for lvl in (h.l1i[c], h.l1d[c], h.l2[c]):
-            snap[lvl.name] = (lvl.hits, lvl.misses, lvl.evictions)
-        for tlb in (t.itlb[c], t.stlb[c]):
-            snap[tlb.name] = (tlb.hits, tlb.misses, tlb.evictions)
-    return snap
-
-
-def _ref_snapshot(ref: RefHierarchy, rtlb: RefTlbHierarchy,
-                  n_cores: int) -> Dict[str, Tuple[int, int, int]]:
-    snap = {"LLC": (ref.llc.hits, ref.llc.misses, ref.llc.evictions)}
-    for c in range(n_cores):
-        snap[f"L1I#{c}"] = (ref.l1i[c].hits, ref.l1i[c].misses,
-                            ref.l1i[c].evictions)
-        snap[f"L1D#{c}"] = (ref.l1d[c].hits, ref.l1d[c].misses,
-                            ref.l1d[c].evictions)
-        snap[f"L2#{c}"] = (ref.l2[c].hits, ref.l2[c].misses,
-                           ref.l2[c].evictions)
-        snap[f"iTLB#{c}"] = (rtlb.itlb[c].hits, rtlb.itlb[c].misses,
-                             rtlb.itlb[c].evictions)
-        snap[f"STLB#{c}"] = (rtlb.stlb[c].hits, rtlb.stlb[c].misses,
-                             rtlb.stlb[c].evictions)
-    return snap
+        pairs += [(h.l1i[c], ref.l1i[c]), (h.l1d[c], ref.l1d[c]),
+                  (h.l2[c], ref.l2[c]), (t.itlb[c], rtlb.itlb[c]),
+                  (t.stlb[c], rtlb.stlb[c])]
+    return pairs
 
 
 def generate_uarch_ops(seed: int, n_cores: int = 2,
@@ -371,10 +370,13 @@ def run_uarch_case(seed: int, n_cores: int = 2, n_ops: int = 400,
         if len(violations) < MAX_VIOLATIONS:
             violations.append(Violation(invariant, float(step), detail))
 
+    pairs = _level_pairs(machine, ref, rtlb)
+    versions = [(real.version, model.version) for real, model in pairs]
     ops = generate_uarch_ops(seed, n_cores=n_cores, n_ops=n_ops)
     for step, op in enumerate(ops):
         kind = op[0]
         touched_addr = None
+        touched_tlbs = ()
         if kind == "access":
             _, core, addr, akind = op
             got = machine.hierarchy.access(core, addr, kind=akind)
@@ -408,6 +410,9 @@ def run_uarch_case(seed: int, n_cores: int = 2, n_ops: int = 400,
             _, core, asid, addr = op
             got = machine.tlbs.translate_fetch(core, asid, addr)
             want = rtlb.translate_fetch(core, asid, addr)
+            vpn = page_number(addr)
+            touched_tlbs = ((machine.tlbs.itlb[core], rtlb.itlb[core], vpn),
+                            (machine.tlbs.stlb[core], rtlb.stlb[core], vpn))
             if got != want:
                 report("tlb-accounting", step,
                        f"translate_fetch core{core} asid{asid} {addr:#x} "
@@ -416,6 +421,9 @@ def run_uarch_case(seed: int, n_cores: int = 2, n_ops: int = 400,
             _, core, asid, addr, huge = op
             got = machine.tlbs.translate_data(core, asid, addr, huge=huge)
             want = rtlb.translate_data(core, asid, addr, huge=huge)
+            vpn = (_HUGE_VPN_BASE + addr // _HUGE_PAGE_SIZE if huge
+                   else page_number(addr))
+            touched_tlbs = ((machine.tlbs.stlb[core], rtlb.stlb[core], vpn),)
             if got != want:
                 report("tlb-accounting", step,
                        f"translate_data core{core} asid{asid} {addr:#x} "
@@ -426,12 +434,12 @@ def run_uarch_case(seed: int, n_cores: int = 2, n_ops: int = 400,
         if touched_addr is not None:
             line = touched_addr - (touched_addr % 64)
             for c in range(n_cores):
-                pairs = [
+                levels = [
                     (machine.hierarchy.l1i[c], ref.l1i[c]),
                     (machine.hierarchy.l1d[c], ref.l1d[c]),
                     (machine.hierarchy.l2[c], ref.l2[c]),
                 ]
-                for real, model in pairs:
+                for real, model in levels:
                     idx = real.geometry.set_index(line)
                     got_lines = real.resident_lines(idx)
                     want_lines = tuple(model.sets[idx])
@@ -447,19 +455,39 @@ def run_uarch_case(seed: int, n_cores: int = 2, n_ops: int = 400,
                 report("cache-lru-order", step,
                        f"LLC set {idx} order {[hex(a) for a in got_lines]} "
                        f"!= reference {[hex(a) for a in want_lines]}")
+        for real, model, vpn in touched_tlbs:
+            idx = real.geometry.set_index(vpn)
+            got_tags = real.resident_tags(idx)
+            want_tags = tuple(model.sets[idx])
+            if got_tags != want_tags:
+                report("tlb-lru-order", step,
+                       f"{real.name} set {idx} order {got_tags} != "
+                       f"reference {want_tags}")
+
+        # Version rule: a level's version advances iff a line or entry
+        # left it during this operation, and never goes back.
+        for i, (real, model) in enumerate(pairs):
+            got_delta = real.version - versions[i][0]
+            left = model.version - versions[i][1]
+            if got_delta < 0 or (got_delta > 0) != (left > 0):
+                invariant = ("tlb-version" if "TLB" in real.name.upper()
+                             else "cache-version")
+                report(invariant, step,
+                       f"{kind}: {real.name} version moved by {got_delta} "
+                       f"while {left} entries left it (reference)")
+            versions[i] = (real.version, model.version)
         if len(violations) >= MAX_VIOLATIONS:
             return violations
 
-    got_counters = _counter_snapshot(machine)
-    want_counters = _ref_snapshot(ref, rtlb, n_cores)
-    for name in sorted(want_counters):
-        if got_counters.get(name) != want_counters[name]:
-            invariant = ("tlb-accounting" if "TLB" in name.upper()
+    for real, model in pairs:
+        got_counts = (real.hits, real.misses, real.evictions)
+        want_counts = (model.hits, model.misses, model.evictions)
+        if got_counts != want_counts:
+            invariant = ("tlb-accounting" if "TLB" in real.name.upper()
                          else "cache-accounting")
             report(invariant, len(ops),
-                   f"{name} counters (hits, misses, evictions) "
-                   f"{got_counters.get(name)} != reference "
-                   f"{want_counters[name]}")
+                   f"{real.name} counters (hits, misses, evictions) "
+                   f"{got_counts} != reference {want_counts}")
 
     # Final structural sweep with a throwaway monitor.
     class _Collector:

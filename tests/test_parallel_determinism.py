@@ -54,10 +54,18 @@ class TestResolveJobs:
     def test_explicit_count(self):
         assert resolve_jobs(3) == 3
 
-    def test_default_uses_all_cores(self):
+    def test_documented_defaults(self, monkeypatch):
+        # The contract in repro.parallel's docstring: None reads
+        # REPRO_JOBS and is serial when it is unset; 0 (the CLI's
+        # --jobs default) uses every core.  On a 1-CPU host the two
+        # agree, so each case is pinned on its own.
         import os
 
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(None) == 1
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert resolve_jobs(None) == 3
 
 
 # ----------------------------------------------------------------------

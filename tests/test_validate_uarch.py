@@ -2,13 +2,15 @@
 
 The optimized hierarchy (insertion-ordered dicts) is checked two ways:
 a brute-force reference model replays the same scripted sequences and
-must agree on every latency, counter and per-set LRU order; and a
-structural probe asserts machine-wide invariants (occupancy bounds,
-LLC inclusivity) that hold at any instant.  The planted
-``inclusive-llc-leak`` bug must be caught by both.
+must agree on every latency, counter, per-set LRU order and version
+bump; and a structural probe asserts machine-wide invariants (occupancy
+bounds, LLC inclusivity) that hold at any instant.  The planted
+``inclusive-llc-leak`` bug must be caught by both, and planted version
+and TLB-order bugs by the reference comparison.
 """
 
 from repro.cpu.machine import Machine, MachineConfig
+from repro.uarch.address import page_number
 from repro.validate.harness import run_case, run_validate
 from repro.validate.invariants import InvariantMonitor
 from repro.validate.uarch import (
@@ -38,10 +40,58 @@ def test_leaky_machine_diverges_from_reference():
     inject_llc_leak(machine.hierarchy)
     violations = run_uarch_case(0, machine=machine)
     assert violations
+    # Lines the purge no longer removes also stop bumping the private
+    # levels' versions, so the version rule fires alongside LRU order.
     assert {v.invariant for v in violations} <= {
         "cache-accounting", "cache-lru-order", "cache-occupancy",
-        "llc-inclusivity",
+        "llc-inclusivity", "cache-version",
     }
+
+
+def _roll_back_eviction_bumps(hierarchy) -> None:
+    """Planted bug: ``access`` undoes the LLC version bump of every
+    eviction it causes, so an evicted line leaves the version unchanged
+    (the stale-certificate hazard for fast-forward)."""
+    access = hierarchy.access
+
+    def access_without_bump(core, addr, kind="data", *, count_stats=True):
+        evictions = hierarchy.llc.evictions
+        latency = access(core, addr, kind, count_stats=count_stats)
+        hierarchy.llc.version -= hierarchy.llc.evictions - evictions
+        return latency
+
+    hierarchy.access = access_without_bump
+
+
+def test_missed_version_bump_caught_by_version_rule():
+    machine = Machine(MachineConfig(n_cores=2))
+    _roll_back_eviction_bumps(machine.hierarchy)
+    violations = run_uarch_case(0, machine=machine)
+    # Only the version changed: latencies, counters, LRU order and
+    # inclusivity all still agree with the reference.
+    assert {v.invariant for v in violations} == {"cache-version"}
+    assert all("LLC" in v.detail for v in violations)
+
+
+def test_tlb_set_order_checked_against_reference():
+    machine = Machine(MachineConfig(n_cores=2))
+    tlbs = machine.tlbs
+    translate_data = tlbs.translate_data
+
+    def translate_then_promote_lru(core, asid, addr, *, huge=False):
+        # Planted bug: a 4 KiB translation also promotes its set's LRU
+        # entry to MRU, leaving every counter as it was.
+        cycles = translate_data(core, asid, addr, huge=huge)
+        stlb = tlbs.stlb[core]
+        tags = stlb.resident_tags(stlb.geometry.set_index(page_number(addr)))
+        if not huge and len(tags) > 1:
+            stlb.lookup(*tags[0])
+            stlb.hits -= 1
+        return cycles
+
+    tlbs.translate_data = translate_then_promote_lru
+    violations = run_uarch_case(0, machine=machine)
+    assert {v.invariant for v in violations} == {"tlb-lru-order"}
 
 
 # ----------------------------------------------------------------------
