@@ -50,18 +50,15 @@ class CoreStats:
     stores: int = 0
     mispredicts: int = 0
     speculative_issues: int = 0
-    # Fast-path introspection (telemetry): which arithmetic fast paths
-    # engaged, how many instructions they retired without touching
-    # μarch state, and how often certification fell back to the
-    # per-instruction interpreter.  Plain int adds once per *window*
-    # (never per instruction), pulled into gauges at snapshot time.
+    # Fast-path introspection (telemetry): which parts of the certified
+    # window engaged and how many instructions the arithmetic fast
+    # paths retired without touching μarch state.  Plain int adds once
+    # per *window* (never per instruction), pulled into gauges at
+    # snapshot time.
     ff_steady_windows: int = 0
     ff_warmup_windows: int = 0
-    ff_periodic_windows: int = 0
-    ff_loop_windows: int = 0
     ff_uniform_bulk_retires: int = 0
     ff_insts_fast_forwarded: int = 0
-    ff_periodic_fallbacks: int = 0
     spec_early_outs: int = 0
 
     def architectural(self):
@@ -100,10 +97,10 @@ class Core:
         self._last_fetch_page: Optional[int] = None
         self._pipeline_cold = True
         self._warmup_remaining = latency.frontend_warmup_insts
-        #: Master switch for every arithmetic fast path (steady, loop,
-        #: periodic, uniform bulk retire).  Differential tests disable
-        #: it to run the pure per-instruction interpreter as the
-        #: bit-identity reference.
+        #: Master switch for every arithmetic fast path (the certified
+        #: window and the uniform bulk retire).  Differential tests
+        #: disable it to run the pure per-instruction interpreter as
+        #: the reference.
         self.fast_forward = True
         # Memoized footprint certificate: (key, l1i.version,
         # itlb.version) of the last successful residency proof.  Version
@@ -199,68 +196,28 @@ class Core:
     # Program execution against a deadline (used by the kernel)
     # ------------------------------------------------------------------
     def run_program(
-        self,
-        asid: int,
-        program: Program,
-        start: float,
-        deadline: float,
-        *,
-        spec_lookahead: int = 0,
+        self, asid: int, program: Program, start: float, deadline: float
     ) -> Tuple[int, float]:
         """Run ``program`` from ``start`` until an interrupt at ``deadline``.
 
         Returns ``(instructions_retired, end_time)``.  Per the boundary
         rule, an instruction whose execution straddles the deadline
-        still retires, so ``end_time`` may exceed ``deadline``.  After
-        the boundary, up to ``spec_lookahead`` further instructions
-        issue their memory effects speculatively (suppressed past a
-        ``fenced`` instruction).
+        still retires, so ``end_time`` may exceed ``deadline``.  The
+        speculative smear past the boundary is issued separately
+        (:meth:`speculate`, from the body's preemption hook).
         """
         t = start
         retired = 0
         fast = self.fast_forward
         while t < deadline:
             if fast:
-                if self._warmup_remaining > 0:
-                    warm = self._try_warmup_fast_forward(
-                        asid, program, t, deadline
-                    )
-                    if warm:
-                        count, t = warm
-                        program.retire_bulk(count)
-                        self.stats.instructions_retired += count
-                        self.stats.ff_warmup_windows += 1
-                        self.stats.ff_insts_fast_forwarded += count
-                        retired += count
-                        continue
-                steady = self._try_steady_fast_forward(asid, program, t, deadline)
-                if steady:
-                    count, t = steady
+                forwarded = self._try_fast_forward(asid, program, t, deadline)
+                if forwarded:
+                    count, t = forwarded
                     program.retire_bulk(count)
                     self.stats.instructions_retired += count
-                    self.stats.ff_steady_windows += 1
                     self.stats.ff_insts_fast_forwarded += count
                     retired += count
-                    continue
-                periodic = self._try_periodic_fast_forward(
-                    asid, program, t, deadline
-                )
-                if periodic:
-                    count, t = periodic
-                    retired += count  # retirement applied internally
-                    continue
-                bulk_loops = self._try_loop_fast_forward(asid, program, t, deadline)
-                if bulk_loops:
-                    loops, elapsed = bulk_loops
-                    profile = program.loop_profile(program.retired)
-                    assert profile is not None
-                    count = loops * profile.insts_per_loop
-                    program.retired += count
-                    self.stats.instructions_retired += count
-                    self.stats.ff_loop_windows += 1
-                    self.stats.ff_insts_fast_forwarded += count
-                    retired += count
-                    t += elapsed
                     continue
             inst = program.current()
             if inst is None:
@@ -285,47 +242,105 @@ class Core:
                     self.stats.ff_insts_fast_forwarded += bulk
                     retired += bulk
                     t += bulk * per_inst
-        if spec_lookahead > 0 and retired >= 0:
-            self.speculate(asid, program, spec_lookahead)
         return retired, t
 
-    def _try_steady_fast_forward(
+    def _try_fast_forward(
         self, asid: int, program: Program, t: float, deadline: float
     ):
-        """Whole-window fast-forward for uniform steady-state streams.
+        """Certified whole-window fast-forward for uniform steady streams.
 
-        Unlike :meth:`_try_loop_fast_forward` this engages from *any*
-        slot: when the program certifies a slot-independent uniform
-        stream (every instruction one base cycle) and the loop's full
-        footprint is resident, the window is retired by an **arithmetic
-        twin** of the per-instruction loop — the same sequence of
-        chunk-head additions, uniform-line bulk multiplies and
-        whole-loop multiplies the slow path performs, minus the
-        microarchitectural work.  Replicating the float accumulation
-        exactly keeps end times bit-identical to per-instruction
-        execution: vruntime-sensitive schedulers (EEVDF eligibility)
-        amplify even ULP-level timing drift into different preemption
-        counts.  The straddling instruction past the deadline is
-        included (boundary rule).  Returns ``(instructions,
-        end_time_ns)`` or None; the caller adopts ``end_time``
-        directly.
+        Engages from *any* slot when the program certifies a
+        slot-independent uniform stream (:meth:`Program.steady_state`:
+        every instruction one base cycle once the loop footprint is
+        resident) and the footprint is proven resident.  The window is
+        then retired by an **arithmetic twin** of the per-instruction
+        loop, minus the microarchitectural work, in up to three parts:
+
+        1. the remaining frontend warm-up.  Its only timing content is
+           ``base + frontend_warmup_extra`` cycles per instruction (plus
+           ``pipeline_refill`` on the first after a switch), because a
+           resident footprint makes every fetch free and a steady stream
+           has no memory operands, fences or mispredicting transfers;
+        2. the uniform-line bulk retire that ``run_program`` performs
+           right after the last warm-up instruction;
+        3. the steady twin (``program.steady_twin``, or the generic loop
+           below): chunk-head additions, uniform-line bulk multiplies and
+           whole-loop multiplies.
+
+        Parts 1 and 2 re-add exactly the floats :meth:`execute` and
+        ``run_program`` would have produced, in the same order; part 3
+        reassociates the per-instruction sum only through its
+        whole-loop multiplies, so end times stay within ULPs of
+        interpretation and are bit-reproducible for a given
+        configuration.  That matters because vruntime-sensitive
+        schedulers (EEVDF eligibility) amplify even ULP-level timing
+        drift into different preemption counts.  Like every forwarded
+        window it skips recency touches, hit/miss counters and the
+        loop-back jump's BTB refresh (see ARCHITECTURE.md's fast-forward
+        drift contract).  The straddling instruction past the deadline
+        is included (boundary rule).
+
+        Returns ``(instructions, end_time_ns)`` or None; the caller
+        advances the program cursor and adopts ``end_time`` directly.
         """
-        if self._pipeline_cold or self._warmup_remaining > 0:
-            return None
-        state = program.steady_state(program.retired)
+        idx0 = program.retired
+        state = program.steady_state(idx0)
         if state is None:
             return None
         profile, certified = state
+        n = self._warmup_remaining
+        if n > 0:
+            if certified is not None and certified < n + 1:
+                return None  # stream may end mid-warm-up: execute() decides
+        elif self._pipeline_cold:
+            return None
         if not self._footprint_resident(asid, profile):
             return None
         per_inst = self._base_inst_ns
-        idx0 = program.retired
+        idx = idx0
+        if n > 0:
+            lat = self.latency
+            warm_ns = cycles_to_ns(float(lat.base_inst + lat.frontend_warmup_extra))
+            executed = 0
+            if self._pipeline_cold:
+                t += cycles_to_ns(float(
+                    lat.base_inst + lat.pipeline_refill + lat.frontend_warmup_extra
+                ))
+                self._pipeline_cold = False
+                executed = 1
+            while executed < n and t < deadline:
+                t += warm_ns
+                executed += 1
+            self._warmup_remaining = n - executed
+            self.stats.ff_warmup_windows += 1
+            last = program.instruction_at(idx0 + executed - 1)
+            self._last_fetch_page = last.pc >> _PAGE_SHIFT
+            self._last_fetch_line = last.pc & _FETCH_LINE_MASK
+            idx += executed
+            if executed < n or t >= deadline:
+                return executed, t
+            run = program.uniform_region_length(idx)
+            if run > 1:
+                budget = int((deadline - t) / per_inst)
+                bulk = min(run, max(budget, 0))
+                if bulk > 0:
+                    idx += bulk
+                    t += bulk * per_inst
+            if certified is not None:
+                certified -= idx - idx0
+            if t >= deadline or (certified is not None and certified < 1):
+                return idx - idx0, t
         twin = program.steady_twin
         if twin is not None:
             # The program ships a specialized twin with the same float
             # sequence inlined; the generic loop below is the reference.
-            return twin(idx0, t, deadline, per_inst, certified)
-        idx = idx0
+            steady = twin(idx, t, deadline, per_inst, certified)
+            if steady is not None:
+                idx += steady[0]
+                t = steady[1]
+                self.stats.ff_steady_windows += 1
+            return (idx - idx0, t) if idx > idx0 else None
+        idx1 = idx
         while t < deadline:
             loop = program.loop_profile(idx)
             if loop is not None:
@@ -339,7 +354,7 @@ class Core:
                         idx += loops * loop.insts_per_loop
                         t += loops * per_loop
                         continue
-            if certified is not None and idx - idx0 >= certified:
+            if certified is not None and idx - idx1 >= certified:
                 break  # past the certified region: execute() decides
             t += per_inst  # chunk-head instruction (line warm: base cost)
             idx += 1
@@ -352,79 +367,9 @@ class Core:
                 if bulk > 0:
                     idx += bulk
                     t += bulk * per_inst
-        count = idx - idx0
-        if count < 1:
-            return None
-        return count, t
-
-    def _try_warmup_fast_forward(
-        self, asid: int, program: Program, t: float, deadline: float
-    ):
-        """Arithmetic twin for the frontend warm-up phase of a steady
-        window.
-
-        Every preemption window starts with ``frontend_warmup_insts``
-        per-instruction executes whose only timing content — once the
-        program certifies a uniform steady stream and the loop footprint
-        is proven resident — is ``base + frontend_warmup_extra`` cycles
-        each (plus ``pipeline_refill`` on the first), because a resident
-        footprint makes every fetch free and a steady stream has no
-        memory operands, fences or mispredicting transfers.  The twin
-        re-adds exactly the per-instruction costs :meth:`execute` would
-        have produced (same floats, same order), finishing with the
-        uniform-line bulk retire that ``run_program`` performs inside
-        the final warm-up iteration, so the optimized path's float
-        sequence is unchanged.  Like every forwarded window it skips
-        recency touches, hit/miss counters and the loop-back jump's BTB
-        refresh (see ARCHITECTURE.md's fast-forward drift contract).
-
-        Returns ``(instructions, end_time_ns)`` or None.
-        """
-        n = self._warmup_remaining
-        if n < 1:
-            return None
-        idx0 = program.retired
-        state = program.steady_state(idx0)
-        if state is None:
-            return None
-        profile, remaining = state
-        if remaining is not None and remaining < n + 1:
-            return None  # stream may end mid-warm-up: execute() decides
-        if not self._footprint_resident(asid, profile):
-            return None
-        lat = self.latency
-        warm_ns = cycles_to_ns(float(lat.base_inst + lat.frontend_warmup_extra))
-        executed = 0
-        if self._pipeline_cold:
-            t += cycles_to_ns(float(
-                lat.base_inst + lat.pipeline_refill + lat.frontend_warmup_extra
-            ))
-            self._pipeline_cold = False
-            executed = 1
-        while executed < n and t < deadline:
-            t += warm_ns
-            executed += 1
-        self._warmup_remaining = n - executed
-        if executed < 1:
-            return None
-        last = program.instruction_at(idx0 + executed - 1)
-        self._last_fetch_page = last.pc >> _PAGE_SHIFT
-        self._last_fetch_line = last.pc & _FETCH_LINE_MASK
-        idx = idx0 + executed
-        if executed == n and t < deadline:
-            # The final warm-up iteration of the per-instruction loop
-            # ends with ``_warmup_remaining == 0``, so run_program's
-            # uniform bulk retire fires before the steady twin engages;
-            # reproduce it operation-for-operation.
-            run = program.uniform_region_length(idx)
-            if run > 1:
-                per_inst = self._base_inst_ns
-                budget = int((deadline - t) / per_inst)
-                bulk = min(run, max(budget, 0))
-                if bulk > 0:
-                    idx += bulk
-                    t += bulk * per_inst
-        return idx - idx0, t
+        if idx > idx1:
+            self.stats.ff_steady_windows += 1
+        return (idx - idx0, t) if idx > idx0 else None
 
     def _footprint_resident(self, asid: int, profile) -> bool:
         """Every loop line in this core's L1I, every page translated.
@@ -446,142 +391,6 @@ class Core:
             return False
         self._ff_cert = (key, l1i.version, itlb.version)
         return True
-
-    def _try_periodic_fast_forward(
-        self, asid: int, program: Program, t: float, deadline: float
-    ):
-        """Measured fixed-point fast-forward for exactly periodic streams.
-
-        Engages when the program certifies a cyclic period
-        (:meth:`Program.period_hint`) — branchy loops, prefetcher-active
-        windows — where per-slot uniformity does not hold.  The core
-
-        1. executes one full period per-instruction to settle entry
-           effects (fetch locality, BTB warm-up, prefetch fills),
-        2. executes and *measures* a second period, recording each
-           instruction's exact float cost and snapshotting every level's
-           version counter, demand miss counters, the mispredict count
-           and the touched BTB entries around it,
-        3. if the measured period left all of those unchanged, the uarch
-           state is a fixed point over the period: every subsequent full
-           period costs the identical float sequence, so it is replayed
-           by re-adding the recorded costs (bit-exact — the same
-           additions in the same order) with zero microarchitectural
-           work.
-
-        Whole periods only: the partial period at the deadline falls
-        back to per-instruction execution, so the final machine state is
-        reached through real executes and matches the slow path exactly.
-        Measurement itself *is* real execution, so a failed certificate
-        costs nothing but the snapshot comparison.
-
-        Returns ``(instructions, end_time)`` with retirement and stats
-        already applied, or None if the fast path did not engage at all.
-        """
-        if self._pipeline_cold or self._warmup_remaining > 0:
-            return None
-        idx0 = program.retired
-        period = program.period_hint(idx0)
-        if period is None or period < 2:
-            return None
-        # The window must plausibly cover warm-up + measurement + at
-        # least one replayed period, or measurement buys nothing.
-        if deadline - t < 3.0 * period * self._base_inst_ns:
-            return None
-        executed = 0
-        execute = self.execute
-        retire = program.retire
-        current = program.current
-        # Period 1: warm.  Entry fetch locality / BTB state differ from
-        # the steady phase, so this period is not representative.
-        for _ in range(period):
-            inst = current()
-            if inst is None:
-                return (executed, t) if executed else None
-            t += execute(asid, inst)
-            retire()
-            executed += 1
-            if t >= deadline:
-                return executed, t
-        hierarchy = self.hierarchy
-        cid = self.core_id
-        l1i = hierarchy.l1i[cid]
-        l1d = hierarchy.l1d[cid]
-        l2 = hierarchy.l2[cid]
-        llc = hierarchy.llc
-        itlb = self.tlbs.itlb[cid]
-        stlb = self.tlbs.stlb[cid]
-        levels = (l1i, l1d, l2, llc, itlb, stlb)
-        pcs = program.period_pcs(program.retired)
-        pre = tuple(v for lvl in levels for v in (lvl.version, lvl.misses))
-        pre_mispredicts = self.stats.mispredicts
-        pre_btb = self.btb.snapshot(pcs)
-        # Period 2: measure.
-        costs = []
-        append = costs.append
-        for _ in range(period):
-            inst = current()
-            if inst is None:
-                return executed, t
-            cost = execute(asid, inst)
-            t += cost
-            retire()
-            executed += 1
-            append(cost)
-            if t >= deadline:
-                return executed, t
-        post = tuple(v for lvl in levels for v in (lvl.version, lvl.misses))
-        if (post != pre or self.stats.mispredicts != pre_mispredicts
-                or self.btb.snapshot(pcs) != pre_btb):
-            self.stats.ff_periodic_fallbacks += 1
-            return executed, t  # no fixed point; the slow path continues
-        remaining = program.instructions_remaining(program.retired)
-        replayed = 0
-        while remaining is None or replayed + period <= remaining:
-            tentative = t
-            for c in costs:
-                tentative += c
-            if tentative > deadline:
-                break
-            t = tentative
-            replayed += period
-            if t >= deadline:
-                break
-        if replayed:
-            program.retire_bulk(replayed)
-            self.stats.instructions_retired += replayed
-            self.stats.ff_periodic_windows += 1
-            self.stats.ff_insts_fast_forwarded += replayed
-            executed += replayed
-        return executed, t
-
-    def _try_loop_fast_forward(
-        self, asid: int, program: Program, t: float, deadline: float
-    ):
-        """Whole-loop fast-forward for steady-state tight loops.
-
-        Engages only when (a) the program reports a loop profile at its
-        current index, (b) the remaining window covers at least two full
-        iterations, and (c) the loop's entire footprint is already
-        resident (every line in this core's L1I, every page translated),
-        so per-iteration cost is exactly ``cycles_per_loop``.  Returns
-        ``(iterations, elapsed_ns)`` or None.
-        """
-        profile = program.loop_profile(program.retired)
-        if profile is None or self._warmup_remaining > 0:
-            return None
-        per_loop_ns = cycles_to_ns(profile.cycles_per_loop)
-        window = deadline - t
-        if window < 2 * per_loop_ns:
-            return None
-        if not self._footprint_resident(asid, profile):
-            return None
-        loops = int(window / per_loop_ns)
-        if profile.max_loops is not None:
-            loops = min(loops, profile.max_loops)
-        if loops < 1:
-            return None
-        return loops, loops * per_loop_ns
 
     def warm_resume(self, asid: int, program: Program, depth: int) -> None:
         """AEX-Notify model (§6, Constable et al.): a trusted in-enclave

@@ -83,13 +83,13 @@ def publish_kernel_metrics(kernel, metrics: MetricsRegistry) -> None:
     for field, name in (
         ("ff_steady_windows", "ff.windows.steady"),
         ("ff_warmup_windows", "ff.windows.warmup"),
-        ("ff_periodic_windows", "ff.windows.periodic"),
-        ("ff_loop_windows", "ff.windows.loop"),
         ("ff_uniform_bulk_retires", "ff.uniform_bulk_retires"),
-        ("ff_periodic_fallbacks", "ff.periodic_fallbacks"),
         ("ff_insts_fast_forwarded", "ff.insts_fast_forwarded"),
     ):
         metrics.gauge(name).set(sum(getattr(s, field) for s in stats))
+    # Paths deleted as never firing; bench/layers.py still reads both.
+    metrics.gauge("ff.windows.periodic").set(0)
+    metrics.gauge("ff.windows.loop").set(0)
     retired = sum(s.instructions_retired for s in stats)
     fast = sum(s.ff_insts_fast_forwarded for s in stats)
     metrics.gauge("ff.coverage").set(fast / retired if retired else 0.0)

@@ -462,10 +462,7 @@ def render_report(run_dir: str,
         for key, label in (
             ("ff.windows.steady", "steady windows"),
             ("ff.windows.warmup", "warm-up windows"),
-            ("ff.windows.periodic", "periodic windows"),
-            ("ff.windows.loop", "loop windows"),
             ("ff.uniform_bulk_retires", "uniform bulk retires"),
-            ("ff.periodic_fallbacks", "periodic fallbacks"),
             ("cpu.spec_early_outs", "speculation early-outs"),
         ):
             if key in counters:

@@ -91,20 +91,6 @@ class Btb:
         """Raw entry access for tests/diagnostics."""
         return self._entries.get(self.index_of(pc))
 
-    def snapshot(self, pcs) -> tuple:
-        """Immutable view of the entries colliding with ``pcs``.
-
-        Used by the executor's periodic fast-forward to certify that one
-        loop period left every touched BTB entry unchanged (a fixed
-        point): compare the snapshot before and after the measured
-        period.  Each element is ``(source_pc, target, valid)`` or None.
-        """
-        entries = self._entries
-        return tuple(
-            (e.source_pc, e.target, e.valid) if e is not None else None
-            for e in (entries.get(pc & PC_INDEX_MASK) for pc in pcs)
-        )
-
     def flush(self) -> None:
         self._entries.clear()
 

@@ -6,9 +6,11 @@ must agree on every latency, counter, per-set LRU order and version
 bump; and a structural probe asserts machine-wide invariants (occupancy
 bounds, LLC inclusivity) that hold at any instant.  The planted
 ``inclusive-llc-leak`` bug must be caught by both, and planted version
-and TLB-order bugs by the reference comparison.
+and TLB-order bugs by the reference comparison.  A stale fast-forward
+residency certificate must be caught by the fast-forward oracle.
 """
 
+from repro.cpu.core import Core
 from repro.cpu.machine import Machine, MachineConfig
 from repro.uarch.address import page_number
 from repro.validate.harness import run_case, run_validate
@@ -17,6 +19,7 @@ from repro.validate.uarch import (
     UarchProbe,
     generate_uarch_ops,
     inject_llc_leak,
+    run_fastforward_case,
     run_uarch_case,
 )
 from repro.validate.workload import generate_workload
@@ -92,6 +95,28 @@ def test_tlb_set_order_checked_against_reference():
     tlbs.translate_data = translate_then_promote_lru
     violations = run_uarch_case(0, machine=machine)
     assert {v.invariant for v in violations} == {"tlb-lru-order"}
+
+
+def test_stale_footprint_certificate_caught_by_ff_oracle(monkeypatch):
+    proven = Core._footprint_resident
+
+    def trust_matching_key(self, asid, profile):
+        # Planted bug: a memoized certificate is trusted whenever its
+        # key matches, without comparing the L1I/iTLB versions, so a
+        # loop line flushed between windows still counts as resident.
+        cert = self._ff_cert
+        if cert is not None and cert[0] == (
+                asid, profile.base_pc, profile.insts_per_loop):
+            return True
+        return proven(self, asid, profile)
+
+    monkeypatch.setattr(Core, "_footprint_resident", trust_matching_key)
+    violations = run_fastforward_case(0)
+    assert {v.invariant for v in violations} <= {
+        "ff-retired", "ff-time", "ff-uarch-state", "ff-stats"}
+    # Every victim runs past a flushed line on a stale certificate.
+    assert {v.detail.split(":")[0] for v in violations} == {
+        "straightline", "bounded", "phased"}
 
 
 # ----------------------------------------------------------------------
