@@ -17,6 +17,7 @@ Two concrete flavours cover every victim in the paper:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -139,6 +140,126 @@ class TraceProgram(Program):
         return [i.label for i in self.instructions if i.label]
 
 
+#: Shortest tight run the closed form takes.  Below it the line-by-line
+#: adds are cheaper than working out the closed form.
+_CLOSED_FORM_MIN_LINES = 8
+
+
+class _TwinConstants:
+    """Per-``(program, per_inst)`` constants of
+    :meth:`StraightlineProgram.steady_twin`, and the closed form of its
+    tight run.
+
+    A tight-run line is two float adds, ``t += per_inst`` then
+    ``t += full_bulk``.  Inside one binade of ``t`` every float is a
+    multiple of ``ulp(t)``, so each add rounds its constant to the same
+    multiple of the ulp, ``r_a·ulp`` or ``r_b·ulp``, whatever ``t`` is,
+    and ``k`` lines advance ``t`` by exactly ``k·(r_a + r_b)·ulp``.  Two
+    cases break that: a constant that is an odd multiple of half an ulp
+    (an exact tie, which round-half-even settles by the low bit of
+    ``t``), and ``t < 1``, where the adds leave the binade at once.
+    There the caller adds line by line.
+    """
+
+    __slots__ = ("per_inst", "per_line", "per_loop", "two_loops",
+                 "full_run", "full_bulk", "full_guard", "tight_guard",
+                 "last_tight", "last_closed", "closed_window", "low", "top",
+                 "ulp", "adds")
+
+    def __init__(self, program: "StraightlineProgram", per_inst: float):
+        per_line = 64 // program.inst_size
+        self.per_inst = per_inst
+        self.per_line = per_line
+        self.per_loop = cycles_to_ns(float(program.loop_insts))
+        self.two_loops = 2 * self.per_loop
+        self.full_run = per_line - 1
+        self.full_bulk = self.full_run * per_inst  # == run * per_inst, run full
+        self.full_guard = per_line * per_inst      # == (run + 1) * per_inst
+        # Conservative routing guard for the tight run: when the window
+        # still holds per_line + 3 base instructions, the chunk head
+        # cannot straddle the deadline and the full-line bulk guard
+        # certainly passes, so the per-line decisions are forced and
+        # only the two float adds remain.  Routing compares never touch
+        # ``t`` itself.
+        self.tight_guard = (per_line + 3) * per_inst
+        # Last line boundary whose bulk is still a full run (the final
+        # line stops one short of the loop-back jump).
+        self.last_tight = program.loop_insts - 2 * per_line
+        # Routing for the closed form: runs of fewer lines are cheaper to
+        # add line by line.  The window bound is the guard of the run's
+        # last such line, give or take the rounding of ``t``.
+        self.last_closed = self.last_tight - (_CLOSED_FORM_MIN_LINES - 1) * per_line
+        self.closed_window = (self.tight_guard
+                              + (_CLOSED_FORM_MIN_LINES - 1) * self.full_guard)
+        # Binade [low, top) of the last closed form, its ulp, and
+        # r_a + r_b there (0: the closed form does not apply).
+        self.low = self.top = self.ulp = 0.0
+        self.adds = 0
+
+    def tight_lines(self, t: float, deadline: float,
+                    lines: int) -> Tuple[int, float]:
+        """Closed form of the tight run's next lines from ``t``.
+
+        ``lines`` lines are left before the loop-back line, and the
+        caller has checked that the first passes the guard
+        ``deadline - t >= tight_guard``.  Returns ``(k, t_k)``: the first
+        ``k`` lines end at ``t_k``, ``k`` being the least of ``lines``,
+        the lines that keep ``t`` inside its binade, and the first line
+        that fails the guard (``deadline - t`` only shrinks as ``t``
+        grows, so the guard fails once and for good).  ``k`` is 0 where
+        the closed form does not apply.
+        """
+        if not self.low <= t < self.top:
+            self._enter_binade(t)
+        adds = self.adds
+        if not adds:
+            return 0, t
+        ulp = self.ulp
+        # Every intermediate sum stays below ``top``: t + k·adds·ulp,
+        # like t, is a multiple of the ulp, so it is at most top - ulp.
+        k = (int((self.top - t) / ulp) - 1) // adds
+        if k > lines:
+            k = lines
+        if k < 1:
+            return 0, t
+        # t + j·step is exact for every j <= k: an integer multiple of a
+        # power of two inside the binade.
+        step = adds * ulp
+        guard = self.tight_guard
+        if deadline - (t + (k - 1) * step) < guard:
+            # The guard stops the run first: estimate its first failing
+            # line, then settle it with the loop's own compare.
+            j = int((deadline - guard - t) / step) + 1
+            j = 1 if j < 1 else (k - 1 if j > k - 1 else j)
+            while deadline - (t + j * step) >= guard:
+                j += 1
+            while j > 1 and deadline - (t + (j - 1) * step) < guard:
+                j -= 1
+            k = j
+        return k, t + k * step
+
+    def _enter_binade(self, t: float) -> None:
+        if t < 1.0:
+            self.low, self.top, self.adds = 0.0, 1.0, 0
+            return
+        ulp = math.ulp(t)
+        # Dividing by a power of two is exact, so the quotients carry the
+        # exact rounding of each constant to the ulp grid.
+        quot_a = self.per_inst / ulp
+        quot_b = self.full_bulk / ulp
+        frac_a = quot_a % 1.0
+        frac_b = quot_b % 1.0
+        if frac_a == 0.5 or frac_b == 0.5:
+            adds = 0  # an exact tie
+        else:
+            adds = (int(quot_a) + (frac_a > 0.5)
+                    + int(quot_b) + (frac_b > 0.5))
+        self.top = math.ldexp(1.0, math.frexp(t)[1])
+        self.low = self.top / 2
+        self.ulp = ulp
+        self.adds = adds
+
+
 class StraightlineProgram(Program):
     """Unbounded loop of same-byte-length instructions (§4.3 victim).
 
@@ -168,6 +289,7 @@ class StraightlineProgram(Program):
         # frozen records millions of times.
         self._slot_cache: List[Optional[Instruction]] = [None] * self.loop_insts
         self._steady_profile: Optional[LoopProfile] = None
+        self._twin_consts: Optional[_TwinConstants] = None
 
     def instruction_at(self, index: int) -> Optional[Instruction]:
         if self.total is not None and index >= self.total:
@@ -248,12 +370,12 @@ class StraightlineProgram(Program):
         """Every NOP (and the loop-back jump, predicted by its own BTB
         entry) costs one base cycle once the loop is resident, so the
         stream is uniform from *any* slot, not just the loop top."""
-        if self.total is not None:
-            remaining = self.total - index
-            if remaining < 1:
-                return None
-        else:
-            remaining = None
+        if self.total is None:
+            profile = self._steady_profile or self.loop_profile(0)
+            return None if profile is None else (profile, None)
+        remaining = self.total - index
+        if remaining < 1:
+            return None
         profile = self.loop_profile(index - index % self.loop_insts)
         if profile is None:
             return None
@@ -281,10 +403,13 @@ class StraightlineProgram(Program):
         the generic loop.
         """
         loop_insts = self.loop_insts
-        per_line = 64 // self.inst_size
         total = self.total
-        per_loop = cycles_to_ns(float(loop_insts))
-        two_loops = 2 * per_loop
+        consts = self._twin_consts
+        if consts is None or consts.per_inst != per_inst:
+            consts = self._twin_consts = _TwinConstants(self, per_inst)
+        per_line = consts.per_line
+        per_loop = consts.per_loop
+        two_loops = consts.two_loops
         idx = idx0
         if total is None:
             # Unbounded stream (the §4.3 resolution victim) — the hot
@@ -301,21 +426,16 @@ class StraightlineProgram(Program):
             # correctly-rounded IEEE ops), and the division that the
             # reference performs would have returned ``bulk = run``
             # anyway.  Every ``t`` update below is operation-for-
-            # operation the sequence the generic loop performs.
+            # operation the sequence the generic loop performs, or the
+            # exact closed form of a run of them.
             last_bulk_slot = loop_insts - 1  # stop before the loop jump
-            full_run = per_line - 1
-            full_bulk = full_run * per_inst   # == run * per_inst, run full
-            full_guard = per_line * per_inst  # == (run + 1) * per_inst
-            # Conservative routing guard for the tight two-add loop
-            # below: when the window still holds per_line + 3 base
-            # instructions, the chunk head cannot straddle the deadline
-            # and the full-line bulk guard certainly passes, so the
-            # per-line decisions are forced and only the two float adds
-            # remain.  Routing compares never touch ``t`` itself.
-            tight_guard = (per_line + 3) * per_inst
-            # Last line boundary whose bulk is still a full run (the
-            # final line stops one short of the loop-back jump).
-            last_tight = loop_insts - 2 * per_line
+            full_run = consts.full_run
+            full_bulk = consts.full_bulk
+            full_guard = consts.full_guard
+            tight_guard = consts.tight_guard
+            last_tight = consts.last_tight
+            last_closed = consts.last_closed
+            closed_window = consts.closed_window
             slot = idx % loop_insts
             while t < deadline:
                 if slot == 0:
@@ -326,13 +446,22 @@ class StraightlineProgram(Program):
                         t += loops * per_loop
                         continue
                 elif not slot % per_line:
-                    # Tight loop over consecutive full warm lines: each
+                    # Tight run over consecutive full warm lines: each
                     # line is exactly one chunk-head add plus one bulk
                     # add of the precomputed full-line product — the
                     # identical op pair the generic path performs when
-                    # its (forced, see tight_guard above) decisions all
-                    # take the full-line branch.  Slot never wraps here
-                    # (last_tight keeps the loop-back jump line out).
+                    # its (forced, see tight_guard) decisions all take
+                    # the full-line branch.  A run long enough to repay
+                    # it takes the closed form first; the loop adds
+                    # whatever the closed form left (short runs, a tie
+                    # binade, t < 1, the lines past a power of two).
+                    # Slot never wraps here (last_tight keeps the
+                    # loop-back jump line out).
+                    if slot <= last_closed and deadline - t >= closed_window:
+                        lines, t = consts.tight_lines(
+                            t, deadline, (last_tight - slot) // per_line + 1)
+                        idx += lines * per_line
+                        slot += lines * per_line
                     while slot <= last_tight and deadline - t >= tight_guard:
                         t += per_inst
                         t += full_bulk

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.mitigations.policy import (build_stack, canonical_mitigation,
                                       mitigation_name)
 from repro.parallel import derive_seed, starmap_kwargs
+from repro.sched.task import fresh_pids
 
 __all__ = [
     "DefenseCellResult",
@@ -217,7 +218,10 @@ def run_defense_cell(
         raise ValueError(
             f"unknown workload {workload!r}; known: {sorted(_WORKLOADS)}")
     defense = canonical_mitigation(defense)
-    outcome = _WORKLOADS[workload](defense, scheduler, seed)
+    # Pids appear in LEASH's stats, so number the cell's tasks as a
+    # fresh process would, whatever ran before it.
+    with fresh_pids():
+        outcome = _WORKLOADS[workload](defense, scheduler, seed)
     stats = outcome.get("stats", {})
     fields = _leash_fields(stats, outcome.get("benign_names", ()))
     return DefenseCellResult(

@@ -335,6 +335,8 @@ class Kernel:
         # closure per dispatch showed up in the sweep profile.
         self._dispatch_cbs = [partial(self._dispatch, c)
                               for c in range(machine.n_cores)]
+        self._dispatch_labels = [f"dispatch{c}"
+                                 for c in range(machine.n_cores)]
         self._finish_labels = [f"finish_switch{c}"
                                for c in range(machine.n_cores)]
         # Precompiled kernel-footprint touchers, keyed by (cpu, offset):
@@ -414,22 +416,10 @@ class Kernel:
     ) -> None:
         """Advance the simulation until ``predicate()`` holds, the event
         heap drains, or ``max_time``/``max_events`` is hit."""
-        events = 0
-        sim = self.sim
-        peek = sim.peek_next_time
-        step = sim.step
-        while True:
-            if predicate is not None and predicate():
-                return
-            next_time = peek()
-            if next_time is None:
-                return
-            if max_time is not None and next_time > max_time:
-                return
-            step()
-            events += 1
-            if events >= max_events:
-                raise RuntimeError("kernel.run_until exceeded max_events")
+        events = self.sim.drain(predicate, max_time=max_time,
+                                max_events=max_events)
+        if events >= max_events:
+            raise RuntimeError("kernel.run_until exceeded max_events")
 
     def task_exited(self, task: Task) -> bool:
         return task.state is TaskState.EXITED
@@ -506,7 +496,8 @@ class Kernel:
                 return
             st.dispatch.cancel()
         st.dispatch = self.sim.call_at(
-            time, self._dispatch_cbs[cpu], priority=10, label=f"dispatch{cpu}"
+            time, self._dispatch_cbs[cpu], priority=10,
+            label=self._dispatch_labels[cpu]
         )
 
     def _kick(self, cpu: int) -> None:

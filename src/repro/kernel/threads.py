@@ -123,7 +123,7 @@ class ProgramBody(ThreadBody):
 
     def run(self, ctx: ExecContext, start: float, deadline: float) -> RunOutcome:
         retired, end = ctx.core.run_program(
-            self.asid_of(ctx), self.program, start, deadline
+            ctx.asid, self.program, start, deadline
         )
         if self.program.done:
             return RunOutcome(end, exited=True)
@@ -136,11 +136,7 @@ class ProgramBody(ThreadBody):
         if window is None:
             window = ctx.draw_spec_window()
         if window > 0:
-            ctx.core.speculate(self.asid_of(ctx), self.program, window)
-
-    @staticmethod
-    def asid_of(ctx: ExecContext) -> int:
-        return ctx.asid
+            ctx.core.speculate(ctx.asid, self.program, window)
 
 
 class ComputeBody(ThreadBody):

@@ -9,13 +9,19 @@ never reaches into kernel internals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.obs.ring import RingBuffer
 
+#: Frozen record dataclass; slotted where ``dataclass`` supports it
+#: (Python 3.10+), which keeps long record streams small.
+_record = (dataclass(frozen=True, slots=True) if sys.version_info >= (3, 10)
+           else dataclass(frozen=True))
 
-@dataclass(frozen=True, slots=True)
+
+@_record
 class SwitchRecord:
     """One context switch decision."""
 
@@ -28,7 +34,7 @@ class SwitchRecord:
     next_vruntime: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ExitToUserRecord:
     """Kernel returned control to userspace for `pid`.
 
@@ -46,7 +52,7 @@ class ExitToUserRecord:
     retired: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class WakeupRecord:
     """A task left the waitqueue (Scenario 2)."""
 
@@ -59,7 +65,7 @@ class WakeupRecord:
     preempted: bool
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MigrationRecord:
     """The load balancer moved a task to another CPU (sched_migrate_task)."""
 
@@ -71,7 +77,7 @@ class MigrationRecord:
     vruntime_after: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class VruntimeSample:
     """Periodic vruntime snapshot (drives Fig 4.6)."""
 

@@ -100,6 +100,8 @@ class EevdfScheduler(SchedPolicy):
         another task then wins the EEVDF pick."""
         if curr.vruntime >= curr.deadline:
             self.renew_deadline(curr)
+        if not rq.queued:
+            return False  # a pick among the current task alone returns it
         best = self._pick_among(rq, include_current=True)
         return best is not None and best is not curr
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 NICE_0_LOAD = 1024
 
@@ -47,6 +49,32 @@ class TaskState(enum.Enum):
 
 
 _pid_counter = itertools.count(1000)
+#: Per-thread counter installed by :func:`fresh_pids`; while it is set it
+#: numbers that thread's tasks instead of ``_pid_counter``.
+_pid_scope = threading.local()
+
+
+def _next_pid() -> int:
+    counter = getattr(_pid_scope, "counter", None)
+    return next(_pid_counter if counter is None else counter)
+
+
+@contextmanager
+def fresh_pids() -> Iterator[None]:
+    """Number the tasks this thread creates inside the block from 1000,
+    as a fresh process does.
+
+    Results that record pids (LEASH's flagged pids) then do not depend
+    on what ran earlier in the process.  The counter is per thread
+    because one process can run several such blocks at once on
+    different threads.
+    """
+    previous = getattr(_pid_scope, "counter", None)
+    _pid_scope.counter = itertools.count(1000)
+    try:
+        yield
+    finally:
+        _pid_scope.counter = previous
 
 
 @dataclass
@@ -62,7 +90,7 @@ class Task:
     name: str
     body: Any = None
     nice: int = 0
-    pid: int = field(default_factory=lambda: next(_pid_counter))
+    pid: int = field(default_factory=_next_pid)
     state: TaskState = TaskState.SLEEPING
     cpu: Optional[int] = None  # runqueue the task is on (or ran on last)
     allowed_cpus: Optional[frozenset] = None  # None = any CPU

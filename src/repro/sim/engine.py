@@ -271,6 +271,40 @@ class Simulator:
             self._now = time
         return count
 
+    def drain(
+        self,
+        stop: Optional[Callable[[], bool]] = None,
+        *,
+        max_time: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> int:
+        """Run events in order until ``stop()`` holds (checked before
+        each event), the heap drains, the next event lies past
+        ``max_time``, or ``max_events`` events have run.  Returns the
+        number of events run.
+
+        Unlike :meth:`run_until`, the clock stays at the last event run.
+        Cancelled entries at the top are popped before each check, as
+        :meth:`peek_next_time` pops them.
+        """
+        count = 0
+        heap = self._heap
+        while stop is None or not stop():
+            while heap and heap[0][3].cancelled:
+                heappop(heap)
+            if not heap or (max_time is not None and heap[0][0] > max_time):
+                break
+            event = heappop(heap)[3]
+            event.fired = True
+            self._live -= 1
+            self.events_fired += 1
+            self._now = event.time
+            event.callback()
+            count += 1
+            if max_events is not None and count >= max_events:
+                break
+        return count
+
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued.
 

@@ -107,11 +107,25 @@ class TestBenignControl:
 
 class TestGridDigests:
     def test_jobs_invariant_digests(self):
-        kwargs = dict(workloads=("benign",), defenses=(None, "prefence"),
-                      schedulers=("cfs",), seed=5)
-        serial = run_defense_grid(jobs=1, **kwargs)
-        fanned = run_defense_grid(jobs=2, **kwargs)
-        assert result_digest(serial) == result_digest(fanned)
+        # The leash attack cell records flagged pids in its result.
+        for kwargs in (dict(workloads=("benign",), defenses=(None, "prefence"),
+                            schedulers=("cfs",), seed=5),
+                       dict(workloads=("btb",), defenses=("leash",),
+                            schedulers=("cfs",), seed=5)):
+            serial = run_defense_grid(jobs=1, **kwargs)
+            fanned = run_defense_grid(jobs=2, **kwargs)
+            assert result_digest(serial) == result_digest(fanned)
+
+    def test_leash_cell_digest_independent_of_earlier_cells(self):
+        """Pids number from 1000 in every cell, so running a cell again
+        in the same process, after other cells made tasks, changes
+        nothing."""
+        kwargs = dict(workload="aes", defense="leash", scheduler="cfs",
+                      seed=3)
+        first = run_defense_cell(**kwargs)
+        again = run_defense_cell(**kwargs)
+        assert first.defense_stats["leash"]["flagged_pids"]
+        assert result_digest(first) == result_digest(again)
 
     def test_lookup_and_format(self):
         result = run_defense_grid(workloads=("benign",),

@@ -1,6 +1,7 @@
 """The EEVDF model: eligibility, deadlines, lag-capped placement."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.kernel.threads import ComputeBody
 from repro.sched.eevdf import EevdfScheduler
@@ -8,6 +9,7 @@ from repro.sched.features import SchedFeatures
 from repro.sched.params import SchedParams
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
+from tests.strategies import nice_full_range
 
 PARAMS = SchedParams.for_cores(16)
 MS = 1_000_000
@@ -221,3 +223,41 @@ class TestSelection:
         rq.current = curr
         sched.tick_preempt(rq, curr)
         assert curr.deadline > curr.vruntime
+
+
+#: (nice, vruntime, deadline - vruntime) of one task.
+task_states = st.tuples(
+    nice_full_range,
+    st.floats(min_value=0.0, max_value=100 * MS),
+    st.floats(min_value=-10 * MS, max_value=10 * MS),
+)
+
+
+class TestTickPreempt:
+    """A tick with no queued task skips the EEVDF pick; the decision and
+    the deadline it leaves must be those of the full pick."""
+
+    @staticmethod
+    def build(current, queued):
+        rq = RunQueue(0)
+        tasks = [make(f"t{i}", vruntime=vruntime, nice=nice,
+                      deadline=vruntime + ahead)
+                 for i, (nice, vruntime, ahead) in enumerate([current, *queued])]
+        for pid, task in enumerate(tasks):
+            task.pid = pid
+        rq.current = tasks[0]
+        for task in tasks[1:]:
+            rq.add(task)
+        return rq, tasks[0]
+
+    @given(current=task_states, queued=st.lists(task_states, max_size=3))
+    def test_matches_full_pick(self, current, queued):
+        sched = EevdfScheduler(PARAMS)
+        rq, curr = self.build(current, queued)
+        decision = sched.tick_preempt(rq, curr)
+        ref_rq, ref_curr = self.build(current, queued)
+        if ref_curr.vruntime >= ref_curr.deadline:
+            sched.renew_deadline(ref_curr)
+        best = sched._pick_among(ref_rq, include_current=True)
+        assert decision == (best is not ref_curr)
+        assert curr.deadline == ref_curr.deadline

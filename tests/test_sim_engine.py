@@ -144,6 +144,20 @@ class TestRunControl:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
+    def test_drain_stops_on_each_condition_and_keeps_the_clock(self):
+        sim = Simulator()
+        fired = []
+        for t in (10.0, 20.0, 30.0, 40.0):
+            sim.call_at(t, lambda t=t: fired.append(t))
+        sim.call_at(15.0, lambda: fired.append(-1)).cancel()
+        assert sim.drain(lambda: len(fired) == 1) == 1
+        assert sim.drain(max_time=25.0) == 1
+        assert sim.now == 20.0  # not advanced to max_time
+        assert sim.drain(max_events=1) == 1
+        assert sim.drain() == 1
+        assert fired == [10.0, 20.0, 30.0, 40.0]
+        assert sim.pending_count() == 0
+
     def test_max_events_bounds_run(self):
         sim = Simulator()
         count = sim_count = 0

@@ -1,5 +1,8 @@
 """Task model and the kernel nice→weight table."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from repro.sched.task import (
     NICE_0_LOAD,
     SCHED_PRIO_TO_WEIGHT,
     Task,
+    fresh_pids,
     nice_to_weight,
 )
 
@@ -74,3 +78,31 @@ class TestTaskIdentity:
 
     def test_default_timer_slack_is_50us(self):
         assert Task("t", body=ComputeBody()).timer_slack == 50_000.0
+
+    def test_fresh_pids_numbers_each_thread_from_1000(self):
+        """Threads inside ``fresh_pids`` at the same time each number
+        their own tasks from 1000."""
+        workers, per_worker = 6, 200
+        barrier = threading.Barrier(workers)
+        seen = {}
+
+        def work(n):
+            with fresh_pids():
+                barrier.wait(timeout=10)
+                seen[n] = [Task("t", body=ComputeBody()).pid
+                           for _ in range(per_worker)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = list(range(1000, 1000 + per_worker))
+        assert seen == {n: expected for n in range(workers)}

@@ -66,29 +66,58 @@ def _generic_steady_twin(p, idx0, t, deadline, per_inst, certified):
     return (count, t) if count >= 1 else None
 
 
-def test_steady_twin_bit_identical_to_generic_loop():
-    rng = random.Random(7)
-    program = StraightlineProgram(0x400000, inst_size=4, loop_bytes=4096)
-    per_inst = cycles_to_ns(1.0)
+def _twin_cases(rng):
+    """``(program, per_inst, t, window)`` inputs for the twin check."""
+    cycle = cycles_to_ns(1.0)
+    programs = [StraightlineProgram(0x400000, inst_size=size, loop_bytes=loop)
+                for size in (1, 2, 4, 8, 16)
+                for loop in (512, 2048, 4096, 16384, 65536)]
     for _ in range(6000):
-        idx0 = rng.randrange(0, 5 * program.loop_insts)
+        per_inst = rng.choice([cycle, cycle, cycles_to_ns(rng.uniform(0.5, 4.0))])
         t = rng.choice([
             rng.uniform(0.0, 1e6),
             # Budget cells run the twin at clocks from 5e3 to 5e9 ns;
             # log-uniform up to 6e10 ns covers every binade to 2^35.
             math.exp(rng.uniform(0.0, math.log(6e10))),
             # Just below a power of two: the window crosses a binade,
-            # so the ulp of ``t`` changes mid-window.
+            # so the ulp of ``t`` changes mid-window, often in the
+            # middle of a tight run.
             2.0 ** rng.randrange(10, 36) - rng.uniform(0.0, 1000.0),
+            2.0 ** rng.randrange(10, 36) - rng.uniform(0.0, 30.0),
+            # Below 1 ns the adds leave the binade at once.
+            rng.uniform(0.0, 1.0),
         ])
-        deadline = t + rng.choice([
+        window = rng.choice([
             rng.uniform(0.0, 50.0),
             rng.uniform(0.0, 2000.0),
             rng.uniform(0.0, 200_000.0),
         ])
+        yield rng.choice(programs), per_inst, t, window
+    # The hibernation's 1 ms tick windows, at clocks from 2^20 to 2^36 ns.
+    for _ in range(400):
+        t = 2.0 ** rng.uniform(20.0, 36.0)
+        yield rng.choice(programs), rng.choice([cycle, 2 * cycle]), t, 1e6
+    # Exact ties: at 2^43 ns the ulp is 2^-9, and both 3·2^-10 and the
+    # full-line bulk are odd multiples of half of it, so round-half-even
+    # decides by the low bit of ``t``.
+    for size in (4, 8):
+        program = StraightlineProgram(0x400000, inst_size=size)
+        for offset in (12345, 0, 1, 77777):
+            for window in (50.0, 500.0, 3000.0):
+                yield program, 3 * 2.0 ** -10, 2.0 ** 43 + offset, window
+
+
+def test_steady_twin_bit_identical_to_generic_loop():
+    """The twin, its closed-form tight runs included, retires the same
+    instructions as the generic loop and ends at the same float bits."""
+    rng = random.Random(7)
+    for program, per_inst, t, window in _twin_cases(rng):
+        idx0 = rng.randrange(0, 5 * program.loop_insts)
+        deadline = t + window
         got = program.steady_twin(idx0, t, deadline, per_inst, None)
         want = _generic_steady_twin(program, idx0, t, deadline, per_inst, None)
-        assert got == want
+        assert got == want, (program.inst_size, program.loop_insts,
+                             per_inst.hex(), idx0, t.hex(), deadline.hex())
         if got is not None:
             # repr-equality of floats is not enough; require the bits.
             assert got[1].hex() == want[1].hex()
