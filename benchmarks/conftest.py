@@ -5,44 +5,9 @@ prints a paper-vs-measured comparison.  Experiments run once inside
 ``benchmark.pedantic`` (they are minutes-scale simulations, not
 microbenchmarks); sample counts follow ``REPRO_SCALE`` (default 0.05 —
 set ``REPRO_SCALE=1`` for full-fidelity runs, see EXPERIMENTS.md).
-
-A session-finish hook records each benchmark cell's wall-clock time in
-``BENCH_<date>.json`` (merged into the report ``perf_report.py``
-writes), so the speedup trajectory is tracked across PRs.
 """
 
-import datetime
-import json
-import time
-from pathlib import Path
-
 import pytest
-
-_BENCH_DIR = Path(__file__).resolve().parent
-_cell_times = {}
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    start = time.perf_counter()
-    yield
-    _cell_times[item.nodeid] = round(time.perf_counter() - start, 4)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _cell_times:
-        return
-    date = datetime.date.today().isoformat()
-    path = _BENCH_DIR / f"BENCH_{date}.json"
-    report = {}
-    if path.exists():
-        try:
-            report = json.loads(path.read_text())
-        except ValueError:
-            report = {}
-    report.setdefault("date", date)
-    report.setdefault("benchmark_cells_s", {}).update(_cell_times)
-    path.write_text(json.dumps(report, indent=2) + "\n")
 
 
 @pytest.fixture

@@ -3,11 +3,10 @@
 The ``repro.obs`` layer promises near-zero cost when disabled: null
 instruments, pull-based μarch collection, no flag checks on the
 per-instruction paths.  This script *measures* that promise.  It times
-the serial τ-sweep resolution workload (the same workload
-``perf_report.py`` tracks) in the current tree with observability
-disabled, against the identical workload in a baseline checkout (a
-temporary ``git worktree`` of ``--baseline-ref``, the CI merge base),
-and exits 1 when
+a serial τ sweep of resolution cells (five τ values, 400 preemptions
+each) in the current tree with observability disabled, against the
+identical workload in a baseline checkout (a temporary ``git
+worktree`` of ``--baseline-ref``, the CI merge base), and exits 1 when
 
     current_disabled / baseline  >  --threshold   (default 1.05)
 

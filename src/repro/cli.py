@@ -328,21 +328,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.bench_trajectory import (
-        check_regression, load_history, render_curve,
-    )
-
-    points = load_history(args.dir)
-    print(render_curve(points, metric=args.metric))
-    if not args.check:
-        return 0
-    check = check_regression(points, metric=args.metric,
-                             threshold=args.threshold)
-    print(check.message)
-    return 0 if check.ok else 1
-
-
 def _duration_s(value: str) -> float:
     """``--older-than``: seconds, or a number suffixed s/m/h/d."""
     value = value.strip().lower()
@@ -1012,30 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "manifests); default is a partial report + "
                         "warnings on stderr")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark trajectory tools over benchmarks/BENCH_*.json",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser(
-        "compare",
-        help="print the speedup curve; --check gates the newest point "
-             "against the best prior comparable point",
-    )
-    b.add_argument("--dir", default="benchmarks", metavar="DIR",
-                   help="directory holding BENCH_*.json "
-                        "(default: benchmarks/)")
-    b.add_argument("--metric", default="engine_events_per_sec",
-                   help="optimized-section metric to compare "
-                        "(default: engine_events_per_sec)")
-    b.add_argument("--check", action="store_true",
-                   help="exit 1 when the newest point regresses beyond "
-                        "--threshold")
-    b.add_argument("--threshold", type=float, default=0.20,
-                   help="fractional drop that fails --check "
-                        "(default: 0.20)")
-    b.set_defaults(func=_cmd_bench_compare)
 
     p = sub.add_parser(
         "cache",

@@ -53,7 +53,7 @@ from repro.sched.base import SchedPolicy
 from repro.sched.loadbalance import BALANCE_INTERVAL_NS, LoadBalancer
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task, TaskState
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
 from repro.uarch.timing import CPU_FREQ_GHZ, cycles_to_ns
 from repro.victims.layout import ATTACKER_HUGE_REGION
@@ -119,7 +119,7 @@ class _CpuState:
     resched_reason: str = "tick"
     switch_to: Optional[Task] = None
     pending_block: Optional[BlockRequest] = None
-    dispatch: Optional[EventHandle] = None
+    dispatch: Optional[Event] = None
     timers: List[_Timer] = field(default_factory=list)
 
 

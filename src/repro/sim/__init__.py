@@ -11,7 +11,7 @@ that changing e.g. the number of context switches does not perturb the
 plaintext randomness of an AES experiment.
 """
 
-from repro.sim.engine import Event, EventHandle, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
 
-__all__ = ["Event", "EventHandle", "Simulator", "RngStreams"]
+__all__ = ["Event", "Simulator", "RngStreams"]

@@ -10,11 +10,7 @@ single hottest comparison in the whole simulation.
 
 The :class:`Event` is its own handle: ``call_at`` returns the event it
 pushed, and the event's ``cancel()`` talks straight back to its
-simulator.  The previous design allocated a separate ``EventHandle``
-wrapper per scheduled event — one extra object construction on the
-hottest allocation site of the entire simulation (every timer re-arm,
-every dispatch, every context-switch completion).  ``EventHandle`` is
-kept as an alias for backward compatibility.
+simulator.  Events fire in one place, :meth:`Simulator.drain`.
 
 Time is a ``float`` number of nanoseconds since simulation start.  All
 kernel and scheduler quantities in this project are expressed in
@@ -44,41 +40,24 @@ class Event:
     uses a negative priority so that a timer firing at exactly the
     instant a task would block is handled interrupt-first, as on real
     hardware.
+
+    Events have no ``__init__``: only :meth:`Simulator.call_at` and
+    :meth:`Simulator.call_after` build them, slot by slot.
     """
 
     __slots__ = ("time", "callback", "cancelled", "fired", "label", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        cancelled: bool = False,
-        label: str = "",
-        sim: Optional["Simulator"] = None,
-    ):
-        # ``priority`` and ``seq`` live only in the heap tuple (that is
-        # where ordering happens); storing them again on every event was
-        # pure allocation overhead on the hottest construction site.
-        self.time = time
-        self.callback = callback
-        self.cancelled = cancelled
-        self.label = label
-        self.fired = False
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         if not self.cancelled:
             self.cancelled = True
-            sim = self._sim
-            if not self.fired and sim is not None:
+            if not self.fired:
+                sim = self._sim
                 sim._live -= 1
                 # Lazy deletion with compaction: once cancelled entries
                 # are both numerous and the majority, rebuild in place.
-                # In place matters — ``run_until`` holds a local alias
-                # to the heap list across callbacks.
+                # In place matters — ``drain`` holds a local alias to
+                # the heap list across callbacks.
                 heap = sim._heap
                 garbage = len(heap) - sim._live
                 if (garbage > _COMPACT_MIN_GARBAGE
@@ -88,10 +67,6 @@ class Event:
                     heapify(heap)
                     sim.compactions += 1
 
-
-#: Backward-compatible alias: ``call_at`` used to return a separate
-#: wrapper object; the event now carries the handle API itself.
-EventHandle = Event
 
 _HeapEntry = Tuple[float, int, int, Event]
 
@@ -106,20 +81,20 @@ class Simulator:
     >>> fired = []
     >>> _ = sim.call_at(10.0, lambda: fired.append(sim.now))
     >>> _ = sim.call_after(5.0, lambda: fired.append(sim.now))
-    >>> sim.run()
+    >>> sim.drain()
+    2
     >>> fired
     [5.0, 10.0]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_live", "_running",
-                 "events_fired", "compactions")
+    __slots__ = ("_now", "_heap", "_seq", "_live", "events_fired",
+                 "compactions")
 
     def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[_HeapEntry] = []
         self._seq = 0
         self._live = 0  # non-cancelled, not-yet-fired events in the heap
-        self._running = False
         #: Events executed so far — the engine-throughput numerator for
         #: the obs layer (events/s over wall time).  One integer add per
         #: event; everything else obs needs is pulled from existing
@@ -157,9 +132,9 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        # Build the event without the __init__ frame: this is the
-        # hottest allocation in the simulation (every timer re-arm and
-        # every dispatch passes through here).
+        # Build the event slot by slot, with no __init__ frame: this is
+        # the hottest allocation in the simulation (every timer re-arm
+        # and every dispatch passes through here).
         event = _new_event(Event)
         event.time = time
         event.callback = callback
@@ -206,71 +181,6 @@ class Simulator:
             heappop(heap)
         return heap[0][0] if heap else None
 
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
-            self.events_fired += 1
-            self._now = event.time
-            event.callback()
-            return True
-        return False
-
-    def run(self, *, max_events: Optional[int] = None) -> int:
-        """Run until the event heap drains.  Returns events executed."""
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        return count
-
-    def run_until(self, time: float, *, max_events: Optional[int] = None) -> int:
-        """Run events with timestamps <= ``time``; advance clock to ``time``.
-
-        Events scheduled exactly at ``time`` do run.  After the call the
-        clock reads ``time`` even if the heap drained earlier, so
-        callers can interleave event-driven and computed phases.
-
-        The drain loop is inlined (no per-event ``peek``/``step`` call
-        pair): this loop IS the engine-throughput benchmark, and two
-        method calls per event were a third of its cost.
-        """
-        count = 0
-        heap = self._heap
-        if max_events is None:
-            while heap and heap[0][0] <= time:
-                event = heappop(heap)[3]
-                if event.cancelled:
-                    continue
-                event.fired = True
-                self._live -= 1
-                self.events_fired += 1
-                self._now = event.time
-                event.callback()
-                count += 1
-        else:
-            while heap and heap[0][0] <= time:
-                event = heappop(heap)[3]
-                if event.cancelled:
-                    continue
-                event.fired = True
-                self._live -= 1
-                self.events_fired += 1
-                self._now = event.time
-                event.callback()
-                count += 1
-                if count >= max_events:
-                    return count
-        if time > self._now:
-            self._now = time
-        return count
-
     def drain(
         self,
         stop: Optional[Callable[[], bool]] = None,
@@ -283,7 +193,8 @@ class Simulator:
         ``max_time``, or ``max_events`` events have run.  Returns the
         number of events run.
 
-        Unlike :meth:`run_until`, the clock stays at the last event run.
+        Events at exactly ``max_time`` run.  The clock stays at the last
+        event run; it never advances to ``max_time`` on its own.
         Cancelled entries at the top are popped before each check, as
         :meth:`peek_next_time` pops them.
         """

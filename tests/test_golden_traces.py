@@ -157,29 +157,56 @@ class TestTlbGoldenTrace:
 # ----------------------------------------------------------------------
 class TestEngineGoldenTrace:
     def test_firing_order_matches_reference(self):
-        """Random schedule/cancel workload: the optimized heap (lazy
-        deletion, tuple entries) must fire callbacks in exactly the
-        order a naive stable-sorted list would."""
+        """Random schedule/cancel workload with mixed priorities and
+        cancels issued from inside callbacks, drained in two phases:
+        the heap (lazy deletion, tuple entries) must fire callbacks in
+        exactly the order a naive scan for the least
+        ``(time, priority, seq)`` picks."""
         rng = random.Random(7)
         sim = Simulator()
         fired: list = []
-        reference: list = []  # (time, seq, label) of non-cancelled events
         handles = {}
-        seq = 0
-        for i in range(400):
+        pending = {}  # label -> (time, priority, seq, in-callback victim)
+        for seq in range(400):
+            label = f"ev{seq}"
             when = float(rng.randrange(1, 50))
-            label = f"ev{i}"
-            handles[label] = sim.call_at(when, lambda lab=label: fired.append(lab))
-            reference.append([when, seq, label])
-            seq += 1
-            if handles and rng.random() < 0.3:
-                victim = rng.choice(sorted(handles))
-                handles[victim].cancel()
-                reference = [r for r in reference if r[2] != victim]
-                del handles[victim]
-        sim.run_until(1e9)
-        expected = [label for _, _, label in sorted(reference, key=lambda r: (r[0], r[1]))]
+            priority = rng.choice((-1, 0, 0, 1))
+            victim = f"ev{rng.randrange(400)}" if rng.random() < 0.2 else None
+
+            def callback(lab=label, victim=victim):
+                fired.append(lab)
+                if victim is not None:
+                    handles[victim].cancel()
+
+            handles[label] = sim.call_at(when, callback, priority=priority)
+            pending[label] = (when, priority, seq, victim)
+            if rng.random() < 0.3:
+                doomed = rng.choice(sorted(pending))
+                handles[doomed].cancel()
+                del pending[doomed]
+
+        cut = 25.0
+        expected, live = [], dict(pending)
+        live_at_cut = None
+        killed_in_callback = 0
+        while live:
+            label = min(live, key=lambda lab: live[lab][:3])
+            if live_at_cut is None and live[label][0] > cut:
+                live_at_cut = len(live)
+            victim = live.pop(label)[3]
+            expected.append(label)
+            killed_in_callback += live.pop(victim, None) is not None
+        first = [lab for lab in expected if pending[lab][0] <= cut]
+        assert pending[first[-1]][0] == cut and killed_in_callback > 0
+
+        assert sim.drain(max_time=cut) == len(first)
+        assert fired == first  # events at exactly ``cut`` ran
+        assert sim.now == cut  # the last event run, not past it
+        assert sim.pending_count() == live_at_cut
+        assert sim.drain() == len(expected) - len(first)
         assert fired == expected
+        assert sim.now == pending[expected[-1]][0]
+        assert sim.pending_count() == 0
 
     def test_pending_count_tracks_live_events(self):
         sim = Simulator()
@@ -188,7 +215,7 @@ class TestEngineGoldenTrace:
         hs[3].cancel()
         hs[7].cancel()
         assert sim.pending_count() == 8
-        sim.run_until(5.0)
+        sim.drain(max_time=5.0)
         # Events at t=1,2,4,5 fired (t=4 was cancelled → 1,2,3,5 fire);
         # of t=6..10 one (t=8) was cancelled, leaving four live.
         assert sim.pending_count() == 4

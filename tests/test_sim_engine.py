@@ -13,14 +13,14 @@ class TestScheduling:
         sim.call_at(30.0, lambda: order.append("c"))
         sim.call_at(10.0, lambda: order.append("a"))
         sim.call_at(20.0, lambda: order.append("b"))
-        sim.run()
+        sim.drain()
         assert order == ["a", "b", "c"]
 
     def test_call_after_is_relative(self):
         sim = Simulator()
         seen = []
         sim.call_at(100.0, lambda: sim.call_after(5.0, lambda: seen.append(sim.now)))
-        sim.run()
+        sim.drain()
         assert seen == [105.0]
 
     def test_same_time_events_run_in_scheduling_order(self):
@@ -28,7 +28,7 @@ class TestScheduling:
         order = []
         for i in range(5):
             sim.call_at(7.0, lambda i=i: order.append(i))
-        sim.run()
+        sim.drain()
         assert order == [0, 1, 2, 3, 4]
 
     def test_priority_breaks_same_time_ties(self):
@@ -36,13 +36,13 @@ class TestScheduling:
         order = []
         sim.call_at(7.0, lambda: order.append("low"), priority=10)
         sim.call_at(7.0, lambda: order.append("high"), priority=-10)
-        sim.run()
+        sim.drain()
         assert order == ["high", "low"]
 
     def test_scheduling_in_the_past_raises(self):
         sim = Simulator()
         sim.call_at(10.0, lambda: None)
-        sim.run()
+        sim.drain()
         with pytest.raises(ValueError):
             sim.call_at(5.0, lambda: None)
 
@@ -58,7 +58,7 @@ class TestCancellation:
         fired = []
         handle = sim.call_at(10.0, lambda: fired.append(1))
         handle.cancel()
-        sim.run()
+        sim.drain()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
@@ -96,12 +96,12 @@ class TestCancellation:
             handle.cancel()
         assert sim.pending_count() == 3
         assert len(sim._heap) < 10  # garbage actually collected
-        sim.run_until(30.0)
+        sim.drain(max_time=30.0)
         assert fired == [5, 15, 25]
         assert all(h.fired for h in keep)
 
     def test_cancel_inside_callback_compacts_safely(self):
-        # run_until holds a local alias to the heap; compaction from a
+        # drain holds a local alias to the heap; compaction from a
         # callback must mutate that same list, not rebind it.
         sim = Simulator()
         fired = []
@@ -114,9 +114,11 @@ class TestCancellation:
             sim.call_after(1.0, lambda: fired.append("late"))
 
         sim.call_at(10.0, cancel_all_then_reschedule)
-        sim.run_until(20.0)
+        assert sim.drain(max_time=20.0) == 2
         assert fired == ["late"]
+        assert sim.compactions >= 1  # compacted while drain was running
         assert sim.pending_count() == 0
+        assert sim.now == 11.0
 
 
 class TestRunControl:
@@ -125,24 +127,24 @@ class TestRunControl:
         fired = []
         sim.call_at(10.0, lambda: fired.append(10))
         sim.call_at(30.0, lambda: fired.append(30))
-        sim.run_until(20.0)
+        assert sim.drain(max_time=20.0) == 1
         assert fired == [10]
-        assert sim.now == 20.0
+        assert sim.now == 10.0  # the last event run, not the deadline
+        assert sim.pending_count() == 1
 
     def test_run_until_includes_events_at_deadline(self):
         sim = Simulator()
         fired = []
         sim.call_at(20.0, lambda: fired.append(20))
-        sim.run_until(20.0)
+        sim.drain(max_time=20.0)
         assert fired == [20]
+        assert sim.now == 20.0
 
-    def test_run_until_advances_clock_even_without_events(self):
+    def test_drain_runs_nothing_when_empty(self):
         sim = Simulator()
-        sim.run_until(55.0)
-        assert sim.now == 55.0
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+        assert sim.drain() == 0
+        assert sim.drain(max_time=55.0) == 0
+        assert sim.now == 0.0
 
     def test_drain_stops_on_each_condition_and_keeps_the_clock(self):
         sim = Simulator()
@@ -160,14 +162,14 @@ class TestRunControl:
 
     def test_max_events_bounds_run(self):
         sim = Simulator()
-        count = sim_count = 0
 
         def reschedule():
             sim.call_after(1.0, reschedule)
 
         sim.call_after(1.0, reschedule)
-        executed = sim.run(max_events=25)
+        executed = sim.drain(max_events=25)
         assert executed == 25
+        assert sim.now == 25.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1,
                     max_size=50))
@@ -176,6 +178,6 @@ class TestRunControl:
         executed = []
         for t in times:
             sim.call_at(t, lambda t=t: executed.append(sim.now))
-        sim.run()
+        sim.drain()
         assert executed == sorted(executed)
         assert len(executed) == len(times)

@@ -321,7 +321,7 @@ class TestDisabledOverhead:
                     sim.call_after(10.0, tick)
 
             sim.call_at(0.0, tick)
-            sim.run_until(1e9)
+            sim.drain()
             return fired[0]
 
         hot_loop()  # warm-up outside the snapshot window
