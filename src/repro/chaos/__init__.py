@@ -1,13 +1,12 @@
 """``repro.chaos`` — deterministic, seeded fault injection.
 
-The service test battery proved the robustness contract with a handful
-of hand-written ``fault_plan`` scenarios; this package turns those
-test-only hooks into a *supported injection surface*: a *fault
-schedule* — seeded draws plus explicit events, saved to a replayable
-JSON manifest exactly like a ``repro.validate`` case — that injects
-worker kills, cell timeouts, cache corruption, lock-holder stalls,
-connection drops and mid-sweep aborts at deterministic points across
-the experiment service, the pool runner, and the cell cache.
+The one fault-injection surface of the repo: a *fault schedule* —
+seeded draws plus explicit events, saved to a replayable JSON manifest
+exactly like a ``repro.validate`` case — that injects worker kills,
+cell timeouts, cache corruption, lock-holder stalls and mid-sweep
+aborts at deterministic points across the experiment service, the
+sweep runner, and the cell cache.  The service test battery drives its
+fault scenarios through it too.
 
 Activation is environmental (``REPRO_CHAOS=/path/to/chaos.json``), so
 process-pool workers inherit the schedule the same way they inherit

@@ -29,8 +29,11 @@ point                     kinds                 identity
 ``runner.tick``           abort, sigterm        completed (cell count)
 ``cellcache.fetch``       corrupt               key
 ``cellcache.store``       stall                 key
-``client.frame``          conn_drop             frame, attempt
 ========================  ====================  =========================
+
+``runner.tick`` fires inside :func:`repro.sweeps.run_sweep`, after each
+journaled cell, so it interrupts ``repro run`` and ``repro submit
+--run-dir`` alike.
 
 Faults fired are counted as ``chaos.injected`` plus a per-point/kind
 counter when metrics are on, so a chaos campaign's telemetry records
@@ -71,7 +74,6 @@ INJECTION_POINTS: Dict[str, Tuple[str, ...]] = {
     "runner.tick": ("abort", "sigterm"),
     "cellcache.fetch": ("corrupt",),
     "cellcache.store": ("stall",),
-    "client.frame": ("conn_drop",),
 }
 
 #: Default fault parameters, overridable per-spec (``params``) and
@@ -321,9 +323,9 @@ def chaos_point(point: str, **identity: Any) -> Optional[Dict[str, Any]]:
 
 def service_fault(experiment: str, params: Dict[str, Any],
                   attempt: int) -> Optional[Dict[str, Any]]:
-    """``ServiceConfig.fault_plan``-shaped view of the active schedule.
+    """The ``service.cell`` fault for one execution attempt, or None.
 
-    Maps the ``service.cell`` point onto the JSON-safe descriptors
+    Maps the point onto the JSON-safe descriptors
     :func:`repro.service.server.execute_cell` understands, so a server
     started under ``REPRO_CHAOS`` injects without any test plumbing.
     """

@@ -467,10 +467,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.cell_retries,
         cache_dir=cache_dir,
         manifest_dir=manifest_dir,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window_s=args.breaker_window,
-        breaker_reset_s=args.breaker_reset,
-        degraded_max_inline=args.degraded_max_inline,
         journal_dir=args.journal_dir,
     )
     service = ExperimentService(config)
@@ -549,100 +545,6 @@ def _build_cells(args: argparse.Namespace):
     return cells * max(1, getattr(args, "repeat", 1))
 
 
-def _submit_journaled(args: argparse.Namespace, cells) -> int:
-    """``repro submit --run-dir``: a crash-safe service-backed sweep.
-
-    The run dir is bound to the batch with ``sweep.json``; every result
-    frame is journaled *as it streams in*, so killing the client
-    mid-batch loses only undelivered cells.  ``--resume`` replays the
-    journal, resubmits only unjournaled cells, and never recomputes —
-    the final digest list is byte-identical to an uninterrupted submit.
-    """
-    import json
-
-    from repro.obs.cellcache import cell_key
-    from repro.obs.journal import SweepJournal
-    from repro.service import client
-    from repro.sweeps import (
-        CellOutcome, combined_digest, prepare_run_dir,
-    )
-
-    try:
-        spec, jreplay = prepare_run_dir(args.run_dir, cells, args.resume)
-    except ValueError as exc:
-        print(f"[submit] {exc}", file=sys.stderr)
-        return 2
-    sweep_cells = spec.cells
-    keys = [cell_key(c.experiment, c.params) for c in sweep_cells]
-
-    outcomes = [None] * len(sweep_cells)
-    pending: List[int] = []
-    for index, (cell, key) in enumerate(zip(sweep_cells, keys)):
-        digest = jreplay.digest_for(key) if key is not None else None
-        if digest is not None:
-            outcomes[index] = CellOutcome(
-                index=index, experiment=cell.experiment, key=key,
-                digest=digest, source="journal")
-        else:
-            pending.append(index)
-
-    if pending:
-        journal = SweepJournal(args.run_dir, spec_digest=spec.digest())
-
-        def on_cell(cell_result) -> None:
-            # cell_result.index is the index within the *submitted*
-            # (pending-only) batch; map back to the sweep position.
-            index = pending[cell_result.index]
-            if cell_result.status == "failed" or not cell_result.digest:
-                return
-            outcomes[index] = CellOutcome(
-                index=index, experiment=sweep_cells[index].experiment,
-                key=keys[index], digest=cell_result.digest, source="ran")
-            if keys[index] is not None:
-                journal.record(keys[index], cell_result.digest,
-                               index=index,
-                               experiment=sweep_cells[index].experiment)
-
-        try:
-            client.submit_batch(
-                args.host, args.port,
-                [sweep_cells[index] for index in pending],
-                max_attempts=args.send_retries + 1,
-                deadline_s=args.deadline,
-                on_cell=on_cell,
-            )
-        finally:
-            # Killed mid-stream included: everything received so far is
-            # durably journaled, so the run dir stays resumable.
-            journal.close()
-
-    done = [o for o in outcomes if o is not None]
-    errors = sum(1 for o in outcomes if o is None)
-    served = sum(1 for o in done if o.source == "journal")
-    ran = sum(1 for o in done if o.source == "ran")
-    if args.json:
-        print(json.dumps({
-            "run_dir": args.run_dir,
-            "spec_digest": spec.digest(),
-            "digests": [o.digest for o in done],
-            "sweep_digest": combined_digest([o.digest for o in done]),
-            "journal_served": served,
-            "ran": ran,
-            "errors": errors,
-            "cells": len(sweep_cells),
-        }, sort_keys=True))
-    else:
-        for outcome in done:
-            print(f"  cell {outcome.index:>4}  [{outcome.source:<7}]  "
-                  f"digest {outcome.digest[:16]}…")
-        print(f"sweep {args.run_dir}: {len(done)}/{len(sweep_cells)} "
-              f"cell(s) — {served} from journal, {ran} computed"
-              + (f", {errors} error(s)" if errors else ""))
-        print(f"sweep digest: "
-              f"{combined_digest([o.digest for o in done])[:16]}…")
-    return 0 if not errors and len(done) == len(sweep_cells) else 1
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
@@ -654,14 +556,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.drain_server:
         print(json.dumps(client.drain(args.host, args.port), sort_keys=True))
         return 0
-    cells = _build_cells(args)
     if args.run_dir:
-        if cells is None and not args.resume:
-            print("submit --run-dir needs an EXPERIMENT/--file, or "
-                  "--resume to continue the recorded sweep",
-                  file=sys.stderr)
-            return 2
-        return _submit_journaled(args, cells)
+        def execute(cells, on_done) -> None:
+            # A failed cell carries no digest: on_done(i, None).
+            client.submit_batch(
+                args.host, args.port, cells,
+                max_attempts=args.send_retries + 1,
+                on_cell=lambda cell: on_done(cell.index, cell.digest))
+
+        return _sweep(args, "submit", executor=execute)
+    cells = _build_cells(args)
     if args.resume:
         print("--resume needs --run-dir (the journal lives in the run "
               "directory)", file=sys.stderr)
@@ -671,10 +575,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
               "--file batch.json", file=sys.stderr)
         return 2
     result = client.submit_batch(
-        args.host, args.port, cells,
-        max_attempts=args.send_retries + 1,
-        deadline_s=args.deadline,
-    )
+        args.host, args.port, cells, max_attempts=args.send_retries + 1)
     if args.json:
         print(json.dumps({
             "batch_id": result.batch_id,
@@ -697,23 +598,29 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: a crash-safe local sweep inside a run directory.
+    """``repro run``: a crash-safe local sweep inside a run directory."""
+    return _sweep(args, "run")
 
-    SIGINT/SIGTERM set an abort flag the completion-order runner polls;
-    the journal is flushed before exit (code 130), and ``--resume``
-    continues with zero recomputation of journaled cells.
+
+def _sweep(args: argparse.Namespace, verb: str, executor=None) -> int:
+    """The journaled sweep behind ``repro run`` and ``repro submit
+    --run-dir`` (``executor`` None → the local pool).
+
+    SIGINT/SIGTERM set an abort flag that :func:`repro.sweeps.run_sweep`
+    checks after each journaled cell; the journal is flushed before
+    exit.  Exit codes: 130 interrupted (continue with ``--resume``, zero
+    recomputation of journaled cells), 2 bad run dir, 1 a cell failed.
     """
     import json
     import signal
 
     from repro.chaos import ChaosAbort
-    from repro.parallel import SweepInterrupted
-    from repro.sweeps import run_sweep
+    from repro.sweeps import SweepInterrupted, run_sweep
 
     cells = _build_cells(args)
     if cells is None and not args.resume:
-        print("run needs an EXPERIMENT (with --param/--grid) or "
-              "--file batch.json, or --resume on an existing run dir",
+        print(f"{verb} --run-dir needs an EXPERIMENT (with --param/--grid) "
+              "or --file batch.json, or --resume on an existing run dir",
               file=sys.stderr)
         return 2
 
@@ -731,18 +638,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_sweep(
             args.run_dir, cells, jobs=args.jobs, resume=args.resume,
-            should_abort=lambda: flag["abort"])
-    except SweepInterrupted as exc:
-        print(f"[run] interrupted after {exc.completed} completed "
-              f"cell(s); journal flushed — continue with --resume",
-              file=sys.stderr)
-        return 130
-    except ChaosAbort as exc:
-        print(f"[run] {exc}; journal flushed — continue with --resume",
+            should_abort=lambda: flag["abort"], executor=executor)
+    except (SweepInterrupted, ChaosAbort) as exc:
+        print(f"[{verb}] {exc}; journal flushed — continue with --resume",
               file=sys.stderr)
         return 130
     except ValueError as exc:
-        print(f"[run] {exc}", file=sys.stderr)
+        print(f"[{verb}] {exc}", file=sys.stderr)
         return 2
     finally:
         for signum, handler in previous.items():
@@ -751,6 +653,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except (ValueError, OSError):
                 pass
 
+    cells_total = len(result.outcomes) + result.failed
     if args.json:
         print(json.dumps({
             "run_dir": args.run_dir,
@@ -759,19 +662,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "sweep_digest": result.digest,
             "journal_served": result.journal_served,
             "ran": result.ran,
+            "errors": result.failed,
             "torn": result.torn,
-            "cells": len(result.outcomes),
+            "cells": cells_total,
         }, sort_keys=True))
     else:
         for outcome in result.outcomes:
             print(f"  cell {outcome.index:>4}  [{outcome.source:<7}]  "
                   f"digest {outcome.digest[:16]}…")
-        note = " (journal had a torn final line)" if result.torn else ""
-        print(f"sweep {args.run_dir}: {len(result.outcomes)} cell(s) — "
-              f"{result.journal_served} from journal, "
-              f"{result.ran} computed{note}")
+        notes = (f", {result.failed} error(s)" if result.failed else "") + (
+            " (journal had a torn final line)" if result.torn else "")
+        print(f"sweep {args.run_dir}: {len(result.outcomes)}/{cells_total} "
+              f"cell(s) — {result.journal_served} from journal, "
+              f"{result.ran} computed{notes}")
         print(f"sweep digest: {result.digest[:16]}…")
-    return 0
+    return 1 if result.failed else 0
 
 
 def _cmd_chaos_plan(args: argparse.Namespace) -> int:
@@ -1075,22 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-retries", type=int, default=2, metavar="N",
                    help="transport-failure retries per cell (the retried "
                         "cell is identical — never re-seeded; default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=3, metavar="N",
-                   help="pool replacements inside --breaker-window that "
-                        "trip the circuit breaker into degraded inline "
-                        "execution (default: 3)")
-    p.add_argument("--breaker-window", type=float, default=30.0,
-                   metavar="S",
-                   help="sliding window for counting pool replacements "
-                        "(default: 30s)")
-    p.add_argument("--breaker-reset", type=float, default=60.0,
-                   metavar="S",
-                   help="how long degraded mode lasts before the breaker "
-                        "half-opens and tries a fresh pool (default: 60s)")
-    p.add_argument("--degraded-max-inline", type=int, default=2,
-                   metavar="N",
-                   help="concurrent inline cells while degraded "
-                        "(default: 2)")
     p.add_argument("--journal-dir", default=None, metavar="DIR",
                    help="append each completed cell's key+digest to a sweep "
                         "journal in DIR (survives crashes; clients can "
@@ -1127,9 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--send-retries", type=int, default=4, metavar="N",
                    help="resubmissions to attempt when the server "
                         "answers queue-full backpressure (default: 4)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
-                   help="total wall-clock budget for the backpressure "
-                        "resubmit loop (default: unbounded)")
     p.add_argument("--run-dir", default=None, metavar="DIR",
                    help="make the submit crash-safe: bind the batch to "
                         "DIR/sweep.json and journal each result frame "

@@ -44,26 +44,9 @@ __all__ = [
     "resolve_jobs",
     "parallel_map",
     "starmap_kwargs",
-    "starmap_completions",
     "map_payloads_completions",
     "run_trials",
-    "SweepInterrupted",
 ]
-
-
-class SweepInterrupted(RuntimeError):
-    """A sweep stopped before completing every cell.
-
-    Raised by :func:`starmap_completions` when its ``should_abort``
-    callback turns true (SIGTERM/SIGINT handlers set exactly that
-    flag) — *after* the completed cells were reported through
-    ``on_result``, so a journaling caller has already durably recorded
-    everything that finished.  ``completed`` counts those cells.
-    """
-
-    def __init__(self, message: str, completed: int = 0):
-        super().__init__(message)
-        self.completed = completed
 
 
 class _Progress:
@@ -148,43 +131,54 @@ def parallel_map(
     ``progress`` (or ``REPRO_PROGRESS=1``) renders a live completed/
     total + throughput line on stderr as cells finish.
     """
-    items = list(items)
+    return _map(fn, list(items), jobs, progress)
+
+
+def _map(fn: Callable[[T], R], items: List[T], jobs: Optional[int],
+         progress: Optional[bool],
+         on_result: Optional[Callable[[int, R], None]] = None) -> List[R]:
+    """The one loop behind every map here: serial or pooled, with the
+    progress meter, reporting ``on_result(index, result)`` in
+    completion order and returning results in input order."""
     jobs = resolve_jobs(jobs)
-    show = _progress_enabled(progress) and len(items) > 1
-    if jobs <= 1 or len(items) <= 1:
-        return _serial_map(fn, items, show)
-    workers = min(jobs, len(items))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if not show:
-                return list(pool.map(fn, items, chunksize=1))
-            # submit + as_completed so the progress line advances per
-            # completion; results still reassemble in submission order.
-            meter = _Progress(len(items))
-            futures = [pool.submit(fn, item) for item in items]
-            try:
-                for _ in as_completed(futures):
-                    meter.update()
-            finally:
-                meter.finish()
-            return [f.result() for f in futures]
-    except (OSError, PermissionError):
-        # Sandboxes without fork/semaphore support degrade to serial —
-        # same results, just slower.
-        return _serial_map(fn, items, show)
+    results: List[Any] = [None] * len(items)
+    meter = (_Progress(len(items))
+             if _progress_enabled(progress) and len(items) > 1 else None)
 
-
-def _serial_map(fn: Callable[[T], R], items: Sequence[T], show: bool) -> List[R]:
-    if not show:
-        return [fn(item) for item in items]
-    meter = _Progress(len(items))
-    results: List[R] = []
-    try:
-        for item in items:
-            results.append(fn(item))
+    def finish(index: int, result: Any) -> None:
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+        if meter is not None:
             meter.update()
+
+    pool = None
+    try:
+        if jobs > 1 and len(items) > 1:
+            try:
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
+                futures = {pool.submit(fn, item): index
+                           for index, item in enumerate(items)}
+            except OSError:
+                # Sandboxes without fork/semaphore support degrade to
+                # serial — same results, just slower.
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+        if pool is None:
+            for index, item in enumerate(items):
+                finish(index, fn(item))
+        else:
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
+            pool.shutdown()
+    except BaseException:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
     finally:
-        meter.finish()
+        if meter is not None:
+            meter.finish()
     return results
 
 
@@ -236,55 +230,7 @@ def starmap_kwargs(
     its own derived seed) applied to one module-level cell function.
     """
     payloads = [(fn, dict(kw)) for kw in kwargs_list]
-    return parallel_map(_invoke_kwargs, payloads, jobs=jobs, progress=progress)
-
-
-def _chaos_tick(completed: int) -> None:
-    """``runner.tick`` injection point: consulted after every completed
-    cell when a chaos schedule is active (no-op otherwise)."""
-    if not os.environ.get("REPRO_CHAOS", "").strip():
-        return
-    from repro.chaos import ChaosAbort, chaos_point
-
-    fault = chaos_point("runner.tick", completed=completed)
-    if fault is None:
-        return
-    if fault["kind"] == "abort":
-        raise ChaosAbort(f"chaos abort after {completed} completed cells")
-    if fault["kind"] == "sigterm":
-        import signal
-
-        os.kill(os.getpid(), signal.SIGTERM)
-
-
-def starmap_completions(
-    fn: Callable[..., R],
-    kwargs_list: Iterable[Dict[str, Any]],
-    *,
-    jobs: Optional[int] = None,
-    progress: Optional[bool] = None,
-    on_result: Optional[Callable[[int, R], None]] = None,
-    should_abort: Optional[Callable[[], bool]] = None,
-) -> List[R]:
-    """:func:`starmap_kwargs`, but reporting cells in completion order.
-
-    ``on_result(index, result)`` fires as each cell *finishes* —
-    whatever order the pool finishes them in — which is exactly what a
-    write-ahead journal needs: a crash between completions loses only
-    in-flight cells.  Results still return in submission order, so the
-    output remains bit-identical to the serial list comprehension.
-
-    ``should_abort`` is polled between completions (signal handlers
-    set a flag; this runner turns the flag into an orderly stop):
-    pending cells are cancelled, the pool shuts down without waiting,
-    and :class:`SweepInterrupted` carries the completed count.  An
-    active chaos schedule's ``runner.tick`` point is consulted at the
-    same cadence.
-    """
-    payloads = [(fn, dict(kw)) for kw in kwargs_list]
-    return map_payloads_completions(
-        payloads, jobs=jobs, progress=progress,
-        on_result=on_result, should_abort=should_abort)
+    return _map(_invoke_kwargs, payloads, jobs, progress)
 
 
 def map_payloads_completions(
@@ -293,78 +239,19 @@ def map_payloads_completions(
     jobs: Optional[int] = None,
     progress: Optional[bool] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    should_abort: Optional[Callable[[], bool]] = None,
 ) -> List[Any]:
-    """:func:`starmap_completions` over explicit ``(fn, kwargs)``
-    payloads — the form mixed-experiment sweeps need, where each cell
-    names its own callable (cache/manifest identity stays the cell's
-    own ``module:qualname``, never a shared dispatcher's).
+    """:func:`starmap_kwargs` over explicit ``(fn, kwargs)`` payloads,
+    reporting each cell in completion order.
+
+    ``on_result(index, result)`` fires as each cell *finishes* —
+    whatever order the pool finishes them in — which is what a
+    write-ahead journal needs; an exception it raises stops the map
+    and cancels the cells not yet started.  Each payload names its own
+    callable, so cache/manifest identity stays the cell's own
+    ``module:qualname``.  Results still return in submission order.
     """
     payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
-    jobs = resolve_jobs(jobs)
-    show = _progress_enabled(progress) and len(payloads) > 1
-    results: List[Any] = [None] * len(payloads)
-    meter = _Progress(len(payloads)) if show else None
-
-    def finish_one(index: int, result: Any) -> None:
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
-        if meter is not None:
-            meter.update()
-
-    completed = 0
-    if jobs <= 1 or len(payloads) <= 1:
-        try:
-            for index, payload in enumerate(payloads):
-                if should_abort is not None and should_abort():
-                    raise SweepInterrupted(
-                        f"sweep interrupted after {completed} cells",
-                        completed)
-                finish_one(index, _invoke_kwargs(payload))
-                completed += 1
-                _chaos_tick(completed)
-        finally:
-            if meter is not None:
-                meter.finish()
-        return results
-
-    workers = min(jobs, len(payloads))
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        probe = pool.submit(_invoke_kwargs, payloads[0])
-        first = probe.result()
-    except (OSError, PermissionError):
-        # Sandboxes without fork/semaphore support degrade to serial —
-        # same results, same journal, just slower.
-        if meter is not None:
-            meter.finish()
-        return map_payloads_completions(
-            payloads, jobs=1, progress=progress,
-            on_result=on_result, should_abort=should_abort)
-    try:
-        finish_one(0, first)
-        completed += 1
-        _chaos_tick(completed)
-        future_index = {
-            pool.submit(_invoke_kwargs, payload): index
-            for index, payload in enumerate(payloads[1:], start=1)
-        }
-        for future in as_completed(future_index):
-            finish_one(future_index[future], future.result())
-            completed += 1
-            if should_abort is not None and should_abort():
-                raise SweepInterrupted(
-                    f"sweep interrupted after {completed} cells", completed)
-            _chaos_tick(completed)
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    finally:
-        if meter is not None:
-            meter.finish()
-    pool.shutdown()
-    return results
+    return _map(_invoke_kwargs, payloads, jobs, progress, on_result)
 
 
 def run_trials(

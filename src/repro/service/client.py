@@ -4,36 +4,22 @@ Thin by design: build wire cells (:mod:`repro.experiments.wire`), send
 one ``submit`` frame, stream the per-cell results back, and honor
 backpressure — a ``queue_full`` rejection raises
 :class:`Backpressure`, and the sync wrapper :func:`submit_batch` turns
-that into sleep-and-resubmit up to ``max_attempts``.
+that into sleep-and-resubmit: it sleeps the server's ``retry_after_s``
+hint (capped at :data:`MAX_SLEEP_S`) between at most ``max_attempts``
+submissions.  Rejection is whole-batch (nothing was enqueued), so a
+resubmission can never double-simulate.
 
-The resubmit sleep is the server's ``retry_after_s`` hint scaled by
-**deterministic seeded jitter** (0.5–1.5×, drawn from
-``derive_seed(jitter_seed, "backpressure", attempt)``): a fleet of
-clients whose whole batches were rejected together would otherwise
-sleep the *same* hint and resubmit in lockstep, re-herding the queue
-they just overflowed.  Seeded rather than wall-clock random so a
-replayed client behaves identically.  ``deadline_s`` bounds the whole
-resubmit loop: when the next sleep would cross the deadline, the last
-:class:`Backpressure` propagates instead.  Rejection is whole-batch
-(nothing was enqueued), so a resubmission can never double-simulate.
-
-``on_cell`` fires per result frame *as it streams in* — the hook the
-sweep journal uses to persist completed cells before the batch (or the
-client process) finishes.
+``on_cell`` fires per result frame *as it streams in* — the hook
+``repro submit --run-dir`` uses to journal completed cells before the
+batch (or the client process) finishes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
-import os
-import random
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.experiments.wire import WireCell, cell_to_wire
-from repro.parallel import derive_seed
 from repro.service import protocol
 from repro.service.protocol import BatchResult, CellResult
 
@@ -42,11 +28,13 @@ __all__ = [
     "ServiceError",
     "submit_batch",
     "submit_batch_async",
-    "backoff_sleep_s",
     "ping",
     "stats",
     "drain",
 ]
+
+#: Longest sleep between two submissions of a rejected batch.
+MAX_SLEEP_S = 5.0
 
 
 class ServiceError(RuntimeError):
@@ -74,19 +62,6 @@ def _wire_cells(cells: Iterable[Union[WireCell, Dict[str, Any]]]
     return wire
 
 
-def _chaos_frame(frame: int, attempt: int) -> None:
-    """``client.frame`` injection point: a scheduled connection drop
-    mid-stream (no-op unless a chaos schedule is active)."""
-    if not os.environ.get("REPRO_CHAOS", "").strip():
-        return
-    from repro.chaos import chaos_point
-
-    fault = chaos_point("client.frame", frame=frame, attempt=attempt)
-    if fault is not None and fault["kind"] == "conn_drop":
-        raise ConnectionResetError(
-            f"injected connection drop at frame {frame}")
-
-
 async def submit_batch_async(
     host: str,
     port: int,
@@ -95,14 +70,12 @@ async def submit_batch_async(
     want_repr: bool = False,
     batch_id: Optional[str] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
-    attempt: int = 0,
 ) -> BatchResult:
     """Submit once; raises :class:`Backpressure` on rejection.
 
     ``on_cell`` fires for each result frame as it arrives (completion
     order, not index order) — journal there and a dropped connection
-    costs only undelivered cells.  ``attempt`` is the resubmission
-    counter, used only as fault-schedule identity.
+    costs only undelivered cells.
     """
     wire = _wire_cells(cells)
     reader, writer = await asyncio.open_connection(
@@ -141,7 +114,6 @@ async def submit_batch_async(
                 received.append(cell_result)
                 if on_cell is not None:
                     on_cell(cell_result)
-                _chaos_frame(len(received), attempt)
             elif message.get("type") == "done":
                 result.summary = dict(message.get("summary", {}))
                 break
@@ -158,30 +130,6 @@ async def submit_batch_async(
             pass
 
 
-def _default_jitter_seed(wire: List[Dict[str, Any]],
-                         batch_id: Optional[str]) -> int:
-    """Deterministic per-batch jitter identity: two *different* batches
-    de-herd from each other, while a replay of the same batch sleeps
-    identically."""
-    material = json.dumps([wire, batch_id], sort_keys=True,
-                          separators=(",", ":"))
-    return int.from_bytes(
-        hashlib.sha256(material.encode()).digest()[:8], "big") >> 1
-
-
-def backoff_sleep_s(retry_after_s: float, attempt: int, jitter_seed: int,
-                    max_sleep_s: float = 5.0) -> float:
-    """The jittered resubmit sleep: the server hint scaled by a
-    seeded 0.5–1.5× factor, capped at ``max_sleep_s``.
-
-    Pure function of ``(jitter_seed, attempt)`` — no wall clock, no
-    global RNG — so backoff schedules are replayable like everything
-    else here.
-    """
-    rng = random.Random(derive_seed(jitter_seed, "backpressure", attempt))
-    return min(max_sleep_s, max(0.0, retry_after_s) * (0.5 + rng.random()))
-
-
 def submit_batch(
     host: str,
     port: int,
@@ -190,43 +138,29 @@ def submit_batch(
     want_repr: bool = False,
     batch_id: Optional[str] = None,
     max_attempts: int = 1,
-    max_sleep_s: float = 5.0,
-    jitter_seed: Optional[int] = None,
-    deadline_s: Optional[float] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
 ) -> BatchResult:
     """Synchronous submit with backpressure retry.
 
     ``max_attempts`` counts submissions: 1 means fail fast on a full
-    queue, N>1 resubmits after each ``retry_after_s`` hint — scaled by
-    deterministic seeded jitter (see :func:`backoff_sleep_s`) and
-    capped at ``max_sleep_s``.  ``deadline_s`` caps the *total* time
-    spent in the resubmit loop: when the next sleep would cross it,
-    the loop stops early.  The last :class:`Backpressure` propagates
+    queue, N>1 resubmits after each ``retry_after_s`` hint (capped at
+    :data:`MAX_SLEEP_S`).  The last :class:`Backpressure` propagates
     when every permitted attempt is rejected.
     """
     cells = list(cells)
-    if jitter_seed is None:
-        jitter_seed = _default_jitter_seed(_wire_cells(cells), batch_id)
+
+    def once():
+        return submit_batch_async(host, port, cells, want_repr=want_repr,
+                                  batch_id=batch_id, on_cell=on_cell)
 
     async def _run() -> BatchResult:
-        started = time.monotonic()
-        last: Optional[Backpressure] = None
-        for attempt in range(max(1, max_attempts)):
+        for _ in range(max_attempts - 1):
             try:
-                return await submit_batch_async(
-                    host, port, cells, want_repr=want_repr,
-                    batch_id=batch_id, on_cell=on_cell, attempt=attempt)
+                return await once()
             except Backpressure as exc:
-                last = exc
-                sleep_s = backoff_sleep_s(
-                    exc.retry_after_s, attempt, jitter_seed, max_sleep_s)
-                if deadline_s is not None and (
-                        time.monotonic() - started + sleep_s > deadline_s):
-                    raise
-                await asyncio.sleep(sleep_s)
-        assert last is not None
-        raise last
+                await asyncio.sleep(
+                    min(MAX_SLEEP_S, max(0.0, exc.retry_after_s)))
+        return await once()
 
     return asyncio.run(_run())
 

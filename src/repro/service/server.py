@@ -24,13 +24,15 @@ Robustness contract (exercised end-to-end by the service test battery):
 
 * **bounded queue + backpressure** — admission is all-or-nothing per
   batch; when ``pending + batch > queue_limit`` the batch is rejected
-  with a ``retry_after_s`` hint and *nothing* is enqueued;
+  with a ``retry_after_s`` hint and *nothing* is enqueued (a batch
+  larger than ``queue_limit`` could never fit, so it is a
+  ``bad_request`` instead);
 * **per-cell timeout and bounded retry** — timeouts, worker deaths
-  (``BrokenProcessPool``) and other transport failures re-execute the
-  *identical* cell up to ``max_retries`` times.  A retry never
-  re-derives the simulation seed — the cell is a pure function of its
-  params and re-seeding would change its digest; only the attempt
-  counter (backoff scheduling) varies between tries.  Exceptions
+  (``BrokenProcessPool``, answered by replacing the pool) and other
+  transport failures re-execute the *identical* cell up to
+  ``max_retries`` times.  A retry never re-derives the simulation seed
+  — the cell is a pure function of its params and re-seeding would
+  change its digest; only the attempt counter varies.  Exceptions
   raised *inside* the experiment are deterministic — the same cell
   would fail identically forever — so they fail fast, without retry;
 * **graceful drain** — ``drain()`` stops admission (rejections say
@@ -40,7 +42,8 @@ Robustness contract (exercised end-to-end by the service test battery):
 Telemetry: ``service.*`` gauges (``queue_depth``, ``inflight``,
 ``hit_rate``) and counters (``submitted``, ``batches``, ``cached``,
 ``computed``, ``failed``, ``retries``, ``dedupe_hits``,
-``cache_rejects``, ``backpressure_rejects``) on the process registry,
+``cache_rejects``, ``backpressure_rejects``, ``pool_replacements``) on
+the process registry,
 plus the usual per-cell manifests/metrics recorded by the workers.
 """
 
@@ -51,7 +54,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.wire import WireCell, WireError, cell_from_wire
@@ -70,15 +73,8 @@ class InjectedTransportFailure(ConnectionError):
     """Fault-injection stand-in for a worker death in inline mode."""
 
 
-#: Fault descriptor keys understood by :func:`execute_cell` (must stay
-#: JSON/pickle-safe so descriptors cross the process boundary):
-#: ``{"sleep_s": float}`` delays the worker (timeout injection);
-#: ``{"die": true}`` kills the worker process mid-cell (``os._exit``),
-#: exactly what a real OOM-kill or preempted node looks like to the
-#: pool.  In inline (no-pool) mode ``die`` raises
-#: :class:`InjectedTransportFailure` instead of killing the test
-#: process.
-FaultPlan = Callable[[str, Dict[str, Any], int], Optional[Dict[str, Any]]]
+#: Pause before transport retry ``n`` is ``n`` times this.
+RETRY_BACKOFF_S = 0.05
 
 
 @dataclass
@@ -93,19 +89,6 @@ class ServiceConfig:
     #                                    against completed work, in-flight
     #                                    dedupe still applies)
     manifest_dir: Optional[str] = None  # per-cell manifests (record_cell)
-    return_reprs: bool = False          # default wire "return" mode
-    fault_plan: Optional[FaultPlan] = None  # test-only fault injection
-    retry_backoff_s: float = 0.05
-    # Circuit breaker: after ``breaker_threshold`` pool replacements
-    # inside ``breaker_window_s``, stop flapping (pool rebuilds are the
-    # expensive part of a crash-looping environment) and shed to
-    # *bounded inline* execution — at most ``degraded_max_inline``
-    # cells computing in-process at once — for ``breaker_reset_s``,
-    # after which the next cell half-opens a fresh pool.
-    breaker_threshold: int = 3
-    breaker_window_s: float = 30.0
-    breaker_reset_s: float = 60.0
-    degraded_max_inline: int = 2
     # When set, completed cells are journaled (key + digest) to this
     # run directory's ``journal.ndjson`` — the server-side half of the
     # crash-safe sweep story (clients journal too; the server journal
@@ -130,6 +113,12 @@ def execute_cell(
     (a *deterministic* failure — the server will not retry it).
     Transport-class failures (injected death, timeout) surface as
     exceptions/pool breakage, not as a return value.
+
+    ``fault`` is a chaos ``service.cell`` descriptor
+    (:func:`repro.chaos.service_fault`): ``{"sleep_s": x}`` delays the
+    worker; ``{"die": True}`` kills the worker process mid-cell
+    (``os._exit``), exactly what a real OOM kill looks like to the
+    pool — or, inline, raises :class:`InjectedTransportFailure`.
     """
     if fault:
         if fault.get("sleep_s"):
@@ -204,10 +193,7 @@ class ExperimentService:
         self._stopped: Optional[asyncio.Event] = None
         self._batch_counter = 0
         self._tally = _Tally()
-        self._pool_breaks: List[float] = []   # replacement timestamps (window)
-        self._pool_replacements = 0           # lifetime total
-        self._degraded_until = 0.0            # monotonic; 0 → not degraded
-        self._degraded_sem: Optional[asyncio.Semaphore] = None
+        self._pool_replacements = 0
         self._journal = None
         if self.config.journal_dir:
             from repro.obs.journal import SweepJournal
@@ -226,8 +212,6 @@ class ExperimentService:
         self._idle = asyncio.Event()
         self._idle.set()
         self._stopped = asyncio.Event()
-        self._degraded_sem = asyncio.Semaphore(
-            max(1, self.config.degraded_max_inline))
         if not self.inline:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers)
@@ -348,7 +332,6 @@ class ExperimentService:
             "failed": tally.failed,
             "dedupe_hits": tally.dedupe_hits,
             "hit_rate": round(tally.hit_rate, 6),
-            "degraded": self._degraded(),
             "pool_replacements": self._pool_replacements,
         }
 
@@ -373,6 +356,12 @@ class ExperimentService:
                 "type": "rejected", "reason": "draining",
                 "retry_after_s": 1.0})
             return
+        if len(batch) > self.config.queue_limit:
+            await protocol.write_message(writer, {
+                "type": "rejected", "reason": "bad_request",
+                "detail": f"batch of {len(batch)} cells exceeds the queue "
+                          f"limit of {self.config.queue_limit}"})
+            return
         if self._pending + len(batch) > self.config.queue_limit:
             self._count("backpressure_rejects")
             await protocol.write_message(writer, {
@@ -396,9 +385,7 @@ class ExperimentService:
         self._batch_counter += 1
         batch_id = str(message.get("batch_id")
                        or f"b{self._batch_counter:06d}")
-        want_repr = (message.get("return") == "repr"
-                     or (self.config.return_reprs
-                         and message.get("return") != "digest"))
+        want_repr = message.get("return") == "repr"
         self._count("batches")
         self._count("submitted", len(cells))
         self._adjust_pending(len(cells))
@@ -545,32 +532,17 @@ class ExperimentService:
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._count("retries")
-                await asyncio.sleep(self.config.retry_backoff_s * attempt)
-            fault = self._cell_fault(cell, attempt)
-            degraded = not self.inline and self._degraded()
-            if not degraded and self._pool is None and not self.inline:
-                # Breaker cool-down elapsed: half-open a fresh pool.
-                await self._ensure_pool()
-                degraded = self._degraded()  # lost the race → stay shed
+                await asyncio.sleep(RETRY_BACKOFF_S * attempt)
+            fault = None
+            if os.environ.get("REPRO_CHAOS", "").strip():
+                from repro.chaos import service_fault
+
+                fault = service_fault(cell.experiment, cell.params, attempt)
             generation = self._pool_generation
-            loop = asyncio.get_running_loop()
-            if degraded:
-                # Shed mode: compute in-process (thread executor,
-                # inline fault semantics so an injected death raises
-                # instead of killing the server), bounded by the
-                # degraded semaphore so a burst cannot fork-bomb the
-                # event-loop host.
-                self._count("degraded_cells")
-                assert self._degraded_sem is not None
-                async with self._degraded_sem:
-                    exec_future = loop.run_in_executor(
-                        None, execute_cell, wire_dict,
-                        self.config.cache_dir, self.config.manifest_dir,
-                        fault, True)
-                    done, _ = await asyncio.wait(
-                        {exec_future}, timeout=self.config.cell_timeout_s)
-            else:
-                exec_future = loop.run_in_executor(
+            try:
+                # Submitting to a pool that a worker death has already
+                # broken raises here, not from the future.
+                exec_future = asyncio.get_running_loop().run_in_executor(
                     self._pool, execute_cell, wire_dict,
                     self.config.cache_dir, self.config.manifest_dir,
                     fault, self.inline)
@@ -582,13 +554,12 @@ class ExperimentService:
                 # consumed silently) and move straight to the retry.
                 done, _ = await asyncio.wait(
                     {exec_future}, timeout=self.config.cell_timeout_s)
-            if not done:
-                exec_future.add_done_callback(
-                    lambda f: f.cancelled() or f.exception())
-                last_error = (f"cell timeout after "
-                              f"{self.config.cell_timeout_s}s")
-                continue
-            try:
+                if not done:
+                    exec_future.add_done_callback(
+                        lambda f: f.cancelled() or f.exception())
+                    last_error = (f"cell timeout after "
+                                  f"{self.config.cell_timeout_s}s")
+                    continue
                 return exec_future.result(), attempt + 1
             except (BrokenProcessPool, InjectedTransportFailure,
                     OSError, EOFError) as exc:
@@ -599,79 +570,21 @@ class ExperimentService:
                 "error": f"transport retries exhausted: {last_error}"}, \
             self.config.max_retries + 1
 
-    def _cell_fault(self, cell: WireCell,
-                    attempt: int) -> Optional[Dict[str, Any]]:
-        """The fault (if any) scheduled for this execution attempt —
-        from the test-only ``fault_plan`` hook, or from an active
-        ``repro.chaos`` schedule (``service.cell`` injection point)."""
-        if self.config.fault_plan is not None:
-            return self.config.fault_plan(
-                cell.experiment, cell.params, attempt)
-        if os.environ.get("REPRO_CHAOS", "").strip():
-            from repro.chaos import service_fault
-
-            return service_fault(cell.experiment, cell.params, attempt)
-        return None
-
-    # ------------------------------------------------------------------
-    # Circuit breaker (pool replacement → bounded inline degradation)
-    # ------------------------------------------------------------------
-    def _degraded(self) -> bool:
-        return time.monotonic() < self._degraded_until
-
-    def _publish_degraded(self) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if metrics.enabled:
-            metrics.gauge("service.degraded").set(
-                1 if self._degraded() else 0)
-
     async def _replace_pool(self, seen_generation: int) -> None:
         """Swap a broken pool for a fresh one (once per breakage, even
-        when many cells observe the same corpse concurrently) — unless
-        the breaker trips: ``breaker_threshold`` replacements inside
-        ``breaker_window_s`` means the environment is crash-looping,
-        and rebuilding pools just burns the host.  Then the pool stays
-        down and cells shed to bounded inline execution until
-        ``breaker_reset_s`` has passed."""
+        when many cells observe the same corpse concurrently)."""
         if self.inline:
             return
         assert self._pool_lock is not None
         async with self._pool_lock:
             if self._pool_generation != seen_generation:
                 return  # another cell already replaced it
-            old, self._pool = self._pool, None
-            if old is not None:
-                old.shutdown(wait=False)
+            old, self._pool = self._pool, ProcessPoolExecutor(
+                max_workers=self.config.workers)
+            old.shutdown(wait=False)
             self._pool_generation += 1
-            now = time.monotonic()
             self._pool_replacements += 1
             self._count("pool_replacements")
-            self._pool_breaks.append(now)
-            cutoff = now - self.config.breaker_window_s
-            self._pool_breaks = [t for t in self._pool_breaks if t >= cutoff]
-            if len(self._pool_breaks) >= self.config.breaker_threshold:
-                self._degraded_until = now + self.config.breaker_reset_s
-                self._pool_breaks.clear()
-                self._count("degraded_entries")
-                self._publish_degraded()
-                return  # pool stays down; cells shed inline
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers)
-
-    async def _ensure_pool(self) -> None:
-        """Half-open transition: the breaker's cool-down has elapsed
-        and a cell needs a pool again."""
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool is not None or self._degraded():
-                return
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers)
-            self._pool_generation += 1
-            self._degraded_until = 0.0
-            self._publish_degraded()
 
 
 async def run_service(config: ServiceConfig,

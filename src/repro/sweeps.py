@@ -11,10 +11,18 @@ executed for their result digests.  This module binds a sweep to a
   an error, never a silent mixture of two sweeps;
 * ``journal.ndjson`` — the write-ahead log
   (:mod:`repro.obs.journal`): each completed cell's content key and
-  result digest, appended in completion order by the runner (and, for
-  service-backed sweeps, by the submit client as result frames
-  stream in);
+  result digest, appended in completion order;
 * the usual manifest/cellcache artifacts when enabled.
+
+:func:`run_sweep` is the only code that runs a journaled sweep.  What
+computes the pending cells is its *executor*: a callable
+``executor(cells, on_done)`` that calls ``on_done(position, digest)``
+as each cell completes (``digest=None`` for a cell it reports failed).
+The default executor is the local pool (:mod:`repro.parallel`);
+``repro submit --run-dir`` passes one that streams the cells through a
+running ``repro serve``.  Either way :func:`run_sweep` journals each
+cell, consults the chaos ``runner.tick`` point and checks for an abort
+right after the journal record, so both stop at the same point.
 
 ``resume`` replays the journal and serves journaled cells from it —
 zero recomputation — then runs only the remainder.  Because every cell
@@ -48,11 +56,18 @@ __all__ = [
     "SweepSpec",
     "CellOutcome",
     "SweepResult",
+    "SweepInterrupted",
+    "Executor",
     "load_spec",
     "prepare_run_dir",
     "run_sweep",
     "combined_digest",
 ]
+
+#: ``executor(cells, on_done)``: compute ``cells``, calling
+#: ``on_done(position, digest)`` as each completes (``None`` = failed).
+Executor = Callable[[List[WireCell], Callable[[int, Optional[str]], None]],
+                    None]
 
 SWEEP_SPEC_NAME = "sweep.json"
 SWEEP_SCHEMA = 1
@@ -122,6 +137,21 @@ class SweepResult:
     journal_served: int   # cells satisfied from the journal
     ran: int              # cells executed this invocation
     torn: bool            # resumed journal had a torn final line
+    failed: int = 0       # cells the executor reported failed
+
+
+class SweepInterrupted(RuntimeError):
+    """A sweep stopped before completing every cell.
+
+    Raised by :func:`run_sweep` when its ``should_abort`` callback
+    turns true (SIGTERM/SIGINT handlers set exactly that flag) — *after*
+    the cell that just completed was journaled.  ``completed`` counts
+    the cells this invocation completed.
+    """
+
+    def __init__(self, message: str, completed: int = 0):
+        super().__init__(message)
+        self.completed = completed
 
 
 def combined_digest(digests: List[str]) -> str:
@@ -172,6 +202,38 @@ def prepare_run_dir(run_dir: str, cells: Optional[List[WireCell]],
     return spec, jreplay
 
 
+def _chaos_tick(completed: int) -> None:
+    """``runner.tick`` injection point: consulted after every completed
+    cell when a chaos schedule is active (no-op otherwise)."""
+    if not os.environ.get("REPRO_CHAOS", "").strip():
+        return
+    from repro.chaos import ChaosAbort, chaos_point
+
+    fault = chaos_point("runner.tick", completed=completed)
+    if fault is None:
+        return
+    if fault["kind"] == "abort":
+        raise ChaosAbort(f"chaos abort after {completed} completed cells")
+    if fault["kind"] == "sigterm":
+        import signal
+
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _pool_executor(jobs: Optional[int], progress: Optional[bool]) -> Executor:
+    """The local executor: the cells on :mod:`repro.parallel`'s pool."""
+
+    def execute(cells: List[WireCell],
+                on_done: Callable[[int, Optional[str]], None]) -> None:
+        payloads = [(resolve_experiment(cell.experiment), cell.params)
+                    for cell in cells]
+        map_payloads_completions(
+            payloads, jobs=jobs, progress=progress,
+            on_result=lambda pos, result: on_done(pos, result_digest(result)))
+
+    return execute
+
+
 def run_sweep(
     run_dir: str,
     cells: Optional[List[WireCell]] = None,
@@ -180,18 +242,22 @@ def run_sweep(
     resume: bool = False,
     progress: Optional[bool] = None,
     should_abort: Optional[Callable[[], bool]] = None,
+    executor: Optional[Executor] = None,
 ) -> SweepResult:
     """Execute (or resume) a sweep inside ``run_dir``.
 
     Fresh runs require ``cells``; ``resume=True`` reloads them from the
     saved spec (passing cells too merely cross-checks the digest).
     Journaled cells are served from the journal — **never recomputed**
-    — and the rest run through the completion-order runner, each
-    completion journaled (fsync-batched) before the next is awaited.
+    — and ``executor`` computes the rest (default: the local pool with
+    ``jobs`` and ``progress``), each completion journaled
+    (fsync-batched) as it is reported.
 
-    On interruption (``should_abort`` flag from a signal handler, or a
-    chaos ``runner.tick`` fault) the journal is flushed and closed
-    before the exception propagates, leaving the run dir resumable.
+    After each journal record the chaos ``runner.tick`` point is
+    consulted and ``should_abort`` polled; a true flag raises
+    :class:`SweepInterrupted`.  On any interruption the journal is
+    flushed and closed before the exception propagates, leaving the run
+    dir resumable.
     """
     spec, jreplay = prepare_run_dir(run_dir, cells, resume)
     sweep_cells = spec.cells
@@ -209,35 +275,36 @@ def run_sweep(
             pending.append(index)
 
     journal_served = len(sweep_cells) - len(pending)
-    ran = 0
+    completed = failed = 0
     if pending:
-        payloads = []
-        for index in pending:
-            cell = sweep_cells[index]
-            payloads.append((resolve_experiment(cell.experiment),
-                             cell.params))
         journal = SweepJournal(run_dir, spec_digest=spec.digest())
 
-        def on_result(pending_pos: int, result: Any) -> None:
-            index = pending[pending_pos]
+        def on_done(position: int, digest: Optional[str]) -> None:
+            nonlocal completed, failed
+            index = pending[position]
             cell = sweep_cells[index]
-            digest = result_digest(result)
-            if keys[index] is not None:
-                journal.record(keys[index], digest, index=index,
-                               experiment=cell.experiment)
-            outcomes[index] = CellOutcome(
-                index=index, experiment=cell.experiment, key=keys[index],
-                digest=digest, source="ran")
+            if digest is None:
+                failed += 1
+            else:
+                if keys[index] is not None:
+                    journal.record(keys[index], digest, index=index,
+                                   experiment=cell.experiment)
+                outcomes[index] = CellOutcome(
+                    index=index, experiment=cell.experiment,
+                    key=keys[index], digest=digest, source="ran")
+            completed += 1
+            _chaos_tick(completed)
+            if should_abort is not None and should_abort():
+                raise SweepInterrupted(
+                    f"sweep interrupted after {completed} cells", completed)
 
         try:
-            map_payloads_completions(
-                payloads, jobs=jobs, progress=progress,
-                on_result=on_result, should_abort=should_abort)
+            (executor or _pool_executor(jobs, progress))(
+                [sweep_cells[index] for index in pending], on_done)
         finally:
             # Crash/interrupt path included: everything that completed
             # is durably journaled before the exception leaves here.
             journal.close()
-        ran = len(pending)
 
     done = [o for o in outcomes if o is not None]
     return SweepResult(
@@ -245,6 +312,7 @@ def run_sweep(
         digest=combined_digest([o.digest for o in done]),
         spec_digest=spec.digest(),
         journal_served=journal_served,
-        ran=ran,
+        ran=completed - failed,
         torn=jreplay.torn,
+        failed=failed,
     )

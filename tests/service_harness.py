@@ -7,13 +7,12 @@ test thread drives the synchronous client against it, and the service's
 ``service.*`` metrics land on the process-wide registry where
 assertions can read them.
 
-Fault injection goes through :data:`ServiceConfig.fault_plan` (a
-callable the *test* supplies, so it can close over whatever state it
-wants) plus the JSON-safe fault descriptors ``execute_cell``
-understands: ``{"die": True}`` kills the worker process mid-cell,
-``{"sleep_s": x}`` makes it slow.  Cache corruption is a plain
-on-disk byte edit (:func:`corrupt_cache_entry`) — exactly what a torn
-disk or a tampering tenant would produce.
+Worker kills and slow workers are injected the way ``repro serve``
+takes them: a chaos schedule (``REPRO_CHAOS``) with ``service.cell``
+events, which the server maps onto the fault descriptors
+``execute_cell`` understands.  Cache corruption is a plain on-disk
+byte edit (:func:`corrupt_cache_entry`) — exactly what a torn disk or
+a tampering tenant would produce.
 """
 
 from __future__ import annotations

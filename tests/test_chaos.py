@@ -67,7 +67,7 @@ def test_injection_point_catalogue_is_closed():
     # exactly this table.
     assert set(INJECTION_POINTS) == {
         "service.cell", "runner.tick", "cellcache.fetch",
-        "cellcache.store", "client.frame",
+        "cellcache.store",
     }
 
 

@@ -1,75 +1,58 @@
-"""Client backpressure behaviour: seeded jitter and the deadline cap.
+"""Client backpressure behaviour: ``max_attempts`` bounds the resubmit
+loop.
 
-The resubmit sleep must be a pure function of ``(jitter_seed,
-attempt)`` — replayable, fleet-de-herding — and ``deadline_s`` must
-bound the whole resubmit loop rather than letting a large
-``retry_after_s`` hint park the client indefinitely.
+``submit_batch`` has no deadline of its own; the only thing that stops
+it resubmitting a batch the server keeps rejecting is
+``max_attempts``.  With the queue held full, ``max_attempts=2`` makes
+exactly two submissions and then raises the last rejection.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 
 import pytest
 
-from repro.service.client import Backpressure, backoff_sleep_s, submit_batch
+from repro.chaos import ChaosSpec, FaultEvent, reset_active
+from repro.service.client import Backpressure, submit_batch
 from tests.service_harness import ServiceHarness, resolution_cells
 
 pytestmark = pytest.mark.service
 
 
-class TestBackoffSleep:
-    def test_pure_function_of_seed_and_attempt(self):
-        a = [backoff_sleep_s(1.0, attempt, jitter_seed=99)
-             for attempt in range(6)]
-        b = [backoff_sleep_s(1.0, attempt, jitter_seed=99)
-             for attempt in range(6)]
-        assert a == b
-        # Different attempts draw different jitter (the de-herding).
-        assert len(set(a)) > 1
-
-    def test_jitter_stays_in_half_to_three_halves_of_the_hint(self):
-        for seed in range(50):
-            for attempt in range(4):
-                sleep = backoff_sleep_s(2.0, attempt, jitter_seed=seed,
-                                        max_sleep_s=1000.0)
-                assert 1.0 <= sleep <= 3.0
-
-    def test_seeds_de_herd_a_fleet(self):
-        sleeps = {backoff_sleep_s(1.0, 0, jitter_seed=seed)
-                  for seed in range(32)}
-        # 32 clients sharing one retry_after_s hint sleep 32 different
-        # amounts — that is the whole point of the jitter.
-        assert len(sleeps) == 32
-
-    def test_cap_and_degenerate_hints(self):
-        assert backoff_sleep_s(100.0, 0, jitter_seed=1,
-                               max_sleep_s=5.0) == 5.0
-        assert backoff_sleep_s(0.0, 0, jitter_seed=1) == 0.0
-        assert backoff_sleep_s(-3.0, 0, jitter_seed=1) == 0.0
-
-
 class TestDeadline:
-    def test_deadline_caps_the_resubmit_loop(self, tmp_path):
-        # queue_limit=1 with a 2-cell batch is rejected every time; the
-        # server's retry_after_s hint would have the client sleeping,
-        # but the deadline stops the loop early with the last rejection.
-        cells = resolution_cells(2, seed=40)
-        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=0,
-                            queue_limit=1) as harness:
-            start = time.monotonic()
-            with pytest.raises(Backpressure):
-                submit_batch(harness.host, harness.port, cells,
-                             max_attempts=50, max_sleep_s=30.0,
-                             jitter_seed=7, deadline_s=0.5)
-            elapsed = time.monotonic() - start
-            assert elapsed < 5.0  # nowhere near 50 × hint sleeps
-
     def test_without_deadline_attempts_bound_the_loop(self, tmp_path):
-        cells = resolution_cells(2, seed=41)
-        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=0,
+        slow = resolution_cells(1, seed=41)
+        fast = resolution_cells(1, seed=42)
+        # The slow cell holds the one queue slot while both submissions
+        # of the fast batch are rejected.
+        path = str(tmp_path / "chaos.json")
+        ChaosSpec(events=[FaultEvent(
+            point="service.cell", kind="timeout",
+            match={"seed": slow[0].params["seed"]},
+            params={"sleep_s": 2.0})]).save(path)
+        os.environ["REPRO_CHAOS"] = path
+        reset_active()
+
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=1,
                             queue_limit=1) as harness:
-            with pytest.raises(Backpressure):
-                submit_batch(harness.host, harness.port, cells,
-                             max_attempts=2, max_sleep_s=0.01,
-                             jitter_seed=7)
+            filler_results = []
+            filler = threading.Thread(target=lambda: filler_results.append(
+                harness.submit(slow)))
+            filler.start()
+            try:
+                deadline = time.monotonic() + 10
+                while (harness.stats()["pending"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert harness.stats()["pending"] == 1
+                with pytest.raises(Backpressure) as excinfo:
+                    submit_batch(harness.host, harness.port, fast,
+                                 max_attempts=2)
+                assert excinfo.value.reason == "queue_full"
+                assert harness.metric("service.backpressure_rejects") == 2
+            finally:
+                filler.join(timeout=30)
+            assert filler_results and filler_results[0].ok

@@ -2,9 +2,9 @@
 
 Drives ``python -m repro run`` as a subprocess, kills it mid-sweep
 (externally with SIGTERM, and deterministically via a chaos
-``runner.tick``/``sigterm`` fault), then resumes and requires the
-resumed digests to be byte-identical to an uninterrupted golden run —
-with zero recomputation of journaled cells.
+``runner.tick``/``sigterm`` fault, serially and on a pool), then
+resumes and requires the resumed digests to be byte-identical to an
+uninterrupted golden run — with zero recomputation of journaled cells.
 """
 
 import json
@@ -13,6 +13,8 @@ import signal
 import subprocess
 import sys
 import time
+
+import pytest
 
 from repro.chaos import ChaosSpec, FaultEvent
 from repro.obs.journal import journal_path, replay
@@ -28,9 +30,9 @@ def _env(**extra):
     return env
 
 
-def _run_cli(args, *, env=None, check=True):
+def _run_cli(args, *, env=None, check=True, jobs=1):
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "--no-manifest", "--jobs", "1",
+        [sys.executable, "-m", "repro", "--no-manifest", "--jobs", str(jobs),
          *args],
         env=env or _env(), capture_output=True, text=True, timeout=180)
     if check:
@@ -45,7 +47,8 @@ def _sweep_args(run_dir, preemptions=5, cells=4):
             "--json"]
 
 
-def test_chaos_sigterm_interrupts_and_resume_matches_golden(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chaos_sigterm_interrupts_and_resume_matches_golden(tmp_path, jobs):
     golden = json.loads(_run_cli(
         _sweep_args(str(tmp_path / "golden"))).stdout)
 
@@ -54,9 +57,10 @@ def test_chaos_sigterm_interrupts_and_resume_matches_golden(tmp_path):
                                  match={"completed": 1})]).save(chaos)
     run_dir = str(tmp_path / "run")
     proc = _run_cli(_sweep_args(run_dir), env=_env(REPRO_CHAOS=chaos),
-                    check=False)
+                    check=False, jobs=jobs)
     # The self-delivered SIGTERM lands in the CLI's handler, which sets
-    # the abort flag; the runner stops orderly with exit code 130.
+    # the abort flag; the sweep stops right after the cell that fired
+    # it — on the pool as serially — with exit code 130.
     assert proc.returncode == 130, (proc.returncode, proc.stderr)
     assert "resume" in proc.stderr
 

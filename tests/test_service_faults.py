@@ -15,22 +15,29 @@ without digest drift:
 * a corrupt on-disk cache entry — rejected (``service.cache_rejects``)
   and recomputed, never served;
 * a full queue — whole-batch backpressure rejection, and the client's
-  resubmit loop eventually lands the batch.
+  resubmit loop eventually lands the batch; a batch larger than the
+  queue could never fit and is a bad request;
+* a drain — the server journal holds every cell that completed.
 
-Faults are injected through ``ServiceConfig.fault_plan`` and the
-JSON-safe descriptors ``execute_cell`` honors (see
-tests/service_harness.py).
+Worker kills and slow workers are scripted chaos schedules on the
+``service.cell`` point (:func:`chaos`), matched on the cell's ``seed``
+and the execution ``attempt`` — the same surface ``repro serve`` honors
+under ``REPRO_CHAOS``.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
 import pytest
 
+from repro.chaos import ChaosSpec, FaultEvent, reset_active
 from repro.obs.cellcache import CellCache
-from repro.service.client import Backpressure
+from repro.obs.journal import journal_path, replay
+from repro.service.client import Backpressure, ServiceError
 from tests.service_harness import (
     ServiceHarness,
     corrupt_cache_entry,
@@ -41,6 +48,19 @@ from tests.test_service_determinism import serial_digests
 pytestmark = pytest.mark.service
 
 
+def chaos(tmp_path, *events):
+    """Activate a chaos schedule of ``service.cell`` events, given as
+    ``(kind, match, params)`` triples (the test's conftest restores the
+    environment afterwards)."""
+    path = str(tmp_path / "chaos.json")
+    ChaosSpec(events=[
+        FaultEvent(point="service.cell", kind=kind, match=match,
+                   params=params)
+        for kind, match, params in events]).save(path)
+    os.environ["REPRO_CHAOS"] = path
+    reset_active()
+
+
 # ----------------------------------------------------------------------
 # Worker death (real BrokenProcessPool)
 # ----------------------------------------------------------------------
@@ -49,15 +69,11 @@ class TestWorkerDeath:
         cells = resolution_cells(3, seed=10)
         expected = serial_digests(cells)
         target_seed = cells[0].params["seed"]
+        chaos(tmp_path, ("worker_kill",
+                         {"seed": target_seed, "attempt": 0}, {}))
 
-        def plan(_experiment, params, attempt):
-            if params.get("seed") == target_seed and attempt == 0:
-                return {"die": True}
-            return None
-
-        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=2,
-                            retry_backoff_s=0.01,
-                            fault_plan=plan) as harness:
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"),
+                            workers=2) as harness:
             batch = harness.submit(cells)
             assert batch.ok
             # The killed cell re-executed the *identical* cell and
@@ -70,18 +86,36 @@ class TestWorkerDeath:
             assert batch.digests == expected
             assert harness.metric("service.retries") >= 1
 
+    def test_cell_sent_to_an_already_broken_pool_retries(self, tmp_path):
+        """A worker death breaks the pool for every cell submitted
+        before the replacement; such a cell retries like any other
+        transport failure instead of failing its batch."""
+        warm, fresh = resolution_cells(2, seed=37)
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"),
+                            workers=1) as harness:
+            assert harness.submit([warm]).ok  # the pool's worker is up
+            pool = harness.service._pool
+            for pid in list(pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            batch = harness.submit([fresh])
+            assert batch.ok
+            assert batch.cells[0].status == "retried"
+            assert batch.digests == serial_digests([fresh])
+            assert harness.stats()["pool_replacements"] == 1
+
     def test_inline_transport_failure_retries(self, tmp_path):
         """Inline mode surfaces the same retry classification without
         a pool (the injected death raises instead of exiting)."""
         cells = resolution_cells(1, seed=11)
         expected = serial_digests(cells)
+        chaos(tmp_path, ("worker_kill", {"attempt": 0}, {}))
 
-        def plan(_experiment, _params, attempt):
-            return {"die": True} if attempt == 0 else None
-
-        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=0,
-                            retry_backoff_s=0.01,
-                            fault_plan=plan) as harness:
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"),
+                            workers=0) as harness:
             batch = harness.submit(cells)
         assert batch.ok
         assert batch.cells[0].status == "retried"
@@ -90,14 +124,10 @@ class TestWorkerDeath:
 
     def test_exhausted_retries_fail_the_cell_not_the_batch(self, tmp_path):
         good, bad = resolution_cells(2, seed=12)
-        bad_seed = bad.params["seed"]
-
-        def plan(_experiment, params, _attempt):
-            return {"die": True} if params.get("seed") == bad_seed else None
+        chaos(tmp_path, ("worker_kill", {"seed": bad.params["seed"]}, {}))
 
         with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=0,
-                            max_retries=1, retry_backoff_s=0.01,
-                            fault_plan=plan) as harness:
+                            max_retries=1) as harness:
             batch = harness.submit([good, bad])
             assert not batch.ok
             assert batch.cells[0].status in ("computed", "retried")
@@ -114,14 +144,11 @@ class TestSlowWorker:
     def test_timeout_abandons_stuck_worker_and_retries(self, tmp_path):
         cells = resolution_cells(1, seed=13)
         expected = serial_digests(cells)
-
-        def plan(_experiment, _params, attempt):
-            return {"sleep_s": 1.5} if attempt == 0 else None
+        chaos(tmp_path, ("timeout", {"attempt": 0}, {"sleep_s": 1.5}))
 
         start = time.monotonic()
         with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=2,
-                            cell_timeout_s=0.25, retry_backoff_s=0.01,
-                            fault_plan=plan) as harness:
+                            cell_timeout_s=0.25) as harness:
             batch = harness.submit(cells)
             assert batch.ok
             assert batch.cells[0].status == "retried"
@@ -188,17 +215,13 @@ class TestBackpressure:
     def test_queue_full_rejects_whole_batch_then_retry_succeeds(
             self, tmp_path):
         slow = resolution_cells(3, seed=15)
-        slow_seeds = {cell.params["seed"] for cell in slow}
         fast = resolution_cells(2, seed=16)
         expected = serial_digests(fast)
-
-        def plan(_experiment, params, _attempt):
-            if params.get("seed") in slow_seeds:
-                return {"sleep_s": 0.6}
-            return None
+        chaos(tmp_path, *(("timeout", {"seed": cell.params["seed"]},
+                           {"sleep_s": 0.6}) for cell in slow))
 
         with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=2,
-                            queue_limit=3, fault_plan=plan) as harness:
+                            queue_limit=3) as harness:
             filler_results = []
             filler = threading.Thread(target=lambda: filler_results.append(
                 harness.submit(slow)))
@@ -218,13 +241,27 @@ class TestBackpressure:
                 assert harness.metric("service.backpressure_rejects") >= 1
                 # The client's resubmit loop lands it once capacity
                 # frees up, with untouched digests.
-                batch = harness.submit(fast, max_attempts=50,
-                                       max_sleep_s=0.2)
+                batch = harness.submit(fast, max_attempts=50)
                 assert batch.ok
                 assert batch.digests == expected
             finally:
                 filler.join(timeout=30)
             assert filler_results and filler_results[0].ok
+
+    def test_batch_larger_than_the_queue_is_a_bad_request(self, tmp_path):
+        # Two cells can never fit a queue of one: the batch is refused
+        # on the first attempt instead of being told to retry.
+        cells = resolution_cells(2, seed=19)
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=0,
+                            queue_limit=1) as harness:
+            with pytest.raises(ServiceError) as excinfo:
+                harness.submit(cells, max_attempts=3)
+            assert not isinstance(excinfo.value, Backpressure)
+            assert "bad_request" in str(excinfo.value)
+            assert "batch of 2 cells exceeds the queue limit of 1" in str(
+                excinfo.value)
+            assert harness.metric("service.backpressure_rejects") == 0
+            assert harness.stats()["served"] == 0
 
     def test_draining_server_rejects_new_batches(self, tmp_path):
         cells = resolution_cells(1, seed=17)
@@ -248,8 +285,6 @@ class TestBackpressure:
 # ----------------------------------------------------------------------
 class TestBadRequests:
     def test_malformed_cell_rejects_batch_before_any_work(self, tmp_path):
-        from repro.service.client import ServiceError
-
         good = resolution_cells(1, seed=18)[0]
         bad = {"experiment": "resolution",
                "params": {"tau": 740.0, "typo_param": 1}}
@@ -260,3 +295,35 @@ class TestBadRequests:
             # All-or-nothing admission: the good cell did not run.
             assert harness.stats()["served"] == 0
             assert harness.metric("service.submitted") == 0
+
+
+# ----------------------------------------------------------------------
+# Server journal
+# ----------------------------------------------------------------------
+class TestServerJournal:
+    def test_drain_flushes_completed_cells_to_the_journal(self, tmp_path):
+        journal_dir = str(tmp_path / "server-run")
+        cells = resolution_cells(3, seed=35)
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=1,
+                            journal_dir=journal_dir) as harness:
+            batch = harness.submit(cells)
+            assert batch.ok
+            keys = [harness.key_for(cell) for cell in cells]
+        # Harness exit drains the service; drain closes (flushes) the
+        # journal before the listener goes away.
+        recovered = replay(journal_path(journal_dir))
+        assert not recovered.torn
+        for key, digest in zip(keys, batch.digests):
+            assert recovered.digest_for(key) == digest
+
+    def test_cache_hits_are_journaled_too(self, tmp_path):
+        journal_dir = str(tmp_path / "server-run")
+        cells = resolution_cells(1, seed=36)
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"), workers=1,
+                            journal_dir=journal_dir) as harness:
+            first = harness.submit(cells)
+            second = harness.submit(cells)  # served from cache
+            assert second.cells[0].status == "cached"
+            key = harness.key_for(cells[0])
+        recovered = replay(journal_path(journal_dir))
+        assert recovered.digest_for(key) == first.digests[0]

@@ -3,15 +3,17 @@
 The acceptance bar from the robustness contract: a sweep killed at a
 chaos-scheduled point and resumed recomputes **zero** journaled cells
 and produces final digests byte-identical to an uninterrupted run, for
-any ``--jobs``.
+any ``--jobs`` and through the service (``repro submit --run-dir``).
 """
 
+import json
 import os
 
 import pytest
 
 from repro.chaos import ChaosAbort, ChaosSpec, FaultEvent, reset_active
 from repro.experiments.wire import cell_from_wire
+from repro.obs.journal import journal_path, replay
 from repro.parallel import derive_seed
 from repro.sweeps import load_spec, run_sweep
 
@@ -131,3 +133,38 @@ def test_journal_from_another_sweep_is_refused(tmp_path):
                os.path.join(run_a, "journal.ndjson"))
     with pytest.raises(ValueError, match="different sweep"):
         run_sweep(run_a, resume=True, jobs=1)
+
+
+def test_submit_run_dir_abort_then_resume_matches_a_local_sweep(
+        tmp_path, capsys):
+    """``repro submit --run-dir`` runs the same ``run_sweep`` with the
+    service as its executor: a ``runner.tick`` abort stops it after the
+    second journaled cell, and ``--resume`` submits only the other two."""
+    from repro.cli import main
+    from tests.service_harness import ServiceHarness
+
+    run_dir = str(tmp_path / "run")
+    with ServiceHarness(cache_dir=str(tmp_path / "cc"),
+                        workers=0) as harness:
+        argv = ["--no-manifest", "submit", "--port", str(harness.port),
+                "--run-dir", run_dir, "--json"]
+        _chaos_abort_after(tmp_path, completed=2)
+        try:
+            rc = main(argv + ["resolution", "--grid", "tau=700,705,710,715",
+                              "--param", "preemptions=5"])
+        finally:
+            _clear_chaos()
+        assert rc == 130
+        assert len(replay(journal_path(run_dir))) == 2
+
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+    assert resumed["journal_served"] == 2
+    assert resumed["ran"] == 2
+    assert resumed["errors"] == 0
+
+    local = run_sweep(str(tmp_path / "local"), load_spec(run_dir).cells,
+                      jobs=1)
+    assert resumed["digests"] == [o.digest for o in local.outcomes]
+    assert resumed["sweep_digest"] == local.digest
