@@ -48,6 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs import count
 from repro.parallel import derive_seed
 
 __all__ = [
@@ -260,17 +261,9 @@ class ChaosEngine:
             fault["sleep_s"] = float(overrides.get(
                 "sleep_s", self.spec.params.get(
                     "stall_sleep_s", DEFAULT_PARAMS["stall_sleep_s"])))
-        self._count(point, kind)
+        count("chaos.injected")
+        count(f"chaos.{point}.{kind}")
         return fault
-
-    @staticmethod
-    def _count(point: str, kind: str) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if metrics.enabled:
-            metrics.counter("chaos.injected").inc()
-            metrics.counter(f"chaos.{point}.{kind}").inc()
 
 
 # ----------------------------------------------------------------------

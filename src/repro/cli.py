@@ -295,7 +295,6 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     try:
         _run(args, args.experiment, _traceable_params(args))
         obs = obs_mod.get_obs()
-        obs.publish()
         if args.format == "openmetrics":
             from repro.obs.telemetry import render_openmetrics
 
@@ -1120,7 +1119,6 @@ def _configure_obs(args: argparse.Namespace) -> None:
     # post-run table still prints only with an explicit --metrics).
     _set("REPRO_METRICS",
          bool(getattr(args, "metrics", False)) or telemetry)
-    _set("REPRO_TELEMETRY", telemetry)
     _set("REPRO_TRACE", getattr(args, "trace", None) is not None)
     _set("REPRO_PROGRESS", bool(getattr(args, "progress", False)))
     manifest_dir = None if args.no_manifest else args.manifest_dir
@@ -1155,7 +1153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     obs = obs_mod.get_obs()
     if getattr(args, "metrics", False) and obs.metrics.enabled:
-        obs.publish()
         print(obs.metrics.render())
     if getattr(args, "trace", None) and obs.tracer.enabled:
         n = obs.tracer.export(args.trace)

@@ -21,7 +21,6 @@ from repro.cpu.machine import Machine, MachineConfig
 from repro.kernel.costs import CostParams
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.tracing import KernelTracer
-from repro.obs import Observability, get_obs
 from repro.sched.base import SchedPolicy
 from repro.sched.cfs import CfsScheduler
 from repro.sched.eevdf import EevdfScheduler
@@ -59,16 +58,10 @@ class ExperimentEnv:
     policy: SchedPolicy
     params: SchedParams
     rng: RngStreams
-    obs: Optional[Observability] = None
 
     @property
     def tracer(self) -> KernelTracer:
         return self.kernel.tracer
-
-    @property
-    def metrics(self):
-        """The metrics registry this environment's kernel reports into."""
-        return self.kernel.obs.metrics
 
 
 def make_policy(
@@ -95,16 +88,9 @@ def build_env(
     kernel_config: Optional[KernelConfig] = None,
     cost_params: Optional[CostParams] = None,
     sample_vruntime: bool = False,
-    obs: Optional[Observability] = None,
-    max_trace_records: Optional[int] = None,
     mitigations=None,
 ) -> ExperimentEnv:
     """Assemble a fresh machine + kernel for one experiment run.
-
-    ``obs`` overrides the process-wide observability hub for this
-    environment (the default is :func:`repro.obs.get_obs`, configured by
-    the CLI / environment variables).  ``max_trace_records`` bounds the
-    KernelTracer streams for long characterization runs.
 
     ``mitigations`` installs scheduler-side defense policies: a
     :class:`~repro.mitigations.policy.MitigationStack`, a single policy,
@@ -115,8 +101,7 @@ def build_env(
     machine = Machine(machine_config or MachineConfig(n_cores=n_cores))
     policy = make_policy(scheduler, params, features)
     rng = RngStreams(seed=seed)
-    tracer = KernelTracer(sample_vruntime=sample_vruntime,
-                          max_records=max_trace_records)
+    tracer = KernelTracer(sample_vruntime=sample_vruntime)
     if mitigations is not None:
         # Local import: the mitigations package re-exports experiment
         # evaluators, so a top-level import would be circular.
@@ -129,10 +114,9 @@ def build_env(
         tracer=tracer,
         config=kernel_config,
         cost_params=cost_params,
-        obs=obs,
         mitigations=mitigations,
     )
     return ExperimentEnv(
         machine=machine, kernel=kernel, policy=policy, params=policy.params,
-        rng=rng, obs=obs if obs is not None else get_obs(),
+        rng=rng,
     )

@@ -48,7 +48,8 @@ from repro.kernel.tracing import (
     SwitchRecord,
     WakeupRecord,
 )
-from repro.obs import Observability, get_obs
+from repro.obs import get_obs
+from repro.obs.collect import kernel_counts
 from repro.sched.base import SchedPolicy
 from repro.sched.loadbalance import BALANCE_INTERVAL_NS, LoadBalancer
 from repro.sched.runqueue import RunQueue
@@ -281,7 +282,6 @@ class Kernel:
         tracer: Optional[KernelTracer] = None,
         config: Optional[KernelConfig] = None,
         cost_params: Optional[CostParams] = None,
-        obs: Optional[Observability] = None,
         mitigations: Optional[Any] = None,
     ):
         self.machine = machine
@@ -308,9 +308,11 @@ class Kernel:
         # default (disabled) registry they are shared no-op singletons,
         # so instrumented sites cost one empty method call.  Tracing is
         # additionally guarded by ``self._tracing`` at each site.
-        self.obs = obs if obs is not None else get_obs()
-        metrics = self.obs.metrics
+        obs = get_obs()
+        metrics = self._metrics = obs.metrics
         self._metrics_on = metrics.enabled
+        # kernel_counts() as of the last fold (see run_until).
+        self._folded: Dict[str, float] = {}
         self._m_switches = metrics.counter("kernel.switches")
         self._m_switch_reason = {
             reason: metrics.counter(f"kernel.switch.{reason}")
@@ -322,9 +324,7 @@ class Kernel:
         self._h_wakeup_lag = metrics.histogram("sched.wakeup_lag_ns")
         self._m_timer_fires = metrics.counter("kernel.timer_fires")
         self._m_migrations = metrics.counter("kernel.migrations")
-        if self._metrics_on:
-            self.obs.attach_kernel(self)
-        self._trace = self.obs.tracer
+        self._trace = obs.tracer
         self._tracing = self._trace.enabled
         self._open_spans: List[Optional[Task]] = [None] * machine.n_cores
         if self._tracing:
@@ -415,11 +415,29 @@ class Kernel:
         max_events: int = 50_000_000,
     ) -> None:
         """Advance the simulation until ``predicate()`` holds, the event
-        heap drains, or ``max_time``/``max_events`` is hit."""
+        heap drains, or ``max_time``/``max_events`` is hit.
+
+        With metrics on, the growth of :func:`kernel_counts` since the
+        previous fold is then added to the registry as counters, so a
+        cell counts every kernel it built; with tracing also on, their
+        running totals become Perfetto counter-track points."""
         events = self.sim.drain(predicate, max_time=max_time,
                                 max_events=max_events)
+        if self._metrics_on:
+            self._fold_counts()
         if events >= max_events:
             raise RuntimeError("kernel.run_until exceeded max_events")
+
+    def _fold_counts(self) -> None:
+        counts = kernel_counts(self)
+        folded = self._folded
+        now = self.sim.now
+        for name, value in counts.items():
+            counter = self._metrics.counter(name)
+            counter.inc(value - folded.get(name, 0))
+            if self._tracing:
+                self._trace.counter(name, now, 0, counter.value)
+        self._folded = counts
 
     def task_exited(self, task: Task) -> bool:
         return task.state is TaskState.EXITED

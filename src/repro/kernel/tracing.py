@@ -89,23 +89,17 @@ class VruntimeSample:
 class KernelTracer:
     """Collects scheduling events for offline analysis.
 
-    Records live in :class:`repro.obs.ring.RingBuffer` streams.  The
-    default (``max_records=None``) is unbounded, exactly like the plain
-    lists this used to hold — right for analysis runs that consume the
-    whole stream.  Long characterization runs (repeated budget
-    episodes) should pass ``max_records`` to cap each stream at the
-    newest N records: memory becomes O(N) instead of O(run-length), and
-    each stream's ``dropped`` counter says how much history was shed.
+    Analysis consumes whole record streams, so they are unbounded.
+    Each is a :class:`repro.obs.ring.RingBuffer` rather than a list
+    only because ``bench/layers.py`` reads ``switches.dropped``.
     """
 
-    def __init__(self, *, sample_vruntime: bool = False,
-                 max_records: Optional[int] = None):
-        self.max_records = max_records
-        self.switches: RingBuffer = RingBuffer(max_records)
-        self.exits: RingBuffer = RingBuffer(max_records)
-        self.wakeups: RingBuffer = RingBuffer(max_records)
-        self.migrations: RingBuffer = RingBuffer(max_records)
-        self.vruntime_samples: RingBuffer = RingBuffer(max_records)
+    def __init__(self, *, sample_vruntime: bool = False):
+        self.switches: RingBuffer = RingBuffer()
+        self.exits: RingBuffer = RingBuffer()
+        self.wakeups: RingBuffer = RingBuffer()
+        self.migrations: RingBuffer = RingBuffer()
+        self.vruntime_samples: RingBuffer = RingBuffer()
         self.sample_vruntime = sample_vruntime
 
     # ------------------------------------------------------------------

@@ -4,9 +4,11 @@ Three pillars, all off by default and all guaranteed not to perturb
 simulation results (instrumentation never draws randomness and never
 changes event timing):
 
-* **metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
+* **metrics** (:mod:`repro.obs.metrics`) — counters and histograms
   over the sim engine, kernel, schedulers, μarch and attacks, with
-  near-zero cost when disabled;
+  near-zero cost when disabled.  Each kernel folds its engine, μarch
+  and CPU counts in as counters whenever its ``run_until`` returns
+  (:mod:`repro.obs.collect`);
 * **tracing** (:mod:`repro.obs.trace`) — bounded span/instant recording
   exported as Chrome trace-event JSON (Perfetto-loadable);
 * **manifests** (:mod:`repro.obs.manifest`) — per-run and per-cell JSON
@@ -14,23 +16,20 @@ changes event timing):
   which any run re-executes bit-identically.
 
 One process-wide default :class:`Observability` is shared by every
-component that is not handed an explicit one (``build_env(obs=...)``
-overrides per environment).  The default is built from the environment
-on first use — ``REPRO_METRICS=1``, ``REPRO_TRACE=1``,
-``REPRO_TRACE_CAPACITY=N``, ``REPRO_MANIFEST_DIR=path`` — so process-
-pool workers (fork *or* spawn) observe the same configuration as the
-parent once the CLI has exported those variables.
+component.  It is built from the environment on first use —
+``REPRO_METRICS=1``, ``REPRO_TRACE=1`` — so process-pool workers (fork
+*or* spawn) observe the same configuration as the parent once the CLI
+has exported those variables.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import RingBuffer
-from repro.obs.trace import DEFAULT_CAPACITY, EventTracer, validate_chrome_trace
+from repro.obs.trace import EventTracer, validate_chrome_trace
 
 __all__ = [
     "Observability",
@@ -38,6 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "RingBuffer",
     "configure",
+    "count",
     "get_obs",
     "reset",
     "validate_chrome_trace",
@@ -49,68 +49,22 @@ def _env_flag(name: str) -> bool:
 
 
 class Observability:
-    """Bundle of one metrics registry, one event tracer and the
-    manifest output directory."""
+    """Bundle of one metrics registry and one event tracer."""
 
     def __init__(
         self,
         *,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
-        manifest_dir: Optional[str] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry(False)
         self.tracer = tracer if tracer is not None else EventTracer(False)
-        self.manifest_dir = manifest_dir
-        # Weak reference to the most recently constructed kernel, so
-        # pull-based μarch/engine gauges can be published at snapshot
-        # time without threading the env through every call site.
-        self._kernel_ref: Optional[weakref.ref] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.metrics.enabled or self.tracer.enabled
-
-    def attach_kernel(self, kernel) -> None:
-        """Remember ``kernel`` as the publish target (weakly)."""
-        self._kernel_ref = weakref.ref(kernel)
-
-    def publish(self) -> None:
-        """Pull engine/μarch statistics into gauges (no-op when metrics
-        are disabled or no kernel has been built yet).  With tracing on,
-        every scalar is also emitted as a Perfetto counter-track point
-        stamped at the current simulated time, so repeated publishes
-        build stepped throughput/coverage charts alongside the spans."""
-        if not self.metrics.enabled or self._kernel_ref is None:
-            return
-        kernel = self._kernel_ref()
-        if kernel is None:
-            return
-        from repro.obs.collect import publish_kernel_metrics
-
-        publish_kernel_metrics(kernel, self.metrics)
-        if self.tracer.enabled:
-            from repro.obs.metrics import Histogram
-
-            now = kernel.sim.now
-            for name in self.metrics.names():
-                metric = self.metrics.get(name)
-                if not isinstance(metric, Histogram):
-                    self.tracer.counter(name, now, 0, metric.value)
 
     @classmethod
     def from_env(cls) -> "Observability":
-        capacity = DEFAULT_CAPACITY
-        raw = os.environ.get("REPRO_TRACE_CAPACITY", "").strip()
-        if raw:
-            capacity = max(1, int(raw))
-        manifest_dir = os.environ.get("REPRO_MANIFEST_DIR", "").strip() or None
         return cls(
             metrics=MetricsRegistry(enabled=_env_flag("REPRO_METRICS")),
-            tracer=EventTracer(enabled=_env_flag("REPRO_TRACE"),
-                               capacity=capacity),
-            manifest_dir=manifest_dir,
+            tracer=EventTracer(enabled=_env_flag("REPRO_TRACE")),
         )
 
 
@@ -126,19 +80,18 @@ def get_obs() -> Observability:
     return _default
 
 
-def configure(
-    *,
-    metrics: bool = False,
-    trace: bool = False,
-    trace_capacity: Optional[int] = DEFAULT_CAPACITY,
-    manifest_dir: Optional[str] = None,
-) -> Observability:
+def count(name: str, n: int = 1) -> None:
+    """Add ``n`` to counter ``name`` of the default registry (a no-op
+    when metrics are off)."""
+    get_obs().metrics.counter(name).inc(n)
+
+
+def configure(*, metrics: bool = False, trace: bool = False) -> Observability:
     """Install (and return) a fresh default :class:`Observability`."""
     global _default
     _default = Observability(
         metrics=MetricsRegistry(enabled=metrics),
-        tracer=EventTracer(enabled=trace, capacity=trace_capacity),
-        manifest_dir=manifest_dir,
+        tracer=EventTracer(enabled=trace),
     )
     return _default
 

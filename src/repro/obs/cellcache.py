@@ -61,6 +61,7 @@ import tempfile
 import time
 from typing import Any, Dict, Optional, Tuple
 
+from repro.obs import count
 from repro.obs.manifest import _package_version, _sanitize, result_digest
 
 __all__ = ["CellCache", "cell_cache", "cell_key", "CACHE_ENV",
@@ -171,7 +172,7 @@ class CellCache:
         are not replayable, so they must not be cache-served)."""
         key = cell_key(experiment, params)
         if key is None:
-            self._count("skipped")
+            count("cellcache.skipped")
         return key
 
     def _path(self, key: str) -> str:
@@ -258,25 +259,25 @@ class CellCache:
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError:
-            self._count("misses")
+            count("cellcache.misses")
             return "miss", None
         self._hook("fetch.after_read")
         data = self._chaos_fetch(key, data)
         try:
             entry = pickle.loads(data)
             result = entry["result"]
-            self._count("digest_verifies")
+            count("cellcache.digest_verifies")
             if result_digest(result) != entry["digest"]:
                 raise ValueError("digest mismatch")
         except ValueError:
-            self._count("corrupt")
+            count("cellcache.corrupt")
             return "corrupt", None
         except (pickle.UnpicklingError, KeyError, EOFError, AttributeError,
                 ImportError, IndexError, TypeError):
-            self._count("corrupt")
+            count("cellcache.corrupt")
             return "corrupt", None
-        self._count("hits")
-        self._count("bytes_read", len(data))
+        count("cellcache.hits")
+        count("cellcache.bytes_read", len(data))
         return "hit", result
 
     def store(self, key: str, experiment: str, result: Any) -> Optional[str]:
@@ -302,7 +303,7 @@ class CellCache:
             # result is still returned upstream.
             return None
         if not self._acquire_lock(key):
-            self._count("store_contended")
+            count("cellcache.store_contended")
             return None
         path = self._path(key)
         try:
@@ -326,11 +327,11 @@ class CellCache:
             return None
         finally:
             self._release_lock(key)
-        self._count("stores")
+        count("cellcache.stores")
         # Count the bytes we serialized, not a post-replace stat: the
         # stat could race a concurrent prune, and under contention it
         # would bill every writer for the one file that survived.
-        self._count("bytes_written", len(data))
+        count("cellcache.bytes_written", len(data))
         return path
 
     def digest_of(self, key: str) -> Optional[str]:
@@ -467,12 +468,3 @@ class CellCache:
         fault = chaos_point("cellcache.store", key=key)
         if fault is not None and fault["kind"] == "stall":
             time.sleep(float(fault.get("sleep_s", 0.0)))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _count(event: str, n: int = 1) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if metrics.enabled:
-            metrics.counter(f"cellcache.{event}").inc(n)

@@ -38,6 +38,8 @@ import json
 import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs import count
+
 __all__ = [
     "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
@@ -179,7 +181,7 @@ class SweepJournal:
         self._write_line(rec)
         if self._pending >= self.fsync_every:
             self.flush()
-        self._count("records")
+        count("journal.records")
 
     def flush(self) -> None:
         if self._fh.closed:
@@ -201,12 +203,3 @@ class SweepJournal:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _count(event: str, n: int = 1) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if metrics.enabled:
-            metrics.counter(f"journal.{event}").inc(n)

@@ -198,30 +198,39 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _capture(experiment: str, params: Dict[str, Any], fn: Callable[[], Any],
-             *, kind: str, root_seed: Optional[int] = None):
-    """Time ``fn``, snapshot metrics, and build the manifest."""
-    from repro.obs import get_obs
-
-    obs = get_obs()
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    t0 = time.perf_counter()
-    result = fn()
-    wall = time.perf_counter() - t0
-    obs.publish()
-    manifest = RunManifest(
+def _manifest(experiment: str, params: Dict[str, Any], result: Any, *,
+              kind: str, started_at: str, wall_time_s: float,
+              metrics: Dict[str, Any]) -> RunManifest:
+    """The manifest of one finished ``experiment(**params)``."""
+    return RunManifest(
         experiment=experiment,
         params={k: _sanitize(v) for k, v in params.items()},
         seed=params.get("seed") if isinstance(params.get("seed"), int) else None,
-        root_seed=root_seed,
         kind=kind,
         version=_package_version(),
         python=platform.python_version(),
         platform=platform.platform(),
-        started_at=started,
-        wall_time_s=round(wall, 6),
+        started_at=started_at,
+        wall_time_s=wall_time_s,
         result_digest=result_digest(result),
-        metrics=obs.metrics.snapshot() if obs.metrics.enabled else {},
+        metrics=metrics,
+    )
+
+
+def _capture(experiment: str, params: Dict[str, Any], fn: Callable[[], Any],
+             *, kind: str):
+    """Time ``fn``, snapshot metrics, and build the manifest."""
+    from repro.obs import get_obs
+
+    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    t0 = time.perf_counter()
+    result = fn()
+    wall = time.perf_counter() - t0
+    metrics = get_obs().metrics
+    manifest = _manifest(
+        experiment, params, result, kind=kind, started_at=started,
+        wall_time_s=round(wall, 6),
+        metrics=metrics.snapshot() if metrics.enabled else {},
     )
     return result, manifest
 
@@ -258,19 +267,10 @@ def run_recorded(
             if key is not None:
                 hit, result = cache.fetch(key)
                 if hit:
-                    manifest = RunManifest(
-                        experiment=experiment,
-                        params={k: _sanitize(v) for k, v in params.items()},
-                        seed=(params.get("seed")
-                              if isinstance(params.get("seed"), int) else None),
-                        kind="run",
-                        version=_package_version(),
-                        python=platform.python_version(),
-                        platform=platform.platform(),
+                    manifest = _manifest(
+                        experiment, params, result, kind="run",
                         started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                        wall_time_s=0.0,
-                        result_digest=result_digest(result),
-                        metrics={"cellcache.hit": 1},
+                        wall_time_s=0.0, metrics={"cellcache.hit": 1},
                     )
                     path = manifest.save(out_dir) if out_dir else None
                     return result, manifest, path

@@ -1,14 +1,14 @@
-"""Metrics registry: counters, gauges, fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The design rule is *near-zero cost when disabled*: a disabled registry
-hands out shared null instruments whose ``inc``/``set``/``observe`` are
-empty methods, and registers nothing.  Instrumented code grabs its
+hands out shared null instruments whose ``inc``/``observe`` are empty
+methods, and registers nothing.  Instrumented code grabs its
 instruments once (at construction) and calls them unconditionally, so
 the disabled-mode cost of an instrumentation site is one no-op method
 call on an event that already costs orders of magnitude more — and the
 per-instruction hot paths are never instrumented at all (μarch stats
-are *pulled* from the existing hit/miss counters at snapshot time, see
-:mod:`repro.obs.collect`).
+are *pulled* from the existing hit/miss counters and folded in at each
+``Kernel.run_until``, see :mod:`repro.obs.collect`).
 
 Metric names are dotted paths (``kernel.switch.preempt_wakeup``);
 :meth:`MetricsRegistry.snapshot` returns a plain JSON-safe dict and
@@ -22,11 +22,9 @@ from typing import Dict, Optional, Sequence, Union
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
 ]
 
@@ -42,19 +40,6 @@ class Counter:
 
     def inc(self, n: Union[int, float] = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """Last-write-wins scalar (set at snapshot/publish time)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 #: Default bucket upper bounds (ns-flavoured, powers of ten).
@@ -133,13 +118,6 @@ class _NullCounter:
         pass
 
 
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram:
     __slots__ = ()
 
@@ -148,7 +126,6 @@ class _NullHistogram:
 
 
 NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -165,12 +142,12 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         if not self.enabled:
             return NULL_COUNTER  # type: ignore[return-value]
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
-        return self._get(name, Gauge)
+        existing = self._metrics.get(name)
+        if existing is None:
+            existing = self._metrics[name] = Counter(name)
+        elif not isinstance(existing, Counter):
+            raise TypeError(f"metric {name!r} is {type(existing).__name__}")
+        return existing
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
@@ -181,14 +158,6 @@ class MetricsRegistry:
         if existing is None:
             existing = self._metrics[name] = Histogram(name, buckets)
         elif not isinstance(existing, Histogram):
-            raise TypeError(f"metric {name!r} is {type(existing).__name__}")
-        return existing
-
-    def _get(self, name: str, cls):
-        existing = self._metrics.get(name)
-        if existing is None:
-            existing = self._metrics[name] = cls(name)
-        elif not isinstance(existing, cls):
             raise TypeError(f"metric {name!r} is {type(existing).__name__}")
         return existing
 

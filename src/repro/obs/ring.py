@@ -2,11 +2,12 @@
 
 Both the event tracer and :class:`repro.kernel.tracing.KernelTracer`
 store their records in a :class:`RingBuffer`.  With ``capacity=None``
-the buffer is unbounded and ``append`` is literally ``list.append``
-(bound once in ``__init__``), so analysis-grade tracing pays nothing
-over the plain lists it replaced.  With a capacity, the buffer keeps
-the **most recent** ``capacity`` items, overwriting the oldest in place
-— O(run-length) memory becomes O(capacity) for long budget runs, and
+(every ``KernelTracer`` stream) the buffer is unbounded and ``append``
+is literally ``list.append`` (bound once in ``__init__``), so
+analysis-grade tracing pays nothing over the plain lists it replaced.
+With a capacity (the event tracer), the buffer keeps the **most
+recent** ``capacity`` items, overwriting the oldest in place —
+O(run-length) memory becomes O(capacity) for long traced runs, and
 ``dropped`` counts what was overwritten so consumers can tell a full
 window from a truncated one.
 """

@@ -33,11 +33,11 @@ text format (``repro stats --format openmetrics``);
 ``repro report <run-dir>`` (events/s, fast-forward coverage, cache hit
 rates, per-phase timing, per-experiment summary).
 
-Enabled by ``REPRO_TELEMETRY=1`` (the CLI's ``--telemetry`` exports it,
-plus ``REPRO_METRICS=1`` so workers record snapshots at all).  Cells
-served from the content-addressed cache are *not* re-simulated and
-therefore contribute no counters; run the determinism check with the
-cache off (the bundled test does).
+The CLI's ``--telemetry`` exports ``REPRO_METRICS=1``, so workers
+record snapshots at all, and writes ``telemetry.json`` after the run.
+Cells served from the content-addressed cache are *not* re-simulated
+and therefore contribute no counters; run the determinism check with
+the cache off (the bundled test does).
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
-    "TELEMETRY_ENV",
     "TELEMETRY_SCHEMA",
     "TELEMETRY_FILENAME",
-    "telemetry_enabled",
     "cell_metrics_scope",
     "merge_scalars",
     "merge_histograms",
@@ -67,14 +65,8 @@ __all__ = [
     "report_health",
 ]
 
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 TELEMETRY_SCHEMA = 1
 TELEMETRY_FILENAME = "telemetry.json"
-
-
-def telemetry_enabled() -> bool:
-    return os.environ.get(TELEMETRY_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +75,9 @@ def telemetry_enabled() -> bool:
 def _fold_registry(parent: MetricsRegistry, cell: MetricsRegistry) -> None:
     """Fold one cell's instruments back into the parent registry.
 
-    Counters add, gauges last-write-win, histograms bucket-merge — the
-    same semantics a shared registry would have produced, so a serial
-    ``--metrics`` table is unchanged by scoping.
+    Counters add and histograms bucket-merge — the same semantics a
+    shared registry would have produced, so a serial ``--metrics``
+    table is unchanged by scoping.
     """
     if not parent.enabled:
         return
@@ -95,8 +87,6 @@ def _fold_registry(parent: MetricsRegistry, cell: MetricsRegistry) -> None:
             parent.counter(name).inc(metric.value)
         elif isinstance(metric, Histogram):
             parent.histogram(name, metric.bounds).merge(metric)
-        elif isinstance(metric, Gauge):
-            parent.gauge(name).set(metric.value)
 
 
 @contextmanager
@@ -133,7 +123,7 @@ def _is_histogram_dict(value: Any) -> bool:
 
 
 def merge_scalars(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Key-wise sum of the scalar (counter/gauge) metrics.
+    """Key-wise sum of the counters.
 
     Ints stay ints; float accumulation happens in the order the
     snapshots are given, so callers wanting bit-identical output must
@@ -245,16 +235,17 @@ def _load_manifest_dicts(run_dir: str,
 def aggregate_manifests(manifests: Sequence[dict]) -> dict:
     """Aggregate a sequence of manifest dicts into one telemetry dict.
 
-    The counter source is the **cell** manifests when any exist (cells
-    carry per-cell scoped registries, the deterministic unit); a run
-    with no parallel cells falls back to its run manifests.  Wall-time
-    statistics always cover every manifest.
+    Counters and wall time come from the **cell** manifests when any
+    exist (cells carry per-cell scoped registries, the deterministic
+    unit); a run with no parallel cells falls back to its run
+    manifests.  A run manifest already spans its cells, so taking
+    either from both would count the cells twice.
     """
     cells = [m for m in manifests if m.get("kind") == "cell"]
     runs = [m for m in manifests if m.get("kind") != "cell"]
     source = cells if cells else runs
     snapshots = [m.get("metrics") or {} for m in source]
-    wall = [m["wall_time_s"] for m in manifests
+    wall = [m["wall_time_s"] for m in source
             if isinstance(m.get("wall_time_s"), (int, float))]
     experiments: Dict[str, int] = {}
     for m in manifests:
@@ -329,9 +320,6 @@ def render_openmetrics(registry: MetricsRegistry) -> str:
         if isinstance(metric, Counter):
             lines.append(f"# TYPE {om} counter")
             lines.append(f"{om}_total {_om_value(metric.value)}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {om} gauge")
-            lines.append(f"{om} {_om_value(metric.value)}")
         elif isinstance(metric, Histogram):
             lines.append(f"# TYPE {om} histogram")
             cumulative = 0

@@ -80,10 +80,9 @@ class EventTracer:
         """One point on a Perfetto counter track (``C`` event).
 
         Counter tracks render as stepped line charts under the process
-        lane — the metrics registry's scalars are emitted here at
-        snapshot/publish time so fast-forward coverage, cache hit rates
-        and attack progress are visible on the same timeline as the
-        scheduling spans."""
+        lane — each ``Kernel.run_until`` emits its folded counters'
+        running totals here, so engine, cache and fast-forward counts
+        are visible on the same timeline as the scheduling spans."""
         if self.enabled:
             self.events.append(("C", name, ts_ns, pid, 0,
                                 {"value": value}))

@@ -39,12 +39,12 @@ Robustness contract (exercised end-to-end by the service test battery):
   ``draining``), lets every in-flight cell finish, then shuts the pool
   and listener down.
 
-Telemetry: ``service.*`` gauges (``queue_depth``, ``inflight``,
-``hit_rate``) and counters (``submitted``, ``batches``, ``cached``,
-``computed``, ``failed``, ``retries``, ``dedupe_hits``,
+Telemetry: ``service.*`` counters (``submitted``, ``batches``,
+``cached``, ``computed``, ``failed``, ``retries``, ``dedupe_hits``,
 ``cache_rejects``, ``backpressure_rejects``, ``pool_replacements``) on
-the process registry,
-plus the usual per-cell manifests/metrics recorded by the workers.
+the process registry, plus the usual per-cell manifests/metrics
+recorded by the workers.  Queue depth, in-flight count and hit rate
+are answered by the ``stats`` op.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.wire import WireCell, WireError, cell_from_wire
+from repro.obs import count
 from repro.obs.cellcache import CellCache
 from repro.service import protocol
 
@@ -156,7 +157,7 @@ def execute_cell(
 # ----------------------------------------------------------------------
 @dataclass
 class _Tally:
-    """Served-cell accounting behind the summary and the gauges."""
+    """Served-cell accounting behind the summary and the ``stats`` op."""
 
     cached: int = 0
     computed: int = 0
@@ -246,27 +247,6 @@ class ExperimentService:
             self._pool = None
         self._stopped.set()
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _count(event: str, n: int = 1) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if metrics.enabled:
-            metrics.counter(f"service.{event}").inc(n)
-
-    def _publish_gauges(self) -> None:
-        from repro.obs import get_obs
-
-        metrics = get_obs().metrics
-        if not metrics.enabled:
-            return
-        metrics.gauge("service.queue_depth").set(self._pending)
-        metrics.gauge("service.inflight").set(len(self._inflight))
-        metrics.gauge("service.hit_rate").set(round(self._tally.hit_rate, 6))
-
     def _adjust_pending(self, delta: int) -> None:
         self._pending += delta
         assert self._idle is not None
@@ -274,7 +254,6 @@ class ExperimentService:
             self._idle.set()
         else:
             self._idle.clear()
-        self._publish_gauges()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -363,7 +342,7 @@ class ExperimentService:
                           f"limit of {self.config.queue_limit}"})
             return
         if self._pending + len(batch) > self.config.queue_limit:
-            self._count("backpressure_rejects")
+            count("service.backpressure_rejects")
             await protocol.write_message(writer, {
                 "type": "rejected", "reason": "queue_full",
                 "retry_after_s": self._retry_after_s(),
@@ -386,8 +365,8 @@ class ExperimentService:
         batch_id = str(message.get("batch_id")
                        or f"b{self._batch_counter:06d}")
         want_repr = message.get("return") == "repr"
-        self._count("batches")
-        self._count("submitted", len(cells))
+        count("service.batches")
+        count("service.submitted", len(cells))
         self._adjust_pending(len(cells))
         await protocol.write_message(writer, {
             "type": "accepted", "batch_id": batch_id, "cells": len(cells)})
@@ -431,8 +410,7 @@ class ExperimentService:
                 from repro.obs.manifest import result_digest
 
                 self._tally.cached += 1
-                self._count("cached")
-                self._publish_gauges()
+                count("service.cached")
                 message = dict(base, status="cached", source="cache",
                                digest=result_digest(result), attempts=0)
                 if want_repr:
@@ -440,20 +418,18 @@ class ExperimentService:
                 self._journal_cell(key, message["digest"], cell.experiment)
                 return message
             if status == "corrupt":
-                self._count("cache_rejects")
+                count("service.cache_rejects")
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self._tally.dedupe_hits += 1
-                self._count("dedupe_hits")
-                self._publish_gauges()
+                count("service.dedupe_hits")
                 outcome = await asyncio.shield(inflight)
                 if outcome["ok"]:
                     self._tally.cached += 1
-                    self._count("cached")
+                    count("service.cached")
                 else:
                     self._tally.failed += 1
-                    self._count("failed")
-                self._publish_gauges()
+                    count("service.failed")
                 message = dict(base, source="inflight",
                                attempts=0, **self._outcome_fields(
                                    outcome, want_repr))
@@ -462,7 +438,6 @@ class ExperimentService:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
-        self._publish_gauges()
         try:
             outcome, attempts = await self._compute(cell)
             future.set_result(outcome)
@@ -473,17 +448,15 @@ class ExperimentService:
         finally:
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
-            self._publish_gauges()
         if not outcome["ok"]:
             self._tally.failed += 1
-            self._count("failed")
+            count("service.failed")
         elif attempts > 1:
             self._tally.retried += 1
-            self._count("computed")
+            count("service.computed")
         else:
             self._tally.computed += 1
-            self._count("computed")
-        self._publish_gauges()
+            count("service.computed")
         message = dict(base, source="fresh", attempts=attempts,
                        **self._outcome_fields(outcome, want_repr))
         if not outcome["ok"]:
@@ -531,7 +504,7 @@ class ExperimentService:
         last_error = "unknown transport failure"
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                self._count("retries")
+                count("service.retries")
                 await asyncio.sleep(RETRY_BACKOFF_S * attempt)
             fault = None
             if os.environ.get("REPRO_CHAOS", "").strip():
@@ -584,7 +557,7 @@ class ExperimentService:
             old.shutdown(wait=False)
             self._pool_generation += 1
             self._pool_replacements += 1
-            self._count("pool_replacements")
+            count("service.pool_replacements")
 
 
 async def run_service(config: ServiceConfig,

@@ -105,8 +105,8 @@ class ServiceHarness:
         return service_client.stats(self.host, self.port)
 
     def metric(self, name: str) -> Any:
-        """Current value of one counter/gauge on the process registry
-        (0 when the instrument never fired)."""
+        """Current value of one counter on the process registry (0 when
+        the counter never fired)."""
         registry = obs_mod.get_obs().metrics
         if name not in registry.names():
             return 0

@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
 )
 
@@ -20,14 +19,6 @@ class TestInstruments:
         c.inc(3)
         assert c.value == 4
         assert reg.counter("kernel.switches") is c  # idempotent
-
-    def test_gauge(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("sim.heap_depth")
-        g.set(17.0)
-        assert g.value == 17.0
-        g.set(2.0)
-        assert g.value == 2.0
 
     def test_histogram_buckets(self):
         h = Histogram("lag", buckets=(10.0, 100.0))
@@ -48,8 +39,6 @@ class TestInstruments:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
-        with pytest.raises(TypeError):
             reg.histogram("x")
 
     def test_snapshot_is_json_safe(self):
@@ -57,12 +46,10 @@ class TestInstruments:
 
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
-        reg.gauge("b").set(0.5)
         reg.histogram("c", buckets=DEFAULT_BUCKETS).observe(1234.0)
         snap = reg.snapshot()
         json.dumps(snap)  # must not raise
         assert snap["a"] == 2
-        assert snap["b"] == 0.5
         assert snap["c"]["count"] == 1
 
     def test_render_and_reset(self):
@@ -78,13 +65,11 @@ class TestDisabled:
     def test_returns_shared_null_instruments(self):
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("a") is NULL_COUNTER
-        assert reg.gauge("b") is NULL_GAUGE
         assert reg.histogram("c") is NULL_HISTOGRAM
 
     def test_null_calls_are_noops_and_register_nothing(self):
         reg = MetricsRegistry(enabled=False)
         reg.counter("a").inc()
-        reg.gauge("b").set(1.0)
         reg.histogram("c").observe(2.0)
         assert reg.snapshot() == {}
         assert reg.names() == []

@@ -64,7 +64,7 @@ class TestWarmRepeat:
             assert harness.metric("service.cached") == 64
             # Every hit was digest-verified before being served.
             assert harness.metric("cellcache.digest_verifies") >= 64
-            assert harness.metric("service.hit_rate") == 1.0
+            assert harness.stats()["hit_rate"] == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestCellScope:
         obs = obs_mod.configure(metrics=True)
         obs.metrics.counter("outer").inc(5)
         with cell_metrics_scope() as scoped:
-            assert scoped is not obs_mod.get_obs().metrics or True
+            assert scoped is obs_mod.get_obs().metrics
             reg = obs_mod.get_obs().metrics
             assert reg.get("outer") is None  # fresh registry
             reg.counter("outer").inc(2)
@@ -87,6 +87,32 @@ class TestCellScope:
         with cell_metrics_scope() as scoped:
             assert scoped is None
             assert obs_mod.get_obs().metrics is obs.metrics
+
+    def test_scope_counts_every_kernel(self):
+        """Each ``run_until`` folds its kernel's growth since the last
+        fold, so a cell that builds two kernels counts both in full."""
+        from repro.cpu.program import StraightlineProgram
+        from repro.experiments.setup import build_env
+        from repro.kernel.threads import ComputeBody, ProgramBody
+        from repro.obs.collect import kernel_counts
+        from repro.sched.task import Task
+
+        obs_mod.configure(metrics=True)
+        kernels = []
+        with cell_metrics_scope() as scoped:
+            for seed in (1, 2):
+                kernel = build_env("cfs", n_cores=1, seed=seed).kernel
+                kernel.spawn(Task("victim", body=ProgramBody(
+                    StraightlineProgram())), cpu=0)
+                kernel.spawn(Task("spin", body=ComputeBody()), cpu=0)
+                kernel.run_until(max_time=2e6)
+                kernel.run_until(max_time=4e6)
+                kernels.append(kernel)
+        for name in ("sim.events_fired", "cpu.instructions_retired",
+                     "uarch.l1d.hits"):
+            total = sum(kernel_counts(kernel)[name] for kernel in kernels)
+            assert total > 0
+            assert scoped.get(name).value == total
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +139,17 @@ class TestAggregation:
         telemetry = aggregate_manifests([_manifest("run", "sgx", {"a": 7})])
         assert telemetry["counter_source"] == "runs"
         assert telemetry["exact"]["counters"] == {"a": 7}
+
+    def test_wall_time_from_the_counter_source(self):
+        """A run manifest already spans its cells' wall time; timing it
+        as well would count the cells twice."""
+        telemetry = aggregate_manifests([
+            _manifest("run", "sweep", {}, wall=1.0),
+            _manifest("cell", "res", {"sim.events_fired": 100}, wall=0.25),
+            _manifest("cell", "res", {"sim.events_fired": 100}, wall=0.25),
+        ])
+        assert telemetry["timing"]["wall_time_s"]["n"] == 2
+        assert "events/s (wall)     400\n" in render_report("runs", telemetry)
 
     def test_wall_time_quarantined_outside_exact(self):
         telemetry = aggregate_manifests([
@@ -189,6 +226,33 @@ class TestCounterWiring:
         assert hist["count"] == 1
         assert hist["max"] == 40
 
+    def test_run_counts_every_cell_and_records_no_ratios(self, tmp_path,
+                                                         capsys):
+        run_dir = tmp_path / "run"
+        assert main([
+            "--telemetry", "--no-cell-cache",
+            "--manifest-dir", str(run_dir), "--jobs", "1",
+            "sweep", "--taus", "440,740,1040", "--preemptions", "15",
+        ]) == 0
+        capsys.readouterr()
+        counters = json.loads(
+            (run_dir / "telemetry.json").read_text())["exact"]["counters"]
+        assert [k for k in counters
+                if k.endswith(("hit_rate", "coverage"))] == []
+        assert "sim.heap_depth" not in counters
+        assert "sim.pending_events" not in counters
+        cells = [json.loads(p.read_text()) for p in run_dir.glob("cell-*")]
+        (run,) = [json.loads(p.read_text()) for p in run_dir.glob("run-*")]
+        assert len(cells) == 3
+        assert run["metrics"]["sim.events_fired"] == sum(
+            cell["metrics"]["sim.events_fired"] for cell in cells)
+        # The report derives the ratios from the counts.
+        assert main(["report", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        for level in ("l1i", "l1d", "l2", "llc", "itlb", "stlb"):
+            assert f"  {level:<6} hit rate" in out
+        assert "(coverage " in out
+
     def test_batch_accounting_counts_addresses(self):
         from repro.uarch.cache import MemoryHierarchy
 
@@ -219,14 +283,12 @@ class TestOpenMetrics:
     def test_counter_gauge_histogram_rendering(self):
         registry = MetricsRegistry(enabled=True)
         registry.counter("kernel.switches").inc(3)
-        registry.gauge("sim.now_ns").set(12.5)
         hist = registry.histogram("lat", buckets=(10.0, 100.0))
         hist.observe(5.0)
         hist.observe(50.0)
         text = render_openmetrics(registry)
         assert "# TYPE repro_kernel_switches counter" in text
         assert "repro_kernel_switches_total 3" in text
-        assert "repro_sim_now_ns 12.5" in text
         assert 'repro_lat_bucket{le="10"} 1' in text
         assert 'repro_lat_bucket{le="100"} 2' in text
         assert 'repro_lat_bucket{le="+Inf"} 2' in text
@@ -249,11 +311,10 @@ class TestCounterTracks:
         from repro.experiments.resolution import run_resolution
 
         run_resolution(740.0, preemptions=20, seed=1)
-        observability.publish()
         trace = observability.tracer.to_chrome()
         counter_events = [e for e in trace["traceEvents"]
                           if e["ph"] == "C"]
-        assert counter_events, "publish() should emit counter tracks"
+        assert counter_events, "run_until should emit counter tracks"
         names = {e["name"] for e in counter_events}
         assert "sim.events_fired" in names
         for event in counter_events:

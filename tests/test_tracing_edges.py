@@ -1,7 +1,7 @@
 """KernelTracer edge cases: stop-rule and resolution queries on
-degenerate streams, and the bounded ring-buffer mode."""
+degenerate streams, and unbounded record streams."""
 
-from repro.kernel.tracing import ExitToUserRecord, KernelTracer, VruntimeSample
+from repro.kernel.tracing import ExitToUserRecord, KernelTracer
 
 VICTIM = 1
 ATTACKER = 2
@@ -80,37 +80,8 @@ class TestRetiredPerPreemption:
 
 
 class TestBoundedMode:
-    def test_streams_cap_at_max_records(self):
-        tracer = KernelTracer(max_records=5)
-        for i in range(12):
-            tracer.record_exit(_exit(float(i), VICTIM, retired=i))
-        assert len(tracer.exits) == 5
-        assert tracer.exits.dropped == 7
-        assert [e.retired for e in tracer.exits] == [7, 8, 9, 10, 11]
-
-    def test_queries_work_on_wrapped_stream(self):
-        tracer = KernelTracer(max_records=4)
-        stream = [VICTIM, ATTACKER, VICTIM, ATTACKER, VICTIM, VICTIM]
-        for t, pid in enumerate(stream):
-            tracer.record_exit(_exit(float(t), pid, retired=t * 10))
-        # Window holds the last 4 records: V A V V → one attacker exit,
-        # then the double-victim stop rule fires.
-        assert tracer.consecutive_preemptions(VICTIM, ATTACKER) == 1
-
-    def test_vruntime_sampling_respects_bound(self):
-        tracer = KernelTracer(sample_vruntime=True, max_records=3)
-        for i in range(8):
-            tracer.record_vruntime(float(i), VICTIM, float(i))
-        assert len(tracer.vruntime_samples) == 3
-        assert tracer.vruntime_samples == [
-            VruntimeSample(5.0, VICTIM, 5.0),
-            VruntimeSample(6.0, VICTIM, 6.0),
-            VruntimeSample(7.0, VICTIM, 7.0),
-        ]
-
     def test_default_is_unbounded(self):
         tracer = KernelTracer()
-        assert tracer.max_records is None
         for i in range(1000):
             tracer.record_exit(_exit(float(i), VICTIM))
         assert len(tracer.exits) == 1000
