@@ -1,24 +1,11 @@
 """Shared benchmark scaffolding.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints a paper-vs-measured comparison.  Experiments run once inside
-``benchmark.pedantic`` (they are minutes-scale simulations, not
-microbenchmarks); sample counts follow ``REPRO_SCALE`` (default 0.05 —
-set ``REPRO_SCALE=1`` for full-fidelity runs, see EXPERIMENTS.md).
+Every benchmark regenerates one of the paper's tables or figures, runs
+its experiment once and prints a paper-vs-measured comparison.  Sample
+counts follow ``REPRO_SCALE`` (default 0.05 — set ``REPRO_SCALE=1`` for
+full-fidelity runs, see EXPERIMENTS.md).  Wall time is measured by the
+end-to-end benchmark in ``bench/``, not here.
 """
-
-import pytest
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return runner
 
 
 def banner(title):

@@ -45,16 +45,10 @@ def _resolution_with_slack(slack_ns, rounds, seed=1):
     return samples[1:]
 
 
-def test_timer_slack_ablation(run_once):
+def test_timer_slack_ablation():
     rounds = scaled(2000, minimum=150)
-
-    def experiment():
-        return (
-            _resolution_with_slack(1.0, rounds),
-            _resolution_with_slack(50_000.0, rounds),
-        )
-
-    tight, default = run_once(experiment)
+    tight = _resolution_with_slack(1.0, rounds)
+    default = _resolution_with_slack(50_000.0, rounds)
     banner("Ablation: PR_SET_TIMERSLACK (the attack's first syscall)")
     row("median insts/preempt, slack = 1 ns", "single-digit",
         f"{statistics.median(tight):.0f}")
@@ -64,34 +58,31 @@ def test_timer_slack_ablation(run_once):
     assert statistics.median(default) > 10_000
 
 
-def test_gentle_fair_sleepers_ablation(run_once):
-    def experiment():
-        gentle = run_budget_measurement(extra_compute_ns=20_000.0, seed=2)
-        harsh_params = SchedParams.for_cores(16, gentle_fair_sleepers=False)
-        env_features = SchedFeatures(gentle_fair_sleepers=False)
-        # run_budget_measurement builds its own env; reproduce inline.
-        from repro.core.primitive import (
-            ControlledPreemption as CP,
-            PreemptionConfig as PC,
-        )
+def test_gentle_fair_sleepers_ablation():
+    gentle_count = run_budget_measurement(extra_compute_ns=20_000.0,
+                                          seed=2).preemptions
+    harsh_params = SchedParams.for_cores(16, gentle_fair_sleepers=False)
+    env_features = SchedFeatures(gentle_fair_sleepers=False)
+    # run_budget_measurement builds its own env; reproduce inline.
+    from repro.core.primitive import (
+        ControlledPreemption as CP,
+        PreemptionConfig as PC,
+    )
 
-        env = build_env("cfs", n_cores=1, seed=2, features=env_features,
-                        params=harsh_params)
-        victim = Task("victim", body=ProgramBody(StraightlineProgram()))
-        attacker = CP(PC(nap_ns=900.0, rounds=20_000, hibernate_ns=5e9,
-                         extra_compute_ns=20_000.0, stop_on_exhaustion=True))
-        env.kernel.spawn(victim, cpu=0)
-        attacker.launch(env.kernel, 0)
-        env.kernel.run_until(
-            predicate=lambda: attacker.task.state is TaskState.EXITED,
-            max_time=60e9,
-        )
-        no_gentle = env.tracer.consecutive_preemptions(
-            victim.pid, attacker.task.pid
-        )
-        return gentle.preemptions, no_gentle
-
-    gentle_count, harsh_count = run_once(experiment)
+    env = build_env("cfs", n_cores=1, seed=2, features=env_features,
+                    params=harsh_params)
+    victim = Task("victim", body=ProgramBody(StraightlineProgram()))
+    attacker = CP(PC(nap_ns=900.0, rounds=20_000, hibernate_ns=5e9,
+                     extra_compute_ns=20_000.0, stop_on_exhaustion=True))
+    env.kernel.spawn(victim, cpu=0)
+    attacker.launch(env.kernel, 0)
+    env.kernel.run_until(
+        predicate=lambda: attacker.task.state is TaskState.EXITED,
+        max_time=60e9,
+    )
+    harsh_count = env.tracer.consecutive_preemptions(
+        victim.pid, attacker.task.pid
+    )
     banner("Ablation: GENTLE_FAIR_SLEEPERS (Table 2.1 footnote 2)")
     row("budget with the feature (S_slack = 12 ms)", "8 ms / drift",
         f"{gentle_count} preemptions")
@@ -101,7 +92,7 @@ def test_gentle_fair_sleepers_ablation(run_once):
     assert 2.0 < harsh_count / gentle_count < 3.0
 
 
-def test_speculative_smear_ablation(run_once):
+def test_speculative_smear_ablation():
     from repro.attacks.aes_first_round import run_aes_trace
     from repro.cpu.machine import MachineConfig
     from repro.victims.aes_ttable import TTableAes
@@ -109,21 +100,17 @@ def test_speculative_smear_ablation(run_once):
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
 
-    def experiment():
-        def multi_hit_fraction(spec_window):
-            env = build_env(
-                "cfs", n_cores=1, seed=4,
-                machine_config=MachineConfig(n_cores=1,
-                                             spec_window=spec_window),
-            )
-            trace = run_aes_trace(TTableAes(key), plaintext, seed=4, env=env)
-            active = [s for s in trace.samples if any(any(t) for t in s)]
-            multi = sum(1 for s in active if sum(sum(t) for t in s) > 1)
-            return multi / max(1, len(active))
+    def multi_hit_fraction(spec_window):
+        env = build_env(
+            "cfs", n_cores=1, seed=4,
+            machine_config=MachineConfig(n_cores=1, spec_window=spec_window),
+        )
+        trace = run_aes_trace(TTableAes(key), plaintext, seed=4, env=env)
+        active = [s for s in trace.samples if any(any(t) for t in s)]
+        multi = sum(1 for s in active if sum(sum(t) for t in s) > 1)
+        return multi / max(1, len(active))
 
-        return multi_hit_fraction(8), multi_hit_fraction(0)
-
-    smeared, fenced = run_once(experiment)
+    smeared, fenced = multi_hit_fraction(8), multi_hit_fraction(0)
     banner("Ablation: speculative smear (Fig 5.1's multi-line samples)")
     row("multi-line samples, spec window = 8", "smears present",
         f"{smeared:.1%}")

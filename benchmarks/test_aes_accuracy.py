@@ -11,18 +11,15 @@ from repro.attacks.aes_first_round import run_aes_accuracy_experiment
 from repro.experiments.setup import scaled
 
 
-def test_aes_accuracy(run_once):
+def test_aes_accuracy():
     n_keys = max(5, scaled(100, minimum=5) // 2)
 
-    def experiment():
-        return {
-            scheduler: run_aes_accuracy_experiment(
-                n_keys=n_keys, n_traces=5, scheduler=scheduler, seed=11
-            )
-            for scheduler in ("cfs", "eevdf")
-        }
-
-    results = run_once(experiment)
+    results = {
+        scheduler: run_aes_accuracy_experiment(
+            n_keys=n_keys, n_traces=5, scheduler=scheduler, seed=11
+        )
+        for scheduler in ("cfs", "eevdf")
+    }
     banner(f"§5.1: AES first-round attack accuracy ({n_keys} keys × 5 traces)")
     row("CFS upper-nibble accuracy", "98.9 %",
         f"{results['cfs'].mean_accuracy:.1%}")

@@ -13,9 +13,9 @@ from repro.attacks.btb_gcd import run_btb_accuracy_experiment
 from repro.experiments.setup import scaled
 
 
-def test_btb_accuracy(run_once):
+def test_btb_accuracy():
     n_pairs = max(4, scaled(30, minimum=4) // 2)
-    results = run_once(run_btb_accuracy_experiment, n_pairs=n_pairs, seed=3)
+    results = run_btb_accuracy_experiment(n_pairs=n_pairs, seed=3)
     banner(f"§5.3: BTB branch-direction recovery ({n_pairs} prime pairs)")
     mean_acc = statistics.mean(r.accuracy for r in results)
     iterations = [r.iterations for r in results]

@@ -16,22 +16,19 @@ from repro.experiments.channel_noise import (
 from repro.experiments.setup import scaled
 
 
-def test_channel_noise(run_once):
+def test_channel_noise():
     n_keys = max(3, scaled(30, minimum=3) // 4)
 
-    def experiment():
-        return {
-            "aes1": aes_accuracy_under_pollution(
-                n_keys=n_keys, traces=1, polluted=True, seed=1),
-            "aes5": aes_accuracy_under_pollution(
-                n_keys=n_keys, traces=5, polluted=True, seed=1),
-            "btb_clean": btb_accuracy_under_pollution(
-                n_pairs=4, polluted=False, seed=1),
-            "btb_noisy": btb_accuracy_under_pollution(
-                n_pairs=4, polluted=True, seed=1),
-        }
-
-    results = run_once(experiment)
+    results = {
+        "aes1": aes_accuracy_under_pollution(
+            n_keys=n_keys, traces=1, polluted=True, seed=1),
+        "aes5": aes_accuracy_under_pollution(
+            n_keys=n_keys, traces=5, polluted=True, seed=1),
+        "btb_clean": btb_accuracy_under_pollution(
+            n_pairs=4, polluted=False, seed=1),
+        "btb_noisy": btb_accuracy_under_pollution(
+            n_pairs=4, polluted=True, seed=1),
+    }
     banner("§4.3: channel noise — cross-core polluter on a sibling core")
     row("AES (Flush+Reload), 1 trace, polluted", "degraded",
         f"{results['aes1'].accuracy:.1%}")

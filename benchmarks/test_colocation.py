@@ -14,15 +14,11 @@ from repro.experiments.colocation import (
 from repro.experiments.setup import scaled
 
 
-def test_colocation(run_once):
+def test_colocation():
     trials = max(3, scaled(30, minimum=3) // 4)
 
-    def experiment():
-        outcomes = [run_colocation(n_cores=16, seed=s) for s in range(trials)]
-        degraded = run_fully_loaded_colocation(n_cores=16, seed=0)
-        return outcomes, degraded
-
-    outcomes, degraded = run_once(experiment)
+    outcomes = [run_colocation(n_cores=16, seed=s) for s in range(trials)]
+    degraded = run_fully_loaded_colocation(n_cores=16, seed=0)
     banner("§4.4: colocation without pinning privileges (16 cores)")
     successes = sum(1 for o in outcomes if o.colocated)
     stayed = sum(1 for o in outcomes if o.victim_stayed)

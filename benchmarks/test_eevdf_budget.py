@@ -10,9 +10,9 @@ from repro.experiments.preemption_count import eevdf_budget_statistic
 from repro.experiments.setup import scaled
 
 
-def test_eevdf_budget(run_once):
+def test_eevdf_budget():
     repeats = scaled(165, minimum=8)
-    median, counts = run_once(eevdf_budget_statistic, repeats=repeats, seed=1)
+    median, counts = eevdf_budget_statistic(repeats=repeats, seed=1)
     banner("§4.5: EEVDF preemption budget")
     row(f"median repeated preemptions ({repeats} runs)", "219", f"{median:.0f}")
     row("range", "—", f"{min(counts)}–{max(counts)}")

@@ -13,8 +13,8 @@ from repro.experiments.eevdf_exploration import (
 )
 
 
-def test_eevdf_slice_sweep(run_once):
-    points = run_once(run_slice_sweep, seed=1)
+def test_eevdf_slice_sweep():
+    points = run_slice_sweep(seed=1)
     banner("EEVDF exploration: attacker slice request vs budget "
            "(paper §4.5 future work)")
     print(f"  {'requested slice':>16} {'preemptions':>12} "

@@ -13,9 +13,9 @@ from repro.experiments.resolution import figure_4_3
 from repro.experiments.setup import scaled
 
 
-def test_fig_4_3(run_once):
-    panels = run_once(
-        figure_4_3, preemptions_per_tau=scaled(80_000, minimum=400), seed=1
+def test_fig_4_3():
+    panels = figure_4_3(
+        preemptions_per_tau=scaled(80_000, minimum=400), seed=1
     )
     banner("Fig 4.3: victim instructions retired per preemption")
     for name, description, claim in (

@@ -10,9 +10,9 @@ from repro.experiments.preemption_count import figure_4_4
 from repro.experiments.setup import scaled
 
 
-def test_fig_4_4(run_once):
+def test_fig_4_4():
     repeats = max(2, scaled(50, minimum=2) // 10)
-    runs = run_once(figure_4_4, repeats=repeats, seed=1)
+    runs = figure_4_4(repeats=repeats, seed=1)
     banner("Fig 4.4: consecutive preemptions vs Ia − Iv (CFS)")
     print(f"  {'Ia − Iv (measured)':>20} {'preemptions':>12} "
           f"{'expected ⌈8ms/drift⌉':>22} {'ratio':>7}")

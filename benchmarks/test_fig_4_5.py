@@ -12,9 +12,9 @@ from repro.experiments.preemption_count import figure_4_5
 from repro.experiments.setup import scaled
 
 
-def test_fig_4_5(run_once):
+def test_fig_4_5():
     repeats = max(1, scaled(30, minimum=1) // 10)
-    runs = run_once(figure_4_5, repeats=repeats, seed=1)
+    runs = figure_4_5(repeats=repeats, seed=1)
     banner("Fig 4.5: consecutive preemptions vs victim nice "
            "(attacker at nice 0, Ia − Iv ≈ 10–15 µs)")
     by_nice = {}

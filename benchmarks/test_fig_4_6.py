@@ -11,9 +11,9 @@ from repro.experiments.noise import pattern_matches_vn_a, run_noise_experiment
 from repro.experiments.setup import scaled
 
 
-def test_fig_4_6(run_once):
-    run = run_once(
-        run_noise_experiment, rounds=scaled(4000, minimum=800), seed=1
+def test_fig_4_6():
+    run = run_noise_experiment(
+        rounds=scaled(4000, minimum=800), seed=1
     )
     banner("Fig 4.6: vruntime progression in a noisy system (A + V + N)")
     assert run.convergence_time is not None

@@ -12,9 +12,9 @@ from repro.experiments.resolution import figure_4_7, run_resolution
 from repro.experiments.setup import scaled
 
 
-def test_fig_4_7(run_once):
+def test_fig_4_7():
     preemptions = scaled(80_000, minimum=400)
-    runs = run_once(figure_4_7, preemptions_per_tau=preemptions, seed=1)
+    runs = figure_4_7(preemptions_per_tau=preemptions, seed=1)
     banner("Fig 4.7: resolution on EEVDF (nanosleep + evict iTLB)")
     for run in runs:
         print(f"  τ = {run.tau:.0f} ns: {run.stats.describe()}")

@@ -15,11 +15,11 @@ from repro.attacks.aes_first_round import run_aes_trace
 from repro.victims.aes_ttable import TTableAes
 
 
-def test_fig_5_1(run_once):
+def test_fig_5_1():
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
     aes = TTableAes(key)
-    trace = run_once(run_aes_trace, aes, plaintext, seed=9)
+    trace = run_aes_trace(aes, plaintext, seed=9)
     banner("Fig 5.1: Flush+Reload heatmap, T0, one AES run "
            "('#' = reload hit)")
     print(render_heatmap(trace.samples, table=0, max_cols=110))

@@ -13,10 +13,10 @@ from repro.attacks.sgx_base64 import run_sgx_trace
 from repro.victims.rsa import generate_rsa_key, pem_base64_body
 
 
-def test_fig_5_2(run_once):
+def test_fig_5_2():
     key = generate_rsa_key(1024, rng=random.Random(5))
     body = pem_base64_body(key)
-    trace, info = run_once(run_sgx_trace, body, seed=2)
+    trace, info = run_sgx_trace(body, seed=2)
     banner("Fig 5.2: probe-latency trace of EVP_DecodeUpdate in SGX")
     strip = "".join(
         "V" if code else ("d" if (l0 or l1) else ".")

@@ -12,9 +12,9 @@ from repro.attacks.btb_gcd import run_btb_gcd_attack
 from repro.victims.gcd import binary_gcd_trace
 
 
-def test_fig_5_4(run_once):
+def test_fig_5_4():
     a, b = 1001941, 300463  # the paper's Fig 5.4 operands
-    result = run_once(run_btb_gcd_attack, a, b, seed=4)
+    result = run_btb_gcd_attack(a, b, seed=4)
     banner(f"Fig 5.4: victim control path of mbedtls_mpi_gcd({a}, {b})")
 
     def fmt(bits):

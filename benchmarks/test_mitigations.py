@@ -13,9 +13,9 @@ from repro.experiments.mitigations import evaluate_mitigations
 from repro.experiments.setup import scaled
 
 
-def test_mitigations(run_once):
-    results = run_once(
-        evaluate_mitigations, rounds=scaled(4000, minimum=200), seed=1
+def test_mitigations():
+    results = evaluate_mitigations(
+        rounds=scaled(4000, minimum=200), seed=1
     )
     by_name = {r.name: r for r in results}
     banner("§6: mitigation ablation")

@@ -16,18 +16,14 @@ from repro.experiments.setup import scaled
 from repro.victims.rsa import generate_rsa_key, pem_base64_body
 
 
-def test_sgx_accuracy(run_once):
+def test_sgx_accuracy():
     n_keys = max(3, scaled(30, minimum=3) // 2)
 
-    def experiment():
-        results = []
-        for index in range(n_keys):
-            key = generate_rsa_key(1024, rng=random.Random(100 + index))
-            body = pem_base64_body(key)
-            results.append(run_sgx_base64_attack(body, seed=7 + index))
-        return results
-
-    results = run_once(experiment)
+    results = []
+    for index in range(n_keys):
+        key = generate_rsa_key(1024, rng=random.Random(100 + index))
+        body = pem_base64_body(key)
+        results.append(run_sgx_base64_attack(body, seed=7 + index))
     banner(f"§5.2: SGX base64 PEM attack ({n_keys} RSA-1024 keys)")
     single_cov = statistics.mean(r.single_run_coverage for r in results)
     single_acc = statistics.mean(r.single_run_accuracy for r in results)

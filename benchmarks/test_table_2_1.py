@@ -5,8 +5,8 @@ from conftest import banner, row
 from repro.sched.params import SchedParams, scaling_factor
 
 
-def test_table_2_1(run_once):
-    params = run_once(SchedParams.for_cores, 16)
+def test_table_2_1():
+    params = SchedParams.for_cores(16)
     banner("Table 2.1: relevant CFS configurations (16-core machine)")
     row("scaling factor ν", "4", scaling_factor(16))
     row("S_bnd (sysctl_sched_latency)", "24 ms", f"{params.s_bnd / 1e6:.0f} ms")

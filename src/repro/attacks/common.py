@@ -123,6 +123,12 @@ class PhasedProgram(Program):
             return None
         return state[0], limit - index
 
+    def steady_twin(self, idx0: int, t: float, deadline: float,
+                    per_inst: float, certified: Optional[int]):
+        # Inside the certified limit the stream is the startup's, at
+        # index offset 0, and the certified count stops the twin there.
+        return self.startup.steady_twin(idx0, t, deadline, per_inst, certified)
+
     @property
     def payload_retired(self) -> int:
         return max(0, self.retired - self.payload_start)

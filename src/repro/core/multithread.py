@@ -22,10 +22,9 @@ Two hand-off mechanisms are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.primitive import ControlledPreemption, PreemptionConfig, Sample
-from repro.kernel import actions as act
 from repro.kernel.kernel import Kernel
 
 
@@ -46,54 +45,6 @@ class RoundRobinConfig:
             return self.per_thread_ns
         per_round = self.base.nap_ns + self.base.gap_floor_ns
         return self.rounds_per_thread * per_round
-
-
-class _RingAttacker(ControlledPreemption):
-    """A Controlled Preemption thread that wakes its ring successor."""
-
-    def __init__(self, config: PreemptionConfig, ring_index: int, **kwargs):
-        self.ring_index = ring_index
-        self.successor_pid: Optional[int] = None
-        super().__init__(config, **kwargs)
-
-    def _body(self) -> Iterator[act.Action]:
-        cfg = self.config
-        if cfg.method.needs_timer_slack:
-            yield act.SetTimerSlack(cfg.timer_slack_ns)
-        if self.ring_index == 0:
-            yield act.Nanosleep(cfg.hibernate_ns)
-        else:
-            # Sleep long enough to bank the full budget, then wait for
-            # the predecessor's signal.
-            yield act.Nanosleep(cfg.hibernate_ns)
-            yield act.Pause()
-        prev_wake: Optional[float] = None
-        round_trip = cfg.nap_ns + cfg.gap_floor_ns
-        for index in range(cfg.rounds):
-            now = yield act.GetTime()
-            gap = (now - prev_wake) if prev_wake is not None else cfg.nap_ns
-            prev_wake = now
-            data = None
-            if self.measurer is not None:
-                data = yield from self.measurer.measure()
-            if self.degrader is not None:
-                yield from self.degrader.degrade()
-            if cfg.extra_compute_ns > 0:
-                yield act.Compute(cfg.extra_compute_ns)
-            exhausted = index > 0 and gap > max(
-                cfg.gap_factor * round_trip, cfg.gap_floor_ns
-            )
-            sample = Sample(index, now, gap, data, exhausted)
-            self.samples.append(sample)
-            if self.on_sample is not None:
-                self.on_sample(sample)
-            if exhausted and self.exhausted_at is None:
-                self.exhausted_at = index
-                break
-            yield act.Nanosleep(cfg.nap_ns)
-        if self.successor_pid is not None:
-            yield act.SignalTask(self.successor_pid)
-        yield act.Exit()
 
 
 class RoundRobinAttack:
@@ -121,21 +72,17 @@ class RoundRobinAttack:
                 stop_on_exhaustion=True,
             )
             measurer = measurer_factory() if measurer_factory else None
-            if config.handoff == "signal":
-                attacker: ControlledPreemption = _RingAttacker(
-                    thread_cfg, i, measurer=measurer, degrader=degrader,
-                    name=f"attacker{i}",
-                )
-            else:
-                attacker = ControlledPreemption(
-                    thread_cfg, measurer=measurer, degrader=degrader,
-                    name=f"attacker{i}",
-                )
-            self.attackers.append(attacker)
+            self.attackers.append(ControlledPreemption(
+                thread_cfg, measurer=measurer, degrader=degrader,
+                name=f"attacker{i}",
+            ))
         if config.handoff == "signal":
+            # After its hibernation, each thread but the first waits for
+            # its predecessor's signal.
             for current, successor in zip(self.attackers,
                                           self.attackers[1:]):
-                current.successor_pid = successor.task.pid  # type: ignore
+                current.successor_pid = successor.task.pid
+                successor.await_signal = True
 
     def _hibernate_for(self, index: int) -> float:
         if self.config.handoff == "signal":

@@ -44,9 +44,6 @@ class PreemptionConfig:
                            budget as exhausted.
     ``stop_on_exhaustion`` — end the attack at that point (else keep
                            attempting; useful for characterization).
-    ``start_delay_ns``   — extra sleep after hibernation before the
-                           preemption loop starts (the §5.2 trick that
-                           skips the first half of a victim run).
     ``seek_tau_ns``      — when set (and a ``seeker`` is attached), run
                            a seek phase first: nap this much per round,
                            probing only the landmark, until the seeker
@@ -65,7 +62,6 @@ class PreemptionConfig:
     gap_factor: float = 4.0
     gap_floor_ns: float = 30_000.0
     stop_on_exhaustion: bool = True
-    start_delay_ns: float = 0.0
     seek_tau_ns: Optional[float] = None
     max_seek_rounds: int = 4000
     #: One-shot sleep after the seek phase fires — §5.2's "start
@@ -93,6 +89,12 @@ class ControlledPreemption:
     payload; ``degrader`` any object with a ``degrade()`` generator
     (see :mod:`repro.core.degradation`) run after the measurement, just
     before napping.
+
+    Two attributes chain threads into a ring (§4.3,
+    :class:`repro.core.multithread.RoundRobinAttack`): with
+    ``await_signal`` set the thread waits in ``pause()`` after its
+    hibernation until another thread signals it, and a thread whose
+    ``successor_pid`` is set signals that task right before it exits.
     """
 
     def __init__(
@@ -114,6 +116,8 @@ class ControlledPreemption:
         self.samples: List[Sample] = []
         self.exhausted_at: Optional[int] = None
         self.seek_rounds_used = 0
+        self.await_signal = False
+        self.successor_pid: Optional[int] = None
         metrics = get_obs().metrics
         self._m_samples = metrics.counter("attack.samples")
         self._m_exhausted = metrics.counter("attack.budget_exhausted")
@@ -139,8 +143,8 @@ class ControlledPreemption:
         if cfg.method.needs_timer_slack:
             yield act.SetTimerSlack(cfg.timer_slack_ns)
         yield act.Nanosleep(cfg.hibernate_ns)
-        if cfg.start_delay_ns > 0:
-            yield act.Nanosleep(cfg.start_delay_ns)
+        if self.await_signal:
+            yield act.Pause()
         if self.seeker is not None and cfg.seek_tau_ns is not None:
             # Seek phase: cheap landmark probes with a longer nap until
             # the victim approaches the sensitive code.
@@ -189,6 +193,8 @@ class ControlledPreemption:
         if cfg.method is WakeupMethod.TIMER:
             yield act.TimerCancel()
         self._h_preemptions.observe(len(self.samples))
+        if self.successor_pid is not None:
+            yield act.SignalTask(self.successor_pid)
         yield act.Exit()
 
     # ------------------------------------------------------------------

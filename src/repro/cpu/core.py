@@ -263,8 +263,8 @@ class Core:
            has no memory operands, fences or mispredicting transfers;
         2. the uniform-line bulk retire that ``run_program`` performs
            right after the last warm-up instruction;
-        3. the steady twin (``program.steady_twin``, or the generic loop
-           below): chunk-head additions, uniform-line bulk multiplies and
+        3. the program's steady twin (``program.steady_twin``):
+           chunk-head additions, uniform-line bulk multiplies and
            whole-loop multiplies.
 
         Parts 1 and 2 re-add exactly the floats :meth:`execute` and
@@ -330,44 +330,10 @@ class Core:
                 certified -= idx - idx0
             if t >= deadline or (certified is not None and certified < 1):
                 return idx - idx0, t
-        twin = program.steady_twin
-        if twin is not None:
-            # The program ships a specialized twin with the same float
-            # sequence inlined; the generic loop below is the reference.
-            steady = twin(idx, t, deadline, per_inst, certified)
-            if steady is not None:
-                idx += steady[0]
-                t = steady[1]
-                self.stats.ff_steady_windows += 1
-            return (idx - idx0, t) if idx > idx0 else None
-        idx1 = idx
-        while t < deadline:
-            loop = program.loop_profile(idx)
-            if loop is not None:
-                per_loop = cycles_to_ns(loop.cycles_per_loop)
-                window = deadline - t
-                if window >= 2 * per_loop:
-                    loops = int(window / per_loop)
-                    if loop.max_loops is not None:
-                        loops = min(loops, loop.max_loops)
-                    if loops >= 1:
-                        idx += loops * loop.insts_per_loop
-                        t += loops * per_loop
-                        continue
-            if certified is not None and idx - idx1 >= certified:
-                break  # past the certified region: execute() decides
-            t += per_inst  # chunk-head instruction (line warm: base cost)
-            idx += 1
-            if t >= deadline:
-                break
-            run = program.uniform_region_length(idx)
-            if run > 1:
-                budget = int((deadline - t) / per_inst)
-                bulk = min(run, budget if budget > 0 else 0)
-                if bulk > 0:
-                    idx += bulk
-                    t += bulk * per_inst
-        if idx > idx1:
+        steady = program.steady_twin(idx, t, deadline, per_inst, certified)
+        if steady is not None:
+            idx += steady[0]
+            t = steady[1]
             self.stats.ff_steady_windows += 1
         return (idx - idx0, t) if idx > idx0 else None
 

@@ -33,7 +33,6 @@ class MachineConfig:
     geometry: HierarchyGeometry = field(default_factory=HierarchyGeometry)
     latency: LatencyModel = LATENCY
     spec_window: int = 8
-    btb_capacity: int = 4096
 
 
 class Machine:
@@ -44,7 +43,7 @@ class Machine:
         cfg = self.config
         self.hierarchy = MemoryHierarchy(cfg.n_cores, cfg.geometry, cfg.latency)
         self.tlbs = TlbHierarchy(cfg.n_cores, cfg.latency)
-        self.btbs = [Btb(cfg.btb_capacity) for _ in range(cfg.n_cores)]
+        self.btbs = [Btb() for _ in range(cfg.n_cores)]
         self.cores: List[Core] = [
             Core(c, self.hierarchy, self.tlbs, self.btbs[c], cfg.latency)
             for c in range(cfg.n_cores)

@@ -109,14 +109,11 @@ class Program(ABC):
         once the loop footprint is resident — regardless of where inside
         the loop ``index`` falls.  ``insts_remaining`` is None for an
         unbounded stream.  The executor verifies residency before
-        trusting the profile.  Default: none (no fast path).
+        trusting the profile.  Default: none (no fast path).  A program
+        that certifies a steady state also provides ``steady_twin``
+        (see :meth:`StraightlineProgram.steady_twin`).
         """
         return None
-
-    #: Optional specialized arithmetic twin for the steady fast-forward
-    #: (see :meth:`StraightlineProgram.steady_twin`).  ``None`` means
-    #: the executor runs its generic twin loop instead.
-    steady_twin = None
 
 
 class TraceProgram(Program):
@@ -383,24 +380,26 @@ class StraightlineProgram(Program):
 
     def steady_twin(self, idx0: int, t: float, deadline: float,
                     per_inst: float, certified: Optional[int]):
-        """Specialized arithmetic twin of the executor's steady
-        fast-forward loop.
+        """Arithmetic twin of the per-instruction loop over a steady
+        window (the third part of ``Core._try_fast_forward``).
 
-        Performs the *exact* float-accumulation sequence the generic
-        twin in ``Core._try_fast_forward`` would perform for this
-        program — chunk-head additions, uniform-line bulk multiplies and
-        whole-loop multiplies, in the same order — but with the loop
-        structure (line length, loop length, stream bound) inlined as
-        local integers instead of rediscovered through ``loop_profile``
-        / ``uniform_region_length`` calls per cache line.  The generic
-        twin *is* the hottest region of the tau-sweep profile; this
-        method replaces ~70 Python method calls per preemption window
-        with straight int/float arithmetic while staying bit-identical
-        (EEVDF eligibility amplifies even ULP drift into different
-        preemption counts).
+        Performs the *exact* float-accumulation sequence of the generic
+        twin loop kept in ``tests/test_tier2_fastpath.py`` — chunk-head
+        additions, uniform-line bulk multiplies and whole-loop
+        multiplies, in the same order — but with the loop structure
+        (line length, loop length, stream bound) inlined as local
+        integers instead of rediscovered through ``loop_profile`` /
+        ``uniform_region_length`` calls per cache line.  The twin is the
+        hottest region of the tau-sweep profile; inlining replaces ~70
+        Python method calls per preemption window with straight
+        int/float arithmetic while staying bit-identical (EEVDF
+        eligibility amplifies even ULP drift into different preemption
+        counts).  ``certified`` is a hard stop: no chunk head and no
+        whole loop starts ``certified`` instructions past ``idx0`` or
+        later.
 
-        Returns ``(instructions, end_time_ns)`` or None, exactly like
-        the generic loop.
+        Returns ``(instructions, end_time_ns)``, or None when nothing
+        retires.
         """
         loop_insts = self.loop_insts
         total = self.total
@@ -505,6 +504,8 @@ class StraightlineProgram(Program):
                 return None
             return count, t
         while t < deadline:
+            if certified is not None and idx - idx0 >= certified:
+                break  # past the certified region: execute() decides
             if idx % loop_insts == 0:
                 max_loops = (total - idx) // loop_insts
                 if max_loops >= 1:
@@ -517,8 +518,6 @@ class StraightlineProgram(Program):
                             idx += loops * loop_insts
                             t += loops * per_loop
                             continue
-            if certified is not None and idx - idx0 >= certified:
-                break
             t += per_inst  # chunk-head instruction (line warm: base cost)
             idx += 1
             if t >= deadline:

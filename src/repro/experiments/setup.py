@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpu.machine import Machine, MachineConfig
-from repro.kernel.costs import CostParams
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.tracing import KernelTracer
 from repro.sched.base import SchedPolicy
@@ -86,7 +85,6 @@ def build_env(
     params: Optional[SchedParams] = None,
     machine_config: Optional[MachineConfig] = None,
     kernel_config: Optional[KernelConfig] = None,
-    cost_params: Optional[CostParams] = None,
     sample_vruntime: bool = False,
     mitigations=None,
 ) -> ExperimentEnv:
@@ -113,7 +111,6 @@ def build_env(
         rng,
         tracer=tracer,
         config=kernel_config,
-        cost_params=cost_params,
         mitigations=mitigations,
     )
     return ExperimentEnv(

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.machine import Machine
 from repro.kernel import actions as act
-from repro.kernel.costs import CostModel, CostParams
+from repro.kernel.costs import CostModel
 from repro.kernel.threads import (
     BlockRequest,
     CoroutineBody,
@@ -61,12 +61,19 @@ from repro.victims.layout import ATTACKER_HUGE_REGION
 
 _EPS = 1e-6
 
-#: Default timer slack granted to every thread (Linux: 50 µs).
-DEFAULT_TIMER_SLACK_NS = 50_000.0
-
 #: Base of the region the kernel's own code/data occupy in the flat
 #: simulated address space (far above any task's allocations).
 KERNEL_REGION_BASE = 0xFFFF_0000_0000
+
+#: Cache lines the kernel's own code/data touch during each context
+#: switch — the §4.3 "channel noise from the kernel's footprint".
+#: Attacks that monitor L1-sized structures see this pollution;
+#: monitoring the L2/LLC (as the paper recommends) does not.
+KERNEL_FOOTPRINT_INST_LINES = 16
+KERNEL_FOOTPRINT_DATA_LINES = 8
+
+#: Measurement jitter (cycles, σ) added to rdtscp-timed loads.
+TIMED_LOAD_JITTER_CYCLES = 1.5
 
 #: Floor on periodic-timer intervals.  Real hrtimers throttle expiry
 #: storms whose handling outruns the period ("hrtimer: interrupt took
@@ -79,24 +86,9 @@ PERIODIC_MIN_NS = 1_000.0
 class KernelConfig:
     """Kernel-level knobs independent of the scheduling policy."""
 
-    default_timer_slack: float = DEFAULT_TIMER_SLACK_NS
-    balance_interval: float = BALANCE_INTERVAL_NS
-    enable_load_balancer: bool = True
-    #: Measurement jitter (cycles, σ) added to rdtscp-timed loads.
-    timed_load_jitter_cycles: float = 1.5
-    #: Cache lines the kernel's own code/data touch during each context
-    #: switch — the §4.3 "channel noise from the kernel's footprint".
-    #: Attacks that monitor L1-sized structures see this pollution;
-    #: monitoring the L2/LLC (as the paper recommends) does not.
-    footprint_inst_lines: int = 16
-    footprint_data_lines: int = 8
     #: AEX-Notify mitigation (§6): depth of the trusted prefetch
     #: handler's warm-up on every enclave resume.  0 disables it.
     aex_notify_depth: int = 0
-    #: Master switch for installed mitigation policies (LEASH /
-    #: SchedGuard / PreFence stacks passed to ``Kernel(mitigations=…)``).
-    #: False detaches them even when a stack is supplied.
-    enable_mitigations: bool = True
 
 
 @dataclass
@@ -135,7 +127,7 @@ class _KernelExecContext(ExecContext):
     __slots__ = ("kernel", "cpu", "task", "core", "asid", "_access",
                  "_translate_data", "_clflush", "_huge_lo", "_huge_hi",
                  "_base_inst", "_timed_extra", "_store_ns", "_flush_ns",
-                 "_jitter", "_jitter_sigma")
+                 "_jitter")
 
     def __init__(self, kernel: "Kernel", cpu: int, task: Task):
         self.kernel = kernel
@@ -144,9 +136,9 @@ class _KernelExecContext(ExecContext):
         self.core = kernel.machine.core(cpu)
         self.asid = task.pid
         # The load/flush handlers run for every probe of every attack;
-        # their constants (the latency model and kernel config are fixed
-        # for the kernel's life), the μarch entry points and the
-        # ``timed_load`` jitter stream are bound once here.
+        # their constants (the latency model is fixed for the kernel's
+        # life), the μarch entry points and the ``timed_load`` jitter
+        # stream are bound once here.
         lat = kernel.machine.config.latency
         self._access = self.core.hierarchy.access
         self._translate_data = self.core.tlbs.translate_data
@@ -158,7 +150,6 @@ class _KernelExecContext(ExecContext):
         self._store_ns = cycles_to_ns(lat.base_inst)
         self._flush_ns = cycles_to_ns(lat.clflush)
         self._jitter = kernel.rng.stream("timed_load").gauss
-        self._jitter_sigma = kernel.config.timed_load_jitter_cycles
 
     def draw_spec_window(self) -> int:
         window = self.kernel.machine.config.spec_window
@@ -196,7 +187,7 @@ class _KernelExecContext(ExecContext):
             self.cpu, self.asid, addr,
             huge=self._huge_lo <= addr < self._huge_hi)
         cycles += self._access(self.cpu, addr, "data")
-        measured = cycles + self._jitter(0.0, self._jitter_sigma)
+        measured = cycles + self._jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
         return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
                 measured if measured > 0.0 else 0.0, None)
 
@@ -278,28 +269,25 @@ class Kernel:
         policy: SchedPolicy,
         rng: Optional[RngStreams] = None,
         *,
-        sim: Optional[Simulator] = None,
         tracer: Optional[KernelTracer] = None,
         config: Optional[KernelConfig] = None,
-        cost_params: Optional[CostParams] = None,
         mitigations: Optional[Any] = None,
     ):
         self.machine = machine
         self.policy = policy
         self.params = policy.params
         self.rng = rng or RngStreams(seed=0)
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.tracer = tracer or KernelTracer()
         self.config = config or KernelConfig()
-        # Mitigation stack (repro.mitigations): duck-typed so the kernel
-        # never imports the mitigations package.  ``self._mit is None``
-        # is the only cost the default path pays.
-        self.mitigations = mitigations
-        self._mit = (mitigations if mitigations is not None
-                     and self.config.enable_mitigations else None)
+        # Mitigation stack (repro.mitigations: LEASH / SchedGuard /
+        # PreFence): duck-typed so the kernel never imports the
+        # mitigations package.  ``self._mit is None`` is the only cost
+        # the default path pays.
+        self._mit = mitigations
         if self._mit is not None:
             self._mit.on_attach(self)
-        self.costs = CostModel(self.rng, cost_params or CostParams())
+        self.costs = CostModel(self.rng)
         self.cpus = [_CpuState(RunQueue(c)) for c in range(machine.n_cores)]
         self.balancer = LoadBalancer([st.rq for st in self.cpus],
                                      policy=policy)
@@ -335,10 +323,6 @@ class Kernel:
         # closure per dispatch showed up in the sweep profile.
         self._dispatch_cbs = [partial(self._dispatch, c)
                               for c in range(machine.n_cores)]
-        self._dispatch_labels = [f"dispatch{c}"
-                                 for c in range(machine.n_cores)]
-        self._finish_labels = [f"finish_switch{c}"
-                               for c in range(machine.n_cores)]
         # Precompiled kernel-footprint touchers, keyed by (cpu, offset):
         # the switch path walks one of 8 rotating line windows, so each
         # (cpu, offset, kind) walk is resolved to set buckets once (see
@@ -351,10 +335,9 @@ class Kernel:
             [None] * machine.n_cores
         self._kfoot_draw = self.rng.stream("kfoot").randrange
         self._balance_armed = False
-        if self.config.enable_load_balancer and machine.n_cores > 1:
+        if machine.n_cores > 1:
             self._balance_armed = True
-            self.sim.call_after(self.config.balance_interval, self._balance_tick,
-                               label="balance")
+            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
 
     # ------------------------------------------------------------------
     # Public API
@@ -399,11 +382,9 @@ class Kernel:
         # The balance chain stops itself once every known task has
         # exited; a spawn arriving later (staggered fork bursts) must
         # re-arm it or the rest of the run goes unbalanced.
-        if (self.config.enable_load_balancer and len(self.cpus) > 1
-                and not self._balance_armed):
+        if len(self.cpus) > 1 and not self._balance_armed:
             self._balance_armed = True
-            self.sim.call_after(self.config.balance_interval,
-                               self._balance_tick, label="balance")
+            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
         self._kick(cpu)
         return task
 
@@ -514,9 +495,7 @@ class Kernel:
                 return
             st.dispatch.cancel()
         st.dispatch = self.sim.call_at(
-            time, self._dispatch_cbs[cpu], priority=10,
-            label=self._dispatch_labels[cpu]
-        )
+            time, self._dispatch_cbs[cpu], priority=10)
 
     def _kick(self, cpu: int) -> None:
         self._schedule_dispatch(cpu, self.sim.now)
@@ -809,9 +788,11 @@ class Kernel:
             )
         )
         self._m_switches.inc()
-        counter = self._m_switch_reason.get(reason)
-        if counter is not None:
-            counter.inc()
+        if prev is not None:
+            # Count why a running task leaves the CPU.  A switch onto
+            # an empty CPU has none: its last task was counted when it
+            # blocked or exited.
+            self._m_switch_reason[reason].inc()
         if self._tracing:
             self._trace_sched_out(cpu, now, reason)
             if reason == "preempt_wakeup":
@@ -823,7 +804,6 @@ class Kernel:
             max(now + cost, self.sim.now),
             partial(self._finish_switch, cpu, next_task),
             priority=5,
-            label=self._finish_labels[cpu],
         )
 
     def _finish_switch(self, cpu: int, task: Task) -> None:
@@ -885,9 +865,6 @@ class Kernel:
         uniform noise.  This is the channel noise §4.3 attributes to the
         kernel and mitigates by monitoring structures larger than L1.
         """
-        cfg = self.config
-        if cfg.footprint_inst_lines <= 0 and cfg.footprint_data_lines <= 0:
-            return
         offset = self._kfoot_draw(0, 8) * 64
         # The footprint's LLC sets model where this kernel build's
         # switch-path text/data happen to map — chosen away from the
@@ -902,12 +879,13 @@ class Kernel:
             data_base = KERNEL_REGION_BASE + 0x10_0000 + 1800 * 64 + offset
             touchers = (
                 hierarchy.make_line_toucher(
-                    cpu, range(base, base + cfg.footprint_inst_lines * 64, 64),
+                    cpu,
+                    range(base, base + KERNEL_FOOTPRINT_INST_LINES * 64, 64),
                     kind="inst"),
                 hierarchy.make_line_toucher(
                     cpu,
                     range(data_base,
-                          data_base + cfg.footprint_data_lines * 64, 64),
+                          data_base + KERNEL_FOOTPRINT_DATA_LINES * 64, 64),
                     kind="data"),
             )
             self._kfoot_touchers[(cpu, offset)] = touchers
@@ -938,7 +916,6 @@ class Kernel:
             self._kick(migration.dst_cpu)
         # Keep balancing only while there is anything left to schedule.
         if any(t.state is not TaskState.EXITED for t in self.tasks):
-            self.sim.call_after(self.config.balance_interval, self._balance_tick,
-                               label="balance")
+            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
         else:
             self._balance_armed = False

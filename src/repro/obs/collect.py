@@ -29,7 +29,6 @@ def kernel_counts(kernel) -> Dict[str, float]:
         "sim.events_fired": sim.events_fired,
         "sim.events_scheduled": sim._seq,
         "sim.now_ns": sim.now,
-        "sim.heap_compactions": sim.compactions,
     }
     for label, levels in (
         ("l1i", hierarchy.l1i),

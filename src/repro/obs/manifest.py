@@ -131,7 +131,6 @@ class RunManifest:
     experiment: str
     params: Dict[str, Any]
     seed: Optional[int] = None
-    root_seed: Optional[int] = None
     kind: str = "run"  # 'run' | 'cell'
     version: str = ""
     python: str = ""
@@ -150,7 +149,6 @@ class RunManifest:
             "experiment": self.experiment,
             "params": self.params,
             "seed": self.seed,
-            "root_seed": self.root_seed,
             "version": self.version,
             "python": self.python,
             "platform": self.platform,

@@ -433,9 +433,6 @@ def render_report(run_dir: str,
         out(f"  events fired        {_fmt_count(events)}")
         if total_wall:
             out(f"  events/s (wall)     {events / total_wall:,.0f}")
-    compactions = counters.get("sim.heap_compactions")
-    if compactions is not None:
-        out(f"  heap compactions    {_fmt_count(compactions)}")
 
     retired = counters.get("cpu.instructions_retired")
     fast = counters.get("ff.insts_fast_forwarded")

@@ -9,8 +9,8 @@ instead of calling back into Python attribute lookups; this is the
 single hottest comparison in the whole simulation.
 
 The :class:`Event` is its own handle: ``call_at`` returns the event it
-pushed, and the event's ``cancel()`` talks straight back to its
-simulator.  Events fire in one place, :meth:`Simulator.drain`.
+pushed, and the event's ``cancel()`` marks it so that it never runs.
+Events fire in one place, :meth:`Simulator.drain`.
 
 Time is a ``float`` number of nanoseconds since simulation start.  All
 kernel and scheduler quantities in this project are expressed in
@@ -20,15 +20,8 @@ converted through :data:`repro.uarch.timing.CPU_FREQ_GHZ`.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
-
-#: Compact the heap when cancelled entries outnumber live ones and
-#: there are enough of them to matter.  Cancelled far-future events
-#: (a kernel pattern: arm a timeout, cancel it on the common path)
-#: otherwise sit in the heap forever, and every push/pop pays an extra
-#: sift level per doubling of dead entries.
-_COMPACT_MIN_GARBAGE = 8
 
 
 class Event:
@@ -45,27 +38,15 @@ class Event:
     :meth:`Simulator.call_after` build them, slot by slot.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "fired", "label", "_sim")
+    __slots__ = ("time", "callback", "cancelled")
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if not self.fired:
-                sim = self._sim
-                sim._live -= 1
-                # Lazy deletion with compaction: once cancelled entries
-                # are both numerous and the majority, rebuild in place.
-                # In place matters — ``drain`` holds a local alias to
-                # the heap list across callbacks.
-                heap = sim._heap
-                garbage = len(heap) - sim._live
-                if (garbage > _COMPACT_MIN_GARBAGE
-                        and garbage * 2 >= len(heap)):
-                    heap[:] = [entry for entry in heap
-                               if not entry[3].cancelled]
-                    heapify(heap)
-                    sim.compactions += 1
+        """Prevent the event from firing.  Idempotent.
+
+        Deletion is lazy: the entry stays in the heap until it reaches
+        the top, where :meth:`Simulator.drain` and
+        :meth:`Simulator.peek_next_time` pop it unrun."""
+        self.cancelled = True
 
 
 _HeapEntry = Tuple[float, int, int, Event]
@@ -87,22 +68,17 @@ class Simulator:
     [5.0, 10.0]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_live", "events_fired",
-                 "compactions")
+    __slots__ = ("_now", "_heap", "_seq", "events_fired")
 
     def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[_HeapEntry] = []
         self._seq = 0
-        self._live = 0  # non-cancelled, not-yet-fired events in the heap
         #: Events executed so far — the engine-throughput numerator for
         #: the obs layer (events/s over wall time).  One integer add per
         #: event; everything else obs needs is pulled from existing
         #: state at snapshot time.
         self.events_fired = 0
-        #: Lazy-deletion heap rebuilds performed (telemetry; pulled at
-        #: snapshot time like every other engine statistic).
-        self.compactions = 0
 
     @property
     def now(self) -> float:
@@ -118,7 +94,6 @@ class Simulator:
         callback: Callable[[], None],
         *,
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``callback`` to run at absolute time ``time``.
 
@@ -139,11 +114,7 @@ class Simulator:
         event.time = time
         event.callback = callback
         event.cancelled = False
-        event.fired = False
-        event.label = label
-        event._sim = self
         heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
         return event
 
     def call_after(
@@ -152,7 +123,6 @@ class Simulator:
         callback: Callable[[], None],
         *,
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` ns from now."""
         if delay < 0:
@@ -164,11 +134,7 @@ class Simulator:
         event.time = time
         event.callback = callback
         event.cancelled = False
-        event.fired = False
-        event.label = label
-        event._sim = self
         heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
         return event
 
     # ------------------------------------------------------------------
@@ -206,8 +172,6 @@ class Simulator:
             if not heap or (max_time is not None and heap[0][0] > max_time):
                 break
             event = heappop(heap)[3]
-            event.fired = True
-            self._live -= 1
             self.events_fired += 1
             self._now = event.time
             event.callback()
@@ -217,9 +181,5 @@ class Simulator:
         return count
 
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        O(1): a live counter maintained on push/cancel/pop replaces the
-        full-heap scan this used to be.
-        """
-        return self._live
+        """Number of live (non-cancelled) events still queued."""
+        return sum(1 for entry in self._heap if not entry[3].cancelled)

@@ -171,16 +171,6 @@ class CacheLevel:
         bucket[line] = None
         return victim
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line holding ``addr``.  Returns True if it was resident."""
-        line = addr & _LINE_MASK
-        bucket = self._sets[(line // self._line_size) & self._set_mask]
-        if line in bucket:
-            del bucket[line]
-            self.version += 1
-            return True
-        return False
-
     def resident_lines(self, set_index: int) -> Tuple[int, ...]:
         """Lines currently resident in ``set_index`` (LRU → MRU order)."""
         return tuple(self._sets[set_index])
@@ -475,9 +465,8 @@ class MemoryHierarchy:
 
     def clflush(self, addr: int) -> None:
         """Flush one line from every cache in the system: the LLC, then
-        each core's L1I, L1D and L2, bumping the version of every level
-        that held it (the per-level walk of :meth:`CacheLevel.invalidate`,
-        inlined)."""
+        each core's L1I, L1D and L2, deleting it from each level's set
+        and bumping the version of every level that held it."""
         line = addr & _LINE_MASK
         llc = self.llc
         bucket = llc._sets[(line // llc._line_size) & llc._set_mask]

@@ -44,8 +44,8 @@ class Tlb:
     """One set-associative LRU TLB level with (asid, vpn) tags.
 
     Each set is an insertion-ordered dict of tags (LRU first, MRU last),
-    so membership, recency refresh and eviction are O(1) instead of the
-    O(ways) ``list.remove`` the previous representation paid per hit.
+    so membership, recency refresh and eviction are O(1).  The level
+    holds the sets and counters; :class:`TlbHierarchy` walks them.
     """
 
     __slots__ = ("name", "geometry", "_sets", "hits", "misses", "evictions",
@@ -60,23 +60,11 @@ class Tlb:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Bumped whenever an entry leaves this level (evict/invalidate/
-        #: flush); fills never bump it.  See repro.uarch.cache docstring.
+        #: Bumped whenever an entry leaves this level (evict/flush);
+        #: fills never bump it.  See repro.uarch.cache docstring.
         self.version = 0
         self._n_sets = geometry.n_sets
         self._n_ways = geometry.n_ways
-
-    def lookup(self, asid: int, vpn: int, *, touch: bool = True) -> bool:
-        bucket = self._sets[vpn % self._n_sets]
-        tag = (asid, vpn)
-        if tag in bucket:
-            self.hits += 1
-            if touch:
-                del bucket[tag]
-                bucket[tag] = None
-            return True
-        self.misses += 1
-        return False
 
     def contains(self, asid: int, vpn: int) -> bool:
         return (asid, vpn) in self._sets[vpn % self._n_sets]
@@ -90,26 +78,6 @@ class Tlb:
             if (asid, vpn) not in sets[vpn % n_sets]:
                 return False
         return True
-
-    def fill(self, asid: int, vpn: int) -> None:
-        bucket = self._sets[vpn % self._n_sets]
-        tag = (asid, vpn)
-        if tag in bucket:
-            del bucket[tag]
-        elif len(bucket) >= self._n_ways:
-            del bucket[next(iter(bucket))]
-            self.evictions += 1
-            self.version += 1
-        bucket[tag] = None
-
-    def invalidate(self, asid: int, vpn: int) -> bool:
-        bucket = self._sets[vpn % self._n_sets]
-        tag = (asid, vpn)
-        if tag in bucket:
-            del bucket[tag]
-            self.version += 1
-            return True
-        return False
 
     def resident_tags(self, set_index: int) -> Tuple[Tag, ...]:
         """Tags currently resident in ``set_index`` (LRU → MRU order)."""
@@ -135,10 +103,15 @@ class TlbHierarchy:
     degrades *instruction* translations, and data loads reuse the STLB
     path, which is enough for every experiment.
 
-    Both translations inline each level's lookup and fill: the same dict
-    operations, counter updates and version bumps, in the same order, as
-    :meth:`Tlb.lookup` and :meth:`Tlb.fill`.  A tag missed in a level is
-    still absent at that level's fill, so the fills skip the check.
+    A translation walks the levels' sets directly.  A level that holds
+    the ``(asid, vpn)`` tag counts a hit and moves the tag to the MRU
+    end.  A level that misses counts a miss and, once the walk below it
+    has resolved the translation, inserts the tag at the MRU end; when
+    the set is full it first drops the LRU tag, counting an eviction and
+    bumping the level's ``version``.  A fetch looks up the iTLB, then
+    the STLB, and fills the missing levels STLB first; a data access
+    uses the STLB alone.  The ``repro.validate.uarch`` reference TLB
+    checks the walk's latencies, counters, LRU order and versions.
     """
 
     # Coffee Lake: 64-entry 8-way iTLB; 1536-entry 12-way STLB.

@@ -285,7 +285,7 @@ def run_defense_case(spec: WorkloadSpec, scheduler: str, defense: str, *,
             )
 
         if tspec.spawn_at_ns > 0:
-            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn, label="spawn")
+            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn)
         else:
             do_spawn()
     if defense == "prefence":

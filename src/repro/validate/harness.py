@@ -227,7 +227,7 @@ def run_case(spec: WorkloadSpec, scheduler: str, *,
             )
 
         if tspec.spawn_at_ns > 0:
-            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn, label="spawn")
+            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn)
         else:
             do_spawn()
         tasks.append(task)

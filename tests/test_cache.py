@@ -71,13 +71,6 @@ class TestCacheLevelLru:
         c.fill(0x40)
         assert c.fill(0x40) is None
 
-    def test_invalidate(self):
-        c = self._cache()
-        c.fill(0x40)
-        assert c.invalidate(0x40)
-        assert not c.contains(0x40)
-        assert not c.invalidate(0x40)
-
     def test_hits_misses_counted(self):
         c = self._cache()
         c.lookup(0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.core.colocation import achieve_colocation, launch_dummies
 from repro.core.multithread import RoundRobinAttack, RoundRobinConfig
 from repro.core.primitive import PreemptionConfig
@@ -96,6 +97,19 @@ class TestRoundRobin:
         attack = self._run("signal")
         single_budget = 8_000_000 / 40_000  # = 200
         assert attack.total_preemptions > single_budget * 1.5
+
+    def test_signal_handoff_threads_count_their_samples(self):
+        """Every ring thread runs the one attacker loop, metrics
+        included."""
+        metrics = obs.configure(metrics=True).metrics
+        try:
+            attack = self._run("signal")
+        finally:
+            obs.reset()
+        samples = sum(len(a.samples) for a in attack.attackers)
+        assert samples > 0
+        assert metrics.get("attack.samples").value == samples
+        assert metrics.get("attack.preemptions_per_window").count == 3
 
     def test_timed_handoff_also_works(self):
         attack = self._run("timed")

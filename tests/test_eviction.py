@@ -9,7 +9,7 @@ from repro.uarch.eviction import (
     build_tlb_eviction_set,
     distinct_lines,
 )
-from repro.uarch.tlb import Tlb, TlbGeometry, TlbHierarchy
+from repro.uarch.tlb import TlbHierarchy
 
 
 class TestCacheEvictionSets:
@@ -81,13 +81,13 @@ class TestTlbEvictionSets:
         assert len(set(pages)) == len(pages)
 
     def test_filling_the_set_evicts_victim_translation(self):
-        geometry = TlbGeometry(8, 4)
-        tlb = Tlb("t", geometry)
+        tlbs = TlbHierarchy(1)
         victim_vpn = 0x400000 // 4096
-        tlb.fill(1, victim_vpn)
-        for page in build_tlb_eviction_set(geometry, 0x400000, 0x2000_0000):
-            tlb.fill(2, page // 4096)
-        assert not tlb.contains(1, victim_vpn)
+        tlbs.translate_data(0, 1, 0x400000)
+        for page in build_tlb_eviction_set(TlbHierarchy.STLB, 0x400000,
+                                           0x2000_0000):
+            tlbs.translate_data(0, 2, page)
+        assert not tlbs.stlb[0].contains(1, victim_vpn)
 
     def test_arena_is_clear_of_target_page(self):
         pages = build_tlb_eviction_set(TlbHierarchy.ITLB, 0x400000, 0x2000_0000)

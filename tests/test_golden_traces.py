@@ -14,8 +14,10 @@ from __future__ import annotations
 import random
 
 from repro.sim.engine import Simulator
+from repro.uarch.address import PAGE_SIZE
 from repro.uarch.cache import CacheGeometry, CacheLevel
-from repro.uarch.tlb import Tlb, TlbGeometry
+from repro.uarch.timing import LATENCY
+from repro.uarch.tlb import TlbHierarchy
 
 
 # ----------------------------------------------------------------------
@@ -48,12 +50,6 @@ class RefLruSet:
         self.entries.append(key)
         return victim
 
-    def invalidate(self, key) -> bool:
-        if key in self.entries:
-            self.entries.remove(key)
-            return True
-        return False
-
 
 class RefCache:
     """Reference set-associative LRU cache over line addresses."""
@@ -74,9 +70,6 @@ class RefCache:
     def fill(self, addr: int):
         return self._set(addr).fill(self._line(addr))
 
-    def invalidate(self, addr: int) -> bool:
-        return self._set(addr).invalidate(self._line(addr))
-
     def resident_lines(self, set_index: int):
         return tuple(self.sets[set_index].entries)
 
@@ -91,7 +84,7 @@ class TestCacheGoldenTrace:
         # Addresses concentrated on few sets so eviction happens often.
         for _ in range(n_ops):
             addr = rng.randrange(0, 64 * 8 * 16) * 4
-            yield rng.choice(["lookup", "probe", "fill", "invalidate"]), addr
+            yield rng.choice(["lookup", "probe", "fill"]), addr
 
     def test_randomized_trace_matches_reference(self):
         rng = random.Random(1234)
@@ -105,10 +98,8 @@ class TestCacheGoldenTrace:
                 assert cache.lookup(addr, touch=False) == ref.lookup(
                     addr, touch=False
                 )
-            elif op == "fill":
-                assert cache.fill(addr) == ref.fill(addr)
             else:
-                assert cache.invalidate(addr) == ref.invalidate(addr)
+                assert cache.fill(addr) == ref.fill(addr)
         for set_index in range(self.GEOMETRY.n_sets):
             assert cache.resident_lines(set_index) == ref.resident_lines(
                 set_index
@@ -127,29 +118,34 @@ class TestCacheGoldenTrace:
 
 
 class TestTlbGoldenTrace:
-    GEOMETRY = TlbGeometry(n_sets=4, n_ways=3)
+    """The STLB walk of ``TlbHierarchy.translate_data`` and
+    ``flush_core`` against one reference LRU set per STLB set."""
 
     def test_randomized_trace_matches_reference(self):
         rng = random.Random(99)
-        tlb = Tlb("iTLB", self.GEOMETRY)
-        ref_sets = [RefLruSet(self.GEOMETRY.n_ways) for _ in range(4)]
-
-        def ref_for(vpn):
-            return ref_sets[vpn % self.GEOMETRY.n_sets]
-
+        tlbs = TlbHierarchy(1)
+        stlb = tlbs.stlb[0]
+        n_sets = TlbHierarchy.STLB.n_sets
+        ref_sets = [RefLruSet(TlbHierarchy.STLB.n_ways) for _ in range(n_sets)]
         for _ in range(3000):
-            op = rng.choice(["lookup", "fill", "invalidate"])
             asid = rng.randrange(3)
-            vpn = rng.randrange(24)
+            # 24 pages over 4 sets: 18 tags compete for each set's 12 ways.
+            vpn = rng.randrange(4) + n_sets * rng.randrange(6)
             tag = (asid, vpn)
-            if op == "lookup":
-                assert tlb.lookup(asid, vpn) == ref_for(vpn).lookup(tag)
-            elif op == "fill":
-                tlb.fill(asid, vpn)
-                ref_for(vpn).fill(tag)
+            ref = ref_sets[vpn % n_sets]
+            if rng.random() < 0.01:
+                tlbs.flush_core(0)
+                for each in ref_sets:
+                    each.entries.clear()
             else:
-                assert tlb.invalidate(asid, vpn) == ref_for(vpn).invalidate(tag)
-            assert tlb.contains(asid, vpn) == (tag in ref_for(vpn).entries)
+                hit = ref.lookup(tag)
+                if not hit:
+                    ref.fill(tag)
+                addr = vpn * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+                assert tlbs.translate_data(0, asid, addr) == (
+                    0 if hit else LATENCY.page_walk)
+            assert stlb.contains(asid, vpn) == (tag in ref.entries)
+            assert stlb.resident_tags(vpn % n_sets) == tuple(ref.entries)
 
 
 # ----------------------------------------------------------------------

@@ -56,8 +56,7 @@ def _run_kernel(spec, scheduler):
         if tspec.spawn_at_ns > 0:
             kernel.sim.call_at(
                 tspec.spawn_at_ns,
-                lambda t=task, c=cpu: kernel.spawn(t, cpu=c),
-                label="spawn")
+                lambda t=task, c=cpu: kernel.spawn(t, cpu=c))
         else:
             kernel.spawn(task, cpu=cpu)
     kernel.run_until(max_time=spec.horizon_ns)

@@ -83,26 +83,24 @@ class TestCancellation:
         first.cancel()
         assert sim.peek_next_time() == 20.0
 
-    def test_cancel_burst_compacts_heap_without_losing_events(self):
-        # A mass-cancel triggers the in-place heap compaction; the
+    def test_cancel_burst_keeps_surviving_events(self):
+        # A mass-cancel leaves its dead entries in the heap; the
         # surviving events must still fire, in order, exactly once.
         sim = Simulator()
         fired = []
-        keep = [sim.call_at(float(t), lambda t=t: fired.append(t))
-                for t in (5, 15, 25)]
+        for t in (5, 15, 25):
+            sim.call_at(float(t), lambda t=t: fired.append(t))
         doomed = [sim.call_at(1e18 + i, lambda: fired.append(-1))
                   for i in range(100)]
         for handle in doomed:
             handle.cancel()
         assert sim.pending_count() == 3
-        assert len(sim._heap) < 10  # garbage actually collected
         sim.drain(max_time=30.0)
         assert fired == [5, 15, 25]
-        assert all(h.fired for h in keep)
 
-    def test_cancel_inside_callback_compacts_safely(self):
-        # drain holds a local alias to the heap; compaction from a
-        # callback must mutate that same list, not rebind it.
+    def test_cancel_inside_callback_is_safe(self):
+        # Cancels issued from a callback take effect in the running
+        # drain, and events it schedules still run.
         sim = Simulator()
         fired = []
         doomed = [sim.call_at(1e18 + i, lambda: fired.append(-1))
@@ -116,7 +114,6 @@ class TestCancellation:
         sim.call_at(10.0, cancel_all_then_reschedule)
         assert sim.drain(max_time=20.0) == 2
         assert fired == ["late"]
-        assert sim.compactions >= 1  # compacted while drain was running
         assert sim.pending_count() == 0
         assert sim.now == 11.0
 

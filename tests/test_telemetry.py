@@ -226,6 +226,19 @@ class TestCounterWiring:
         assert hist["count"] == 1
         assert hist["max"] == 40
 
+    def test_switch_reasons_count_tasks_leaving_the_cpu(self):
+        """``kernel.switch.<reason>`` counts why a running task left the
+        CPU, once per departure; ``kernel.switches`` counts switch-ins."""
+        from repro.experiments.resolution import run_resolution
+
+        metrics = obs_mod.configure(metrics=True).metrics
+        run_resolution(tau=740.0, preemptions=200, seed=1)
+        reasons = {reason: metrics.get(f"kernel.switch.{reason}").value
+                   for reason in ("block", "exit", "preempt_wakeup", "tick")}
+        assert reasons == {"block": 201, "exit": 1, "preempt_wakeup": 201,
+                           "tick": 1}
+        assert metrics.get("kernel.switches").value == 405
+
     def test_run_counts_every_cell_and_records_no_ratios(self, tmp_path,
                                                          capsys):
         run_dir = tmp_path / "run"
@@ -264,16 +277,6 @@ class TestCounterWiring:
         toucher()
         assert hierarchy.batch_calls == 2
         assert hierarchy.batch_addrs == 5
-
-    def test_engine_counts_compactions(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        sim.call_at(1.0, lambda: None)
-        handles = [sim.call_at(1e9 + i, lambda: None) for i in range(64)]
-        for handle in handles:
-            handle.cancel()
-        assert sim.compactions >= 1
 
 
 # ----------------------------------------------------------------------

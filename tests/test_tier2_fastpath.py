@@ -2,8 +2,8 @@
 
 The serial-core speedup added a layer that must be invisible in
 results: the certified fast-forward window (warm-up prefix, then the
-steady twin).  The specialized steady twin is certified here against
-the generic loop at the bit level, and whole windows against the
+steady twin).  Each program's specialized steady twin is certified here
+against a generic loop at the bit level, and whole windows against the
 per-instruction interpreter through the fast-forward oracle.
 """
 
@@ -14,56 +14,52 @@ import random
 
 import pytest
 
+from repro.attacks.common import DEFAULT_TAIL_INSTS, PhasedProgram
+from repro.cpu.isa import nop
 from repro.cpu.machine import Machine, MachineConfig
-from repro.cpu.program import StraightlineProgram
-from repro.uarch.timing import cycles_to_ns
+from repro.cpu.program import StraightlineProgram, TraceProgram
+from repro.uarch.timing import CPU_FREQ_GHZ, cycles_to_ns
 from repro.validate.uarch import generate_ff_windows, run_fastforward_case
 
 
 # ----------------------------------------------------------------------
-# Steady twin vs the generic executor loop (float-op-for-float-op)
+# Steady twins vs the generic loop over Program (float-op-for-float-op)
 # ----------------------------------------------------------------------
-def _generic_steady_twin(p, idx0, t, deadline, per_inst, certified):
-    """The executor's original generic steady loop, kept verbatim as
-    the reference for the specialized ``StraightlineProgram.steady_twin``
-    (which restructures the arithmetic but must keep the exact float
-    operation sequence)."""
-    loop_insts = p.loop_insts
-    per_line = 64 // p.inst_size
-    per_loop = cycles_to_ns(float(loop_insts))
-    two_loops = 2 * per_loop
-    idx = idx0
+def _program_steady_loop(program, idx, t, deadline, per_inst, certified):
+    """The steady twin loop ``Core._try_fast_forward`` once ran for any
+    program without a ``steady_twin`` of its own, copied verbatim (less
+    its ``ff_steady_windows`` count).  It rediscovers the stream through
+    the ``Program`` interface — ``loop_profile`` and
+    ``uniform_region_length`` — so it is the reference for every
+    program's ``steady_twin``."""
+    idx0 = idx1 = idx
     while t < deadline:
-        if idx % loop_insts == 0:
+        loop = program.loop_profile(idx)
+        if loop is not None:
+            per_loop = cycles_to_ns(loop.cycles_per_loop)
             window = deadline - t
-            if window >= two_loops:
+            if window >= 2 * per_loop:
                 loops = int(window / per_loop)
-                idx += loops * loop_insts
-                t += loops * per_loop
-                continue
-        if certified is not None and idx - idx0 >= certified:
-            break
-        t += per_inst
+                if loop.max_loops is not None:
+                    loops = min(loops, loop.max_loops)
+                if loops >= 1:
+                    idx += loops * loop.insts_per_loop
+                    t += loops * per_loop
+                    continue
+        if certified is not None and idx - idx1 >= certified:
+            break  # past the certified region: execute() decides
+        t += per_inst  # chunk-head instruction (line warm: base cost)
         idx += 1
         if t >= deadline:
             break
-        slot = idx % loop_insts
-        rem = slot % per_line
-        if rem == 0:
-            run = 0
-        else:
-            run = per_line - rem
-            stop = loop_insts - 1 - slot
-            if run > stop:
-                run = stop
+        run = program.uniform_region_length(idx)
         if run > 1:
             budget = int((deadline - t) / per_inst)
             bulk = min(run, budget if budget > 0 else 0)
             if bulk > 0:
                 idx += bulk
                 t += bulk * per_inst
-    count = idx - idx0
-    return (count, t) if count >= 1 else None
+    return (idx - idx0, t) if idx > idx0 else None
 
 
 def _twin_cases(rng):
@@ -115,12 +111,104 @@ def test_steady_twin_bit_identical_to_generic_loop():
         idx0 = rng.randrange(0, 5 * program.loop_insts)
         deadline = t + window
         got = program.steady_twin(idx0, t, deadline, per_inst, None)
-        want = _generic_steady_twin(program, idx0, t, deadline, per_inst, None)
+        want = _program_steady_loop(program, idx0, t, deadline, per_inst, None)
         assert got == want, (program.inst_size, program.loop_insts,
                              per_inst.hex(), idx0, t.hex(), deadline.hex())
         if got is not None:
             # repr-equality of floats is not enough; require the bits.
             assert got[1].hex() == want[1].hex()
+
+
+# ----------------------------------------------------------------------
+# Bounded and phased programs
+# ----------------------------------------------------------------------
+def _phased(startup_insts):
+    """A §5 victim whose startup spin is ``startup_insts`` long."""
+    startup_ns = (startup_insts + DEFAULT_TAIL_INSTS + 0.5) / CPU_FREQ_GHZ
+    program = PhasedProgram(startup_ns, TraceProgram([nop(0x500000)]))
+    assert program.startup_insts == startup_insts
+    return program
+
+
+def _assert_twin_matches(program, idx0, t, window, per_inst):
+    """Run both twins over one window from ``idx0`` with the count the
+    program certifies there, as ``Core`` does; require the same result
+    down to the float bits."""
+    certified = program.steady_state(idx0)[1]
+    deadline = t + window
+    got = program.steady_twin(idx0, t, deadline, per_inst, certified)
+    want = _program_steady_loop(program, idx0, t, deadline, per_inst,
+                                certified)
+    where = (type(program).__name__, idx0, certified, t.hex(),
+             deadline.hex(), per_inst.hex())
+    assert got == want, where
+    if got is not None:
+        assert got[1].hex() == want[1].hex(), where
+    return got
+
+
+def _bounded_windows(rng, span, per_inst):
+    """``(t, window)`` pairs: short windows, windows ending within a few
+    loops, and windows that outlast the ``span`` instructions left."""
+    span_ns = span * per_inst
+    for _ in range(12):
+        t = rng.choice([rng.uniform(0.0, 1e6),
+                        math.exp(rng.uniform(0.0, math.log(6e10))),
+                        2.0 ** rng.randrange(10, 36) - rng.uniform(0.0, 30.0)])
+        window = rng.choice([rng.uniform(0.0, 50.0),
+                             rng.uniform(0.0, 5000.0),
+                             span_ns * rng.uniform(0.9, 1.1),
+                             span_ns * rng.uniform(1.0, 3.0) + 2000.0])
+        yield t, window
+
+
+def test_bounded_steady_twin_matches_generic_loop():
+    """A bounded ``StraightlineProgram`` stops at its ``total``: the
+    twin matches the generic loop on windows that end inside the
+    stream, at the end of it, and past it."""
+    rng = random.Random(11)
+    cycle = cycles_to_ns(1.0)
+    stopped = 0
+    for _ in range(150):
+        loop_insts = rng.choice([512, 1024, 4096]) // 4
+        total = rng.choice([loop_insts * rng.randrange(1, 9),
+                            rng.randrange(loop_insts, 9 * loop_insts)])
+        program = StraightlineProgram(0x400000, inst_size=4,
+                                      loop_bytes=4 * loop_insts, total=total)
+        per_inst = rng.choice([cycle, cycle, cycles_to_ns(rng.uniform(0.5, 4.0))])
+        # steady_state certifies up to the last loop top with a whole
+        # loop after it, and from there to the end of the stream.
+        certifiable = total // loop_insts * loop_insts
+        idx0 = rng.choice([rng.randrange(certifiable),
+                           max(0, certifiable - rng.randrange(1, 40))])
+        for t, window in _bounded_windows(rng, total - idx0, per_inst):
+            got = _assert_twin_matches(program, idx0, t, window, per_inst)
+            stopped += got is not None and idx0 + got[0] == total
+    assert stopped > 100  # many windows ran to the end of the stream
+
+
+def test_phased_steady_twin_matches_generic_loop():
+    """A ``PhasedProgram`` forwards through its startup's twin, which
+    must stop where the phased stream stops being certified — one loop
+    before the startup ends, even where that is a loop top (a startup
+    that is a whole number of loops)."""
+    rng = random.Random(12)
+    cycle = cycles_to_ns(1.0)
+    loop_insts = StraightlineProgram().loop_insts  # the startup's loop
+    limit_hits = 0
+    for _ in range(150):
+        startup_insts = rng.choice([loop_insts * rng.randrange(2, 12),
+                                    rng.randrange(loop_insts + 1,
+                                                  12 * loop_insts)])
+        program = _phased(startup_insts)
+        limit = startup_insts - loop_insts
+        per_inst = rng.choice([cycle, cycle, cycles_to_ns(rng.uniform(0.5, 4.0))])
+        idx0 = rng.choice([rng.randrange(limit),
+                           max(0, limit - rng.randrange(1, 80))])
+        for t, window in _bounded_windows(rng, limit - idx0, per_inst):
+            got = _assert_twin_matches(program, idx0, t, window, per_inst)
+            limit_hits += got is not None and idx0 + got[0] == limit
+    assert limit_hits > 50  # many windows stopped at the certified limit
 
 
 # ----------------------------------------------------------------------

@@ -1,49 +1,55 @@
 """Unit tests for the two-level TLB model."""
 
-from repro.uarch.tlb import Tlb, TlbGeometry, TlbHierarchy
+from repro.uarch.tlb import TlbHierarchy
 from repro.uarch.timing import LATENCY
 
 PAGE = 4096
 
 
 class TestTlbLevel:
-    def _tlb(self, sets=4, ways=2):
-        return Tlb("t", TlbGeometry(sets, ways))
+    """One level's LRU sets, driven through the hierarchy's walk: data
+    translations use the STLB (128 sets, 12 ways) alone."""
+
+    SETS = TlbHierarchy.STLB.n_sets
+    WAYS = TlbHierarchy.STLB.n_ways
 
     def test_fill_then_hit(self):
-        t = self._tlb()
-        assert not t.lookup(1, 100)
-        t.fill(1, 100)
-        assert t.lookup(1, 100)
+        h = TlbHierarchy(1)
+        assert h.translate_data(0, 1, 100 * PAGE) == LATENCY.page_walk
+        assert h.translate_data(0, 1, 100 * PAGE) == 0
 
     def test_asid_isolation(self):
         """The attacker never *hits* on a victim translation."""
-        t = self._tlb()
-        t.fill(1, 100)
-        assert not t.lookup(2, 100)
+        h = TlbHierarchy(1)
+        h.translate_data(0, 1, 100 * PAGE)
+        assert h.translate_data(0, 2, 100 * PAGE) == LATENCY.page_walk
 
     def test_set_contention_evicts_other_asid(self):
         """...but it evicts them — the Gras et al. degradation."""
-        t = self._tlb(sets=4, ways=2)
-        t.fill(1, 100)  # victim entry, set 0
-        t.fill(2, 104)  # attacker, same set (vpn % 4 == 0)
-        t.fill(2, 108)
-        assert not t.contains(1, 100)
+        h = TlbHierarchy(1)
+        h.translate_data(0, 1, 100 * PAGE)  # victim entry
+        for k in range(1, self.WAYS + 1):  # attacker, same set
+            h.translate_data(0, 2, (100 + k * self.SETS) * PAGE)
+        assert not h.stlb[0].contains(1, 100)
 
     def test_lru_within_set(self):
-        t = self._tlb(sets=1, ways=2)
-        t.fill(1, 0)
-        t.fill(1, 1)
-        t.lookup(1, 0)
-        t.fill(1, 2)
-        assert t.contains(1, 0)
-        assert not t.contains(1, 1)
+        h = TlbHierarchy(1)
+        vpns = [k * self.SETS for k in range(self.WAYS + 1)]  # set 0
+        for vpn in vpns[:-1]:
+            h.translate_data(0, 1, vpn * PAGE)
+        h.translate_data(0, 1, vpns[0] * PAGE)  # refresh the LRU entry
+        h.translate_data(0, 1, vpns[-1] * PAGE)
+        assert h.stlb[0].contains(1, vpns[0])
+        assert not h.stlb[0].contains(1, vpns[1])
+        assert h.stlb[0].resident_tags(0) == tuple(
+            (1, vpn) for vpn in vpns[2:-1] + [vpns[0], vpns[-1]])
 
     def test_flush_all(self):
-        t = self._tlb()
-        t.fill(1, 5)
-        t.flush_all()
-        assert not t.contains(1, 5)
+        h = TlbHierarchy(1)
+        h.translate_fetch(0, 1, 5 * PAGE)
+        h.stlb[0].flush_all()
+        assert not h.stlb[0].contains(1, 5)
+        assert h.itlb[0].contains(1, 5)
 
 
 class TestTlbHierarchy:
@@ -57,7 +63,7 @@ class TestTlbHierarchy:
         h = TlbHierarchy(1)
         addr = 0x400000
         h.translate_fetch(0, 1, addr)
-        h.itlb[0].invalidate(1, addr // PAGE)
+        h.itlb[0].flush_all()
         assert h.translate_fetch(0, 1, addr) == LATENCY.stlb_hit
 
     def test_data_translation_uses_stlb(self):

@@ -86,10 +86,11 @@ def test_tlb_set_order_checked_against_reference():
         # entry to MRU, leaving every counter as it was.
         cycles = translate_data(core, asid, addr, huge=huge)
         stlb = tlbs.stlb[core]
-        tags = stlb.resident_tags(stlb.geometry.set_index(page_number(addr)))
-        if not huge and len(tags) > 1:
-            stlb.lookup(*tags[0])
-            stlb.hits -= 1
+        bucket = stlb._sets[stlb.geometry.set_index(page_number(addr))]
+        if not huge and len(bucket) > 1:
+            lru = next(iter(bucket))
+            del bucket[lru]
+            bucket[lru] = None
         return cycles
 
     tlbs.translate_data = translate_then_promote_lru
