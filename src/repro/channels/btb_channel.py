@@ -77,27 +77,30 @@ class BtbTrainProbe:
             threshold if threshold is not None else prime_probe_threshold()
         )
         self.label = label or hex(victim_pc)
+        layout = self.layout
+        self._train = act.ExecInsts((
+            Instruction(pc=layout.prime_pc, kind=InstrKind.JMP,
+                        target=layout.prime_target),
+        ))
+        self._flush_marker = act.Flushes((layout.probe_marker,))
+        self._ret = act.ExecInsts((
+            Instruction(pc=layout.probe_pc, kind=InstrKind.RET,
+                        target=layout.probe_pc + 1),
+        ))
+        self._reload_marker = act.TimedLoads((layout.probe_marker,))
 
     def train(self) -> Iterator[act.Action]:
         """Allocate the colliding BTB entry (btb_prime of Fig 5.3)."""
-        layout = self.layout
-        yield act.ExecInst(
-            Instruction(pc=layout.prime_pc, kind=InstrKind.JMP,
-                        target=layout.prime_target)
-        )
+        yield self._train
         return None
 
     def probe(self) -> Iterator[act.Action]:
         """Fig 5.3's probe: returns True iff the victim *executed* the
         colliding instruction (entry invalidated ⇒ no prefetch ⇒ slow
         marker load)."""
-        layout = self.layout
-        yield act.Flush(layout.probe_marker)
-        yield act.ExecInst(
-            Instruction(pc=layout.probe_pc, kind=InstrKind.RET,
-                        target=layout.probe_pc + 1)
-        )
-        latency = yield act.TimedLoad(layout.probe_marker)
+        yield self._flush_marker
+        yield self._ret
+        (latency,) = yield self._reload_marker
         executed = latency > self.threshold
         return executed
 

@@ -9,7 +9,7 @@ the nap — then *flushes* them all to re-arm the channel before napping.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.kernel import actions as act
 from repro.uarch.timing import LATENCY
@@ -23,21 +23,17 @@ class FlushReload:
             raise ValueError("need at least one line to monitor")
         self.lines = list(lines)
         self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
-        self.rounds = 0
+        self._reload = act.TimedLoads(self.lines)
+        self._flush = act.Flushes(self.lines)
 
     def measure(self) -> Iterator[act.Action]:
         """One Reload-then-Flush round; returns per-line hit booleans."""
-        hits: List[bool] = []
-        for addr in self.lines:
-            latency = yield act.TimedLoad(addr)
-            hits.append(latency < self.threshold)
-        for addr in self.lines:
-            yield act.Flush(addr)
-        self.rounds += 1
-        return hits
+        latencies = yield self._reload
+        yield self._flush
+        threshold = self.threshold
+        return [latency < threshold for latency in latencies]
 
     def prime_only(self) -> Iterator[act.Action]:
         """Initial flush before the first victim step (no reload)."""
-        for addr in self.lines:
-            yield act.Flush(addr)
+        yield self._flush
         return [False] * len(self.lines)

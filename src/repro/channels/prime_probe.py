@@ -63,6 +63,8 @@ class PrimeProbeSet:
         self.threshold = (
             threshold if threshold is not None else prime_probe_threshold()
         )
+        self._prime = act.Loads(self.addrs + self.addrs)
+        self._probe = act.TimedLoads(self.addrs)
 
     @classmethod
     def for_target(
@@ -84,18 +86,15 @@ class PrimeProbeSet:
 
     def prime(self) -> Iterator[act.Action]:
         """Fill the set (two passes settle LRU the way real attacks do)."""
-        for addr in self.addrs:
-            yield act.Load(addr)
-        for addr in self.addrs:
-            yield act.Load(addr)
+        yield self._prime
         return None
 
     def probe(self) -> Iterator[act.Action]:
         """Timed reload of the whole set; probing re-primes as it goes."""
+        latencies = yield self._probe
         misses = 0
         total = 0.0
-        for addr in self.addrs:
-            latency = yield act.TimedLoad(addr)
+        for latency in latencies:
             total += latency
             if latency > self.threshold:
                 misses += 1
@@ -131,8 +130,3 @@ class PrimeProbe:
         for pp_set in self.sets:
             yield from pp_set.prime()
         return results
-
-    def prime_all(self) -> Iterator[act.Action]:
-        for pp_set in self.sets:
-            yield from pp_set.prime()
-        return None

@@ -28,10 +28,12 @@ class FlushReloadSeeker:
     def __init__(self, marker_addr: int, threshold: Optional[float] = None):
         self.marker_addr = marker_addr
         self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
+        self._reload = act.TimedLoads((marker_addr,))
+        self._flush = act.Flushes((marker_addr,))
 
     def measure(self) -> Iterator[act.Action]:
-        latency = yield act.TimedLoad(self.marker_addr)
-        yield act.Flush(self.marker_addr)
+        (latency,) = yield self._reload
+        yield self._flush
         return latency < self.threshold
 
 

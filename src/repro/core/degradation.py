@@ -38,11 +38,11 @@ class TlbEvictor:
         self.stlb_pages = build_tlb_eviction_set(
             TlbHierarchy.STLB, victim_code_addr, arena_base + (1 << 30)
         )
-        # The eviction set never changes, so the actions are built once:
+        # The eviction set never changes, so the batch is built once:
         # rebuilding ~20 frozen Instruction records every preemption
         # round used to dominate the degraded hot path.
-        self._actions = tuple(
-            act.ExecInst(Instruction(pc=page_addr, kind=InstrKind.NOP))
+        self._fetches = act.ExecInsts(
+            Instruction(pc=page_addr, kind=InstrKind.NOP)
             for page_addr in self.itlb_pages + self.stlb_pages
         )
 
@@ -54,8 +54,7 @@ class TlbEvictor:
         """
         # Must stay a generator: the kernel ``send()``s action results
         # back into the consuming body.
-        for action in self._actions:
-            yield action
+        yield self._fetches
 
     @property
     def pages_touched(self) -> int:
@@ -76,13 +75,12 @@ class CodeLineStaller:
         self.eviction_set: List[int] = build_llc_eviction_set(
             llc_geometry, victim_inst_addr, arena_base, extra_ways
         )
-        self._actions = tuple(act.Load(addr) for addr in self.eviction_set)
+        self._loads = act.Loads(self.eviction_set)
 
     def degrade(self) -> Iterator[act.Action]:
         """Touch every line of the eviction set, filling the LLC set and
         (by inclusion) purging the victim's line from all caches."""
-        for action in self._actions:
-            yield action
+        yield self._loads
 
 
 class CompositeDegrader:

@@ -60,16 +60,14 @@ class VictimPresenceOracle:
             raise ValueError("need at least one template line")
         self.template_lines = list(template_lines)
         self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
+        self._reload = act.TimedLoads(self.template_lines)
+        self._flush = act.Flushes(self.template_lines)
 
     def measure(self) -> Iterator[act.Action]:
-        present = False
-        for addr in self.template_lines:
-            latency = yield act.TimedLoad(addr)
-            if latency < self.threshold:
-                present = True
-        for addr in self.template_lines:
-            yield act.Flush(addr)
-        return present
+        latencies = yield self._reload
+        yield self._flush
+        threshold = self.threshold
+        return any(latency < threshold for latency in latencies)
 
 
 class OracleGatedMeasurer:

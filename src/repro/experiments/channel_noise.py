@@ -52,15 +52,18 @@ def make_polluter(config: PolluterConfig, rng: RngStreams) -> Task:
     distinguish from victim activity)."""
     stream = rng.stream(f"polluter{config.cpu}")
 
+    def burst_addr() -> int:
+        if stream.random() < config.target_fraction:
+            line = stream.randrange(config.target_lines)
+            return config.target_base + 64 * line
+        return config.arena + 64 * stream.randrange(1 << 14)
+
     def body() -> Iterator[act.Action]:
+        # The stream is the polluter's own, so drawing a burst's
+        # addresses before loading them keeps every draw in order.
         while True:
-            for _ in range(config.lines_per_burst):
-                if stream.random() < config.target_fraction:
-                    line = stream.randrange(config.target_lines)
-                    addr = config.target_base + 64 * line
-                else:
-                    addr = config.arena + 64 * stream.randrange(1 << 14)
-                yield act.Load(addr)
+            yield act.Loads(burst_addr()
+                            for _ in range(config.lines_per_burst))
             yield act.Compute(config.period_ns)
 
     task = Task(f"polluter{config.cpu}", body=CoroutineBody(body()))

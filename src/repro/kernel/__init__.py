@@ -10,16 +10,15 @@ block → account vruntime → repeat.
 
 from repro.kernel.actions import (
     Compute,
-    ExecInst,
+    ExecInsts,
     Exit,
-    Flush,
+    Flushes,
     GetTime,
-    Load,
+    Loads,
     Nanosleep,
     Pause,
     SetTimerSlack,
-    Store,
-    TimedLoad,
+    TimedLoads,
     TimerCreate,
 )
 from repro.kernel.costs import CostModel
@@ -29,16 +28,15 @@ from repro.kernel.tracing import KernelTracer
 
 __all__ = [
     "Compute",
-    "ExecInst",
+    "ExecInsts",
     "Exit",
-    "Flush",
+    "Flushes",
     "GetTime",
-    "Load",
+    "Loads",
     "Nanosleep",
     "Pause",
     "SetTimerSlack",
-    "Store",
-    "TimedLoad",
+    "TimedLoads",
     "TimerCreate",
     "CostModel",
     "Kernel",

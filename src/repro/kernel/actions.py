@@ -1,21 +1,20 @@
 """Actions a coroutine thread body can yield to the kernel.
 
 Attacker code in this reproduction is written as a Python generator
-that yields one :class:`Action` per logical step — a userspace
-instruction sequence (load, flush, rdtsc-timed load, synthetic
-instruction) or a syscall (nanosleep, pause, prctl, timer setup).  The
-kernel executes the action against the machine state, charges its cost
-to the simulated clock, and ``send``s the result back into the
-generator.  This keeps attack code readable top-to-bottom, exactly like
-the C it models, while the simulator stays event-driven underneath.
+that yields one :class:`Action` per logical step or per batch — a
+userspace instruction sequence (a :class:`Batch` of loads, flushes,
+rdtsc-timed loads or synthetic instructions; ALU work; a clock read)
+or a syscall (nanosleep, pause, prctl, timer setup).  The kernel
+executes the action against the machine state, charges its cost to the
+simulated clock, and ``send``s the result back into the generator.
+This keeps attack code readable top-to-bottom, exactly like the C it
+models, while the simulator stays event-driven underneath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
-
-from repro.cpu.isa import Instruction
+from typing import Any, Optional, Tuple
 
 
 class Action:
@@ -33,41 +32,42 @@ class Compute(Action):
 
 
 @dataclass
-class Load(Action):
-    """Data load; result is the access latency in cycles."""
+class Batch(Action):
+    """One userspace operation over every element of ``items``.
 
-    addr: int
+    The receivers' probe loops (reload every monitored line, walk an
+    eviction set, fetch from each congruent page) are tight userspace
+    loops with no kernel entry between elements.  The body runs the
+    elements in one loop and sends back one list of per-element
+    results.  Interrupts are still taken at element boundaries: a
+    window that ends inside a batch resumes it at the next element.
+    """
 
+    items: Tuple[Any, ...]
 
-@dataclass
-class TimedLoad(Action):
-    """rdtscp-fenced timed load; result is the *measured* latency in
-    cycles (true latency + timer overhead + measurement jitter)."""
-
-    addr: int
-
-
-@dataclass
-class Store(Action):
-    """Data store (no result)."""
-
-    addr: int
+    def __post_init__(self) -> None:
+        self.items = tuple(self.items)
 
 
-@dataclass
-class Flush(Action):
-    """clflush: evict the line from the whole hierarchy (no result)."""
-
-    addr: int
+class Loads(Batch):
+    """Data loads of the addresses in ``items``; each result is the
+    access latency in cycles."""
 
 
-@dataclass
-class ExecInst(Action):
-    """Execute one synthetic instruction in the attacker's own address
+class TimedLoads(Batch):
+    """rdtscp-fenced timed loads; each result is the *measured* latency
+    in cycles (true latency + timer overhead + measurement jitter)."""
+
+
+class Flushes(Batch):
+    """clflush of each address: evict its line from the whole hierarchy
+    (results are None)."""
+
+
+class ExecInsts(Batch):
+    """Execute synthetic instructions in the attacker's own address
     space (BTB gadget priming/probing, iTLB eviction-set fetches).
-    Result is the instruction's cost in ns."""
-
-    inst: Instruction
+    Each result is the instruction's cost in ns."""
 
 
 @dataclass

@@ -16,8 +16,10 @@ simulator.  A dispatch at time ``t``:
    where the body stopped.
 
 Interrupts are taken at instruction boundaries: a body may overshoot
-its horizon by the one action/instruction in flight, exactly the
-behaviour that makes performance-degradation single-stepping work.
+its horizon by the one action, batch element or instruction in flight,
+exactly the behaviour that makes performance-degradation
+single-stepping work.  The rest of an interrupted batch runs in the
+body's next window.
 
 Timer-interrupt wakeups follow the CFS quirk the paper highlights: a
 successful Eq 2.2 check switches to *the waking thread*, not to a
@@ -126,8 +128,7 @@ class _KernelExecContext(ExecContext):
 
     __slots__ = ("kernel", "cpu", "task", "core", "asid", "_access",
                  "_translate_data", "_clflush", "_huge_lo", "_huge_hi",
-                 "_base_inst", "_timed_extra", "_store_ns", "_flush_ns",
-                 "_jitter")
+                 "_base_inst", "_timed_extra", "_flush_ns", "_jitter")
 
     def __init__(self, kernel: "Kernel", cpu: int, task: Task):
         self.kernel = kernel
@@ -135,10 +136,10 @@ class _KernelExecContext(ExecContext):
         self.task = task
         self.core = kernel.machine.core(cpu)
         self.asid = task.pid
-        # The load/flush handlers run for every probe of every attack;
-        # their constants (the latency model is fixed for the kernel's
-        # life), the μarch entry points and the ``timed_load`` jitter
-        # stream are bound once here.
+        # The batch loops run for every probe of every attack; their
+        # constants (the latency model is fixed for the kernel's life),
+        # the μarch entry points and the ``timed_load`` jitter stream
+        # are bound once here.
         lat = kernel.machine.config.latency
         self._access = self.core.hierarchy.access
         self._translate_data = self.core.tlbs.translate_data
@@ -147,7 +148,6 @@ class _KernelExecContext(ExecContext):
         self._huge_lo, self._huge_hi = ATTACKER_HUGE_REGION
         self._base_inst = lat.base_inst
         self._timed_extra = 2 * lat.rdtscp + lat.base_inst
-        self._store_ns = cycles_to_ns(lat.base_inst)
         self._flush_ns = cycles_to_ns(lat.clflush)
         self._jitter = kernel.rng.stream("timed_load").gauss
 
@@ -160,7 +160,7 @@ class _KernelExecContext(ExecContext):
     # ------------------------------------------------------------------
     # Action execution: dispatched on exact action type through
     # ``_DISPATCH`` — one dict hit instead of an isinstance chain (this
-    # runs for every userspace step of every coroutine body).
+    # runs for every single action of every coroutine body).
     # ------------------------------------------------------------------
     def exec_action(self, action, now: float):
         try:
@@ -171,38 +171,6 @@ class _KernelExecContext(ExecContext):
 
     def _act_compute(self, action, now):
         return action.ns, None, None
-
-    # ``x / CPU_FREQ_GHZ`` below is :func:`cycles_to_ns` inlined.
-    def _act_load(self, action, now):
-        addr = action.addr
-        cycles = self._translate_data(
-            self.cpu, self.asid, addr,
-            huge=self._huge_lo <= addr < self._huge_hi)
-        cycles += self._access(self.cpu, addr, "data")
-        return (cycles + self._base_inst) / CPU_FREQ_GHZ, cycles, None
-
-    def _act_timed_load(self, action, now):
-        addr = action.addr
-        cycles = self._translate_data(
-            self.cpu, self.asid, addr,
-            huge=self._huge_lo <= addr < self._huge_hi)
-        cycles += self._access(self.cpu, addr, "data")
-        measured = cycles + self._jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
-        return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
-                measured if measured > 0.0 else 0.0, None)
-
-    def _act_store(self, action, now):
-        self._translate_data(self.cpu, self.asid, action.addr)
-        self._access(self.cpu, action.addr, "data")
-        return self._store_ns, None, None
-
-    def _act_flush(self, action, now):
-        self._clflush(action.addr)
-        return self._flush_ns, None, None
-
-    def _act_exec_inst(self, action, now):
-        cost = self.core.execute(self.asid, action.inst)
-        return cost, cost, None
 
     def _act_get_time(self, action, now):
         cost = cycles_to_ns(self.kernel.machine.config.latency.rdtscp)
@@ -241,14 +209,72 @@ class _KernelExecContext(ExecContext):
     def _act_exit(self, action, now):
         return 0.0, None, BlockRequest("exit")
 
+    # ------------------------------------------------------------------
+    # Batches: one loop per kind, binding its entry points once.  Each
+    # element makes its μarch calls, then any jitter draw, then its
+    # ``t += cost`` add; the loop stops after the element that reaches
+    # ``deadline`` (see ExecContext.exec_batch).  ``x / CPU_FREQ_GHZ``
+    # below is :func:`cycles_to_ns` inlined.
+    # ------------------------------------------------------------------
+    def exec_batch(self, batch, i, t, deadline, out):
+        return _BATCH_DISPATCH[type(batch)](self, batch.items, i, t,
+                                             deadline, out)
+
+    def _loads(self, addrs, i, t, deadline, out):
+        translate, access = self._translate_data, self._access
+        cpu, asid, base = self.cpu, self.asid, self._base_inst
+        lo, hi = self._huge_lo, self._huge_hi
+        for addr in addrs[i:]:
+            i += 1
+            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
+            cycles += access(cpu, addr, "data")
+            out.append(cycles)
+            t += (cycles + base) / CPU_FREQ_GHZ
+            if t >= deadline:
+                break
+        return i, t
+
+    def _timed_loads(self, addrs, i, t, deadline, out):
+        translate, access = self._translate_data, self._access
+        cpu, asid, extra = self.cpu, self.asid, self._timed_extra
+        lo, hi = self._huge_lo, self._huge_hi
+        jitter = self._jitter
+        for addr in addrs[i:]:
+            i += 1
+            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
+            cycles += access(cpu, addr, "data")
+            measured = cycles + jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
+            out.append(measured if measured > 0.0 else 0.0)
+            t += (cycles + extra) / CPU_FREQ_GHZ
+            if t >= deadline:
+                break
+        return i, t
+
+    def _flushes(self, addrs, i, t, deadline, out):
+        clflush, cost = self._clflush, self._flush_ns
+        for addr in addrs[i:]:
+            i += 1
+            clflush(addr)
+            out.append(None)
+            t += cost
+            if t >= deadline:
+                break
+        return i, t
+
+    def _exec_insts(self, insts, i, t, deadline, out):
+        execute, asid = self.core.execute, self.asid
+        for inst in insts[i:]:
+            i += 1
+            cost = execute(asid, inst)
+            out.append(cost)
+            t += cost
+            if t >= deadline:
+                break
+        return i, t
+
 
 _DISPATCH = {
     act.Compute: _KernelExecContext._act_compute,
-    act.Load: _KernelExecContext._act_load,
-    act.TimedLoad: _KernelExecContext._act_timed_load,
-    act.Store: _KernelExecContext._act_store,
-    act.Flush: _KernelExecContext._act_flush,
-    act.ExecInst: _KernelExecContext._act_exec_inst,
     act.GetTime: _KernelExecContext._act_get_time,
     act.SetTimerSlack: _KernelExecContext._act_set_timer_slack,
     act.TimerCreate: _KernelExecContext._act_timer_create,
@@ -257,6 +283,13 @@ _DISPATCH = {
     act.Nanosleep: _KernelExecContext._act_nanosleep,
     act.Pause: _KernelExecContext._act_pause,
     act.Exit: _KernelExecContext._act_exit,
+}
+
+_BATCH_DISPATCH = {
+    act.Loads: _KernelExecContext._loads,
+    act.TimedLoads: _KernelExecContext._timed_loads,
+    act.Flushes: _KernelExecContext._flushes,
+    act.ExecInsts: _KernelExecContext._exec_insts,
 }
 
 

@@ -76,7 +76,13 @@ class RunQueue:
         if not tasks:
             return self.min_vruntime
         total_weight = sum(t.weight for t in tasks)
-        return sum(t.vruntime * t.weight for t in tasks) / total_weight
+        # Left to right on purpose: from 3.12 on, ``sum()`` adds floats
+        # with compensated summation, which would make the EEVDF
+        # schedule depend on the Python version.
+        weighted = 0.0
+        for t in tasks:
+            weighted += t.vruntime * t.weight
+        return weighted / total_weight
 
     def leftmost(self) -> Optional[Task]:
         """Queued task with the smallest vruntime (stable tie-break)."""

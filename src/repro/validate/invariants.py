@@ -88,7 +88,10 @@ def ref_avg_vruntime(rq: RunQueue) -> float:
     if not tasks:
         return rq.min_vruntime
     total = sum(t.weight for t in tasks)
-    return sum(t.vruntime * t.weight for t in tasks) / total
+    weighted = 0.0  # left to right, as RunQueue.avg_vruntime sums
+    for t in tasks:
+        weighted += t.vruntime * t.weight
+    return weighted / total
 
 
 def ref_eevdf_vslice(params, task: Task) -> float:

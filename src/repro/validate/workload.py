@@ -406,8 +406,7 @@ def _script_gen(events: List[Dict[str, Any]],
         elif op == "signal":
             yield act.SignalTask(pids[event["target"]])
         elif op == "loads":
-            for addr in event["addrs"]:
-                yield act.Load(addr)
+            yield act.Loads(event["addrs"])
         elif op == "slack":
             yield act.SetTimerSlack(event["ns"])
         elif op == "spin":

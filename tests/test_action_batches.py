@@ -1,0 +1,394 @@
+"""Batch actions against the per-action protocol they replaced.
+
+Every producer of ``Loads``/``TimedLoads``/``Flushes``/``ExecInsts``
+runs twice on machines built from one seed: batched, through
+:class:`CoroutineBody` and the kernel context's batch loops, and one
+element at a time, through the per-action body loop and the single
+load/flush/fetch handlers kept below as the reference (the code they
+replaced, copied unchanged).  Both runs see the same seeded sequence of
+short windows and the same victim activity between windows, and after
+every window they must agree on the outcome, the values the producer
+returned, the element count, every cache, TLB and BTB, and the next
+``timed_load`` jitter draw.  The windows end inside elements, right
+after a batch's first element and right after its last one; the test
+checks that each case occurred.
+"""
+
+import random
+from dataclasses import dataclass
+
+import pytest
+
+from repro.channels.btb_channel import DualBtbProbe
+from repro.channels.flush_reload import FlushReload
+from repro.channels.prime_probe import PrimeProbe, PrimeProbeSet
+from repro.channels.seek import FlushReloadSeeker, PrimeProbeSeeker
+from repro.core.degradation import CodeLineStaller, TlbEvictor
+from repro.core.oracle import VictimPresenceOracle
+from repro.cpu.isa import Instruction, nop
+from repro.experiments.channel_noise import PolluterConfig, make_polluter
+from repro.experiments.setup import build_env
+from repro.kernel import actions as act
+from repro.kernel.kernel import TIMED_LOAD_JITTER_CYCLES, _KernelExecContext
+from repro.kernel.threads import CoroutineBody, RunOutcome
+from repro.sched.task import Task
+from repro.uarch.timing import CPU_FREQ_GHZ
+from repro.victims.layout import (
+    ATTACKER_LLC_ARENA,
+    ATTACKER_TLB_ARENA,
+    TTABLE_BASE,
+)
+
+SEED = 5
+ATTACKER_PID = 4242
+VICTIM_ASID = 77
+WINDOWS = 400
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-action protocol
+# ----------------------------------------------------------------------
+@dataclass
+class Load(act.Action):
+    """Data load; result is the access latency in cycles."""
+
+    addr: int
+
+
+@dataclass
+class TimedLoad(act.Action):
+    """rdtscp-fenced timed load; result is the *measured* latency in
+    cycles (true latency + timer overhead + measurement jitter)."""
+
+    addr: int
+
+
+@dataclass
+class Flush(act.Action):
+    """clflush: evict the line from the whole hierarchy (no result)."""
+
+    addr: int
+
+
+@dataclass
+class ExecInst(act.Action):
+    """Execute one synthetic instruction in the attacker's own address
+    space (BTB gadget priming/probing, iTLB eviction-set fetches).
+    Result is the instruction's cost in ns."""
+
+    inst: Instruction
+
+
+_SINGLE = {act.Loads: Load, act.TimedLoads: TimedLoad,
+           act.Flushes: Flush, act.ExecInsts: ExecInst}
+
+
+class PerActionBody:
+    """The body loop that ran one action per step."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self._send = None
+        self._started = False
+        self.actions_executed = 0
+
+    def run(self, ctx, start: float, deadline: float) -> RunOutcome:
+        t = start
+        while t < deadline:
+            try:
+                if not self._started:
+                    self._started = True
+                    action = next(self.gen)
+                else:
+                    action = self.gen.send(self._send)
+            except StopIteration:
+                return RunOutcome(t, exited=True)
+            cost, result, block = ctx.exec_action(action, t)
+            t += cost
+            self._send = result
+            self.actions_executed += 1
+            if block is not None:
+                if block.kind == "exit":
+                    return RunOutcome(t, exited=True)
+                return RunOutcome(t, block=block)
+        return RunOutcome(t)
+
+
+class PerActionContext(_KernelExecContext):
+    """The kernel context with the single load/flush/fetch handlers."""
+
+    __slots__ = ()
+
+    def exec_action(self, action, now):
+        handler = _REF_DISPATCH.get(type(action))
+        if handler is None:
+            return super().exec_action(action, now)
+        return handler(self, action, now)
+
+    # ``x / CPU_FREQ_GHZ`` below is :func:`cycles_to_ns` inlined.
+    def _act_load(self, action, now):
+        addr = action.addr
+        cycles = self._translate_data(
+            self.cpu, self.asid, addr,
+            huge=self._huge_lo <= addr < self._huge_hi)
+        cycles += self._access(self.cpu, addr, "data")
+        return (cycles + self._base_inst) / CPU_FREQ_GHZ, cycles, None
+
+    def _act_timed_load(self, action, now):
+        addr = action.addr
+        cycles = self._translate_data(
+            self.cpu, self.asid, addr,
+            huge=self._huge_lo <= addr < self._huge_hi)
+        cycles += self._access(self.cpu, addr, "data")
+        measured = cycles + self._jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
+        return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
+                measured if measured > 0.0 else 0.0, None)
+
+    def _act_flush(self, action, now):
+        self._clflush(action.addr)
+        return self._flush_ns, None, None
+
+    def _act_exec_inst(self, action, now):
+        cost = self.core.execute(self.asid, action.inst)
+        return cost, cost, None
+
+
+_REF_DISPATCH = {
+    Load: PerActionContext._act_load,
+    TimedLoad: PerActionContext._act_timed_load,
+    Flush: PerActionContext._act_flush,
+    ExecInst: PerActionContext._act_exec_inst,
+}
+
+
+def one_at_a_time(gen):
+    """Re-yield each batch element as its single action and send the
+    collected results back as the batch's list."""
+    result = None
+    while True:
+        try:
+            action = gen.send(result)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(action, act.Batch):
+            single = _SINGLE[type(action)]
+            result = []
+            for item in action.items:
+                result.append((yield single(item)))
+        else:
+            result = yield action
+
+
+def per_line_polluter(config, stream):
+    """The polluter body that drew each address right before its load."""
+    while True:
+        for _ in range(config.lines_per_burst):
+            if stream.random() < config.target_fraction:
+                line = stream.randrange(config.target_lines)
+                addr = config.target_base + 64 * line
+            else:
+                addr = config.arena + 64 * stream.randrange(1 << 14)
+            yield Load(addr)
+        yield act.Compute(config.period_ns)
+
+
+# ----------------------------------------------------------------------
+# Producers, each with the victim activity that makes its channel move
+# ----------------------------------------------------------------------
+def _rounds(measure, returned, first=None, n=6):
+    """Run ``first`` once, then ``measure`` ``n`` times, recording each
+    return value, with a little ALU work between rounds."""
+    if first is not None:
+        returned.append((yield from first()))
+    for _ in range(n):
+        returned.append((yield from measure()))
+        yield act.Compute(40.0)
+
+
+FR_LINES = [TTABLE_BASE + 64 * i for i in range(12)]
+PP_TARGETS = (0x610000, 0x614040)
+IF_PC, ELSE_PC = 0x401080, 0x401180
+MARKER = 0x584000
+VICTIM_CODE = 0x400000
+
+
+def _pp_set(env, label, target, arena_offset=0):
+    llc = env.machine.config.geometry.llc
+    return PrimeProbeSet.for_target(llc, label, target,
+                                    ATTACKER_LLC_ARENA + arena_offset)
+
+
+def _touch_lines(lines):
+    def poke(env, r):
+        for line in r.sample(lines, r.randint(0, min(2, len(lines)))):
+            env.machine.hierarchy.access(0, line, "data")
+    return poke
+
+
+def _execute(pcs):
+    def poke(env, r):
+        env.machine.core(0).execute(VICTIM_ASID, nop(r.choice(pcs)))
+    return poke
+
+
+def flush_reload(env, returned):
+    channel = FlushReload(FR_LINES)
+    return (_rounds(channel.measure, returned, first=channel.prime_only),
+            _touch_lines(FR_LINES))
+
+
+def prime_probe(env, returned):
+    channel = PrimeProbe([_pp_set(env, "a", PP_TARGETS[0]),
+                          _pp_set(env, "b", PP_TARGETS[1], 0x10_0000)])
+    return _rounds(channel.measure, returned), _touch_lines(list(PP_TARGETS))
+
+
+def dual_btb_probe(env, returned):
+    channel = DualBtbProbe(IF_PC, ELSE_PC)
+    return (_rounds(channel.measure, returned, first=channel.train_both),
+            _execute([IF_PC, ELSE_PC]))
+
+
+def flush_reload_seeker(env, returned):
+    seeker = FlushReloadSeeker(MARKER)
+
+    def poke(env, r):
+        env.machine.hierarchy.access(0, MARKER, "inst")
+    return _rounds(seeker.measure, returned), poke
+
+
+def prime_probe_seeker(env, returned):
+    seeker = PrimeProbeSeeker(_pp_set(env, "seek", PP_TARGETS[0]))
+    return _rounds(seeker.measure, returned), _touch_lines([PP_TARGETS[0]])
+
+
+def presence_oracle(env, returned):
+    lines = [VICTIM_CODE + 64 * i for i in range(5)]
+    oracle = VictimPresenceOracle(lines)
+    return _rounds(oracle.measure, returned), _touch_lines(lines)
+
+
+def tlb_evictor(env, returned):
+    evictor = TlbEvictor(VICTIM_CODE, ATTACKER_TLB_ARENA)
+    return _rounds(evictor.degrade, returned), _execute([VICTIM_CODE])
+
+
+def code_line_staller(env, returned):
+    staller = CodeLineStaller(env.machine.config.geometry.llc, VICTIM_CODE,
+                              ATTACKER_LLC_ARENA)
+    return (_rounds(staller.degrade, returned),
+            _execute([VICTIM_CODE, VICTIM_CODE + 0x40]))
+
+
+POLLUTER = dict(cpu=0, period_ns=150.0, lines_per_burst=4,
+                target_fraction=0.5)
+
+
+def polluter(env, returned):
+    task = make_polluter(PolluterConfig(**POLLUTER), env.rng)
+    return task.body.gen, _touch_lines(FR_LINES)
+
+
+PRODUCERS = (flush_reload, prime_probe, dual_btb_probe, flush_reload_seeker,
+             prime_probe_seeker, presence_oracle, tlb_evictor,
+             code_line_staller, polluter)
+
+
+# ----------------------------------------------------------------------
+# The differential run
+# ----------------------------------------------------------------------
+def machine_state(env):
+    machine = env.machine
+    h = machine.hierarchy
+    caches = [(level.name, tuple(level.occupied_sets()), level.hits,
+               level.misses, level.evictions, level.version)
+              for level in (*h.l1i, *h.l1d, *h.l2, h.llc)]
+    tlbs = [(tlb.name,
+             tuple(tlb.resident_tags(s) for s in range(tlb.geometry.n_sets)),
+             tlb.hits, tlb.misses, tlb.evictions, tlb.version)
+            for tlb in (*machine.tlbs.itlb, *machine.tlbs.stlb)]
+    btbs = [(list(btb._entries.items()), btb.invalidations, btb.allocations)
+            for btb in machine.btbs]
+    cores = [core.stats for core in machine.cores]
+    jitter = random.Random()
+    jitter.setstate(env.kernel.rng.stream("timed_load").getstate())
+    return (caches, tlbs, btbs, cores,
+            jitter.gauss(0.0, TIMED_LOAD_JITTER_CYCLES))
+
+
+def _window(r, start):
+    """A deadline one element in (the window runs exactly one element
+    or action), or a short random one."""
+    if r.random() < 0.4:
+        return start + 1e-3
+    return start + r.uniform(0.5, 120.0)
+
+
+@pytest.mark.parametrize("producer", PRODUCERS, ids=lambda p: p.__name__)
+def test_batches_match_per_action_protocol(producer):
+    batched_env = build_env("cfs", n_cores=2, seed=SEED)
+    ref_env = build_env("cfs", n_cores=2, seed=SEED)
+    batched_returned, ref_returned = [], []
+    gen, poke = producer(batched_env, batched_returned)
+    ref_gen, ref_poke = producer(ref_env, ref_returned)
+    if producer is polluter:
+        ref_gen = per_line_polluter(
+            PolluterConfig(**POLLUTER), ref_env.rng.stream("polluter0"))
+    else:
+        ref_gen = one_at_a_time(ref_gen)
+    batched = CoroutineBody(gen)
+    ref = PerActionBody(ref_gen)
+    cpu = 0
+    ctx = _KernelExecContext(batched_env.kernel, cpu,
+                             Task("attacker", pid=ATTACKER_PID))
+    ref_ctx = PerActionContext(ref_env.kernel, cpu,
+                               Task("attacker", pid=ATTACKER_PID))
+
+    r = random.Random(SEED)
+    seen = dict(inside_element=0, after_first=0, after_last=0)
+    t = 0.0
+    for window in range(WINDOWS):
+        deadline = _window(r, t)
+        outcome = batched.run(ctx, t, deadline)
+        assert ref.run(ref_ctx, t, deadline) == outcome, window
+        assert batched_returned == ref_returned, window
+        assert batched.actions_executed == ref.actions_executed, window
+        assert machine_state(batched_env) == machine_state(ref_env), window
+
+        if outcome.end > deadline:
+            seen["inside_element"] += 1
+        if batched._batch is not None:
+            seen["after_first"] += batched._cursor == 1
+        elif isinstance(batched._send, list):
+            seen["after_last"] += 1
+        if outcome.exited:
+            break
+        # Victim activity between windows reaches both machines alike.
+        if r.random() < 0.3:
+            state = r.getstate()
+            poke(batched_env, r)
+            r.setstate(state)
+            ref_poke(ref_env, r)
+        t = outcome.end + r.uniform(0.0, 200.0)
+
+    assert batched_returned or producer is polluter, "no round completed"
+    assert seen["inside_element"] and seen["after_last"], seen
+    # A one-element batch's first element is its last.
+    one_element = producer in (dual_btb_probe, flush_reload_seeker)
+    assert one_element or seen["after_first"], seen
+
+
+def test_empty_batch_runs_nothing_and_costs_nothing():
+    env = build_env("cfs", n_cores=1, seed=SEED)
+    received = []
+
+    def gen():
+        received.append((yield act.Loads(())))
+        yield act.Compute(10.0)
+
+    body = CoroutineBody(gen())
+    ctx = _KernelExecContext(env.kernel, 0, Task("a", pid=ATTACKER_PID))
+    outcome = body.run(ctx, 0.0, 5.0)
+    assert received == [[]]
+    assert outcome == RunOutcome(10.0)
+    assert body.actions_executed == 1

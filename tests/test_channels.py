@@ -18,7 +18,11 @@ from repro.uarch.timing import LATENCY
 
 
 class Driver:
-    """Execute a channel generator against a bare machine (no kernel)."""
+    """Execute a channel generator against a bare machine (no kernel).
+
+    Each batch action runs element by element; its results go back to
+    the generator as one list, as the kernel sends them.
+    """
 
     def __init__(self, machine=None, core=0, asid=99):
         self.machine = machine or Machine(MachineConfig(n_cores=1))
@@ -30,27 +34,30 @@ class Driver:
         return self.machine.hierarchy
 
     def run(self, gen):
-        action = next(gen)
+        result = None
         try:
             while True:
-                action = gen.send(self._exec(action))
+                result = self._exec(gen.send(result))
         except StopIteration as stop:
             return stop.value
 
     def _exec(self, action):
         core = self.machine.core(self.core_id)
-        if isinstance(action, (act.TimedLoad, act.Load)):
-            cycles = core.tlbs.translate_data(
-                self.core_id, self.asid, action.addr, huge=True
-            )
-            cycles += self.hierarchy.access(self.core_id, action.addr, "data")
-            return float(cycles)
-        if isinstance(action, act.Flush):
-            self.hierarchy.clflush(action.addr)
-            return None
-        if isinstance(action, act.ExecInst):
-            return core.execute(self.asid, action.inst)
+        if isinstance(action, (act.TimedLoads, act.Loads)):
+            return [self._load(core, addr) for addr in action.items]
+        if isinstance(action, act.Flushes):
+            for addr in action.items:
+                self.hierarchy.clflush(addr)
+            return [None] * len(action.items)
+        if isinstance(action, act.ExecInsts):
+            return [core.execute(self.asid, inst) for inst in action.items]
         raise AssertionError(f"unexpected action {action}")
+
+    def _load(self, core, addr):
+        cycles = core.tlbs.translate_data(self.core_id, self.asid, addr,
+                                          huge=True)
+        cycles += self.hierarchy.access(self.core_id, addr, "data")
+        return float(cycles)
 
 
 class TestFlushReload:

@@ -8,10 +8,12 @@ from repro.core.oracle import OracleGatedMeasurer, VictimPresenceOracle, ZeroSte
 from repro.core.primitive import ControlledPreemption, PreemptionConfig
 from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
+from repro.kernel import actions as act
 from repro.kernel.threads import ProgramBody
 from repro.sched.task import Task, TaskState
 from repro.uarch.cache import HierarchyGeometry
 from repro.victims.layout import ATTACKER_LLC_ARENA, ATTACKER_TLB_ARENA
+from tests.test_channels import Driver
 
 
 def run_resolution(tau, degrader, rounds=300, seed=7):
@@ -86,7 +88,11 @@ class TestCodeLineStaller:
         one = CodeLineStaller(llc, 0x400000, ATTACKER_LLC_ARENA)
         two = CodeLineStaller(llc, 0x400040, ATTACKER_LLC_ARENA + 0x10_0000)
         actions = list(CompositeDegrader(one, two).degrade())
-        assert len(actions) == len(one.eviction_set) + len(two.eviction_set)
+        assert all(isinstance(a, act.Loads) for a in actions)
+        assert [a.items for a in actions] == [tuple(one.eviction_set),
+                                              tuple(two.eviction_set)]
+        assert (sum(len(a.items) for a in actions)
+                == len(one.eviction_set) + len(two.eviction_set))
 
 
 class TestZeroStepFilter:
@@ -113,34 +119,20 @@ class TestVictimPresenceOracle:
 
     def test_detects_presence_in_simulation(self):
         """Drive the oracle generator by hand against machine state."""
-        from repro.kernel import actions as act
-        from repro.uarch.timing import LATENCY
-
         env = build_env(seed=0)
+        driver = Driver(env.machine)
         hierarchy = env.machine.hierarchy
         line = 0x400000
         oracle = VictimPresenceOracle([line])
+        # Warm-up round: the first reload also pays the page walk that
+        # fills the attacker's translation.
+        driver.run(oracle.measure())
 
         def drive(present):
             hierarchy.clflush(line)
             if present:
                 hierarchy.access(0, line)
-            gen = oracle.measure()
-            action = next(gen)
-            result = None
-            try:
-                while True:
-                    if isinstance(action, act.TimedLoad):
-                        latency = hierarchy.access(0, action.addr)
-                        action = gen.send(float(latency))
-                    elif isinstance(action, act.Flush):
-                        hierarchy.clflush(action.addr)
-                        action = gen.send(None)
-                    else:
-                        raise AssertionError(action)
-            except StopIteration as stop:
-                result = stop.value
-            return result
+            return driver.run(oracle.measure())
 
         assert drive(present=True) is True
         assert drive(present=False) is False

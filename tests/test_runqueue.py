@@ -1,5 +1,8 @@
 """Per-CPU runqueue bookkeeping."""
 
+import functools
+import operator
+
 import pytest
 
 from repro.kernel.threads import ComputeBody
@@ -71,6 +74,19 @@ class TestAggregates:
         rq.add(make("a", vruntime=10.0))
         rq.add(make("b", vruntime=30.0))
         assert rq.avg_vruntime() == pytest.approx(20.0)
+
+    def test_avg_vruntime_sums_left_to_right(self):
+        """From Python 3.12 on, ``sum()`` adds floats with compensated
+        summation.  These terms round differently under it, and the
+        EEVDF average must not depend on the Python version."""
+        rq = RunQueue(0)
+        rq.current = make("a", 4134364244.112, nice=0)
+        rq.add(make("b", 4847433736.937, nice=-5))
+        rq.add(make("c", 4763774618.977, nice=5))
+        tasks = list(rq.all_tasks())
+        terms = [t.vruntime * t.weight for t in tasks]
+        weighted = functools.reduce(operator.add, terms)
+        assert rq.avg_vruntime() == weighted / sum(t.weight for t in tasks)
 
     def test_avg_vruntime_empty_queue(self):
         rq = RunQueue(0)

@@ -33,6 +33,16 @@ class FakeCtx:
             return 10.0, now + 10.0, None
         return 10.0, "result", None
 
+    def exec_batch(self, batch, i, t, deadline, out):
+        self.executed.append(type(batch).__name__)
+        while i < len(batch.items):
+            i += 1
+            out.append("result")
+            t += 10.0
+            if t >= deadline:
+                break
+        return i, t
+
     def draw_spec_window(self):
         return 2
 
@@ -79,11 +89,27 @@ class TestCoroutineBody:
         received = []
 
         def gen():
-            value = yield act.Load(0x1000)
+            (value,) = yield act.Loads((0x1000,))
             received.append(value)
 
         CoroutineBody(gen()).run(FakeCtx(), 0.0, 1e9)
         assert received == ["result"]
+
+    def test_batch_resumes_at_its_cursor(self):
+        received = []
+
+        def gen():
+            received.append((yield act.Loads(range(5))))
+
+        ctx = FakeCtx()
+        body = CoroutineBody(gen())
+        outcome = body.run(ctx, 0.0, 25.0)
+        assert outcome == RunOutcome(30.0)  # the third element overshoots
+        assert body.actions_executed == 3 and received == []
+        outcome = body.run(ctx, 30.0, 1e9)
+        assert outcome.exited
+        assert received == [["result"] * 5]
+        assert body.actions_executed == 5
 
     def test_exit_action_terminates(self):
         def gen():
