@@ -2,8 +2,9 @@
 
 Execution model
 ---------------
-Each logical CPU advances through *dispatch* events on the shared
-simulator.  A dispatch at time ``t``:
+Each logical CPU advances through its *dispatch* event on the shared
+simulator, a resident :class:`~repro.sim.engine.Event` re-armed in
+place.  A dispatch at time ``t``:
 
 1. charges the current task's vruntime up to ``t`` (``update_curr``);
 2. processes a pending blocking syscall, if the last window ended in one;
@@ -12,8 +13,9 @@ simulator.  A dispatch at time ``t``:
 4. runs the periodic scheduler tick when due (Scenario 1 checks);
 5. performs a context switch if one is needed (with its cost); otherwise
 6. runs the current task's body until the CPU's *event horizon* — the
-   earliest pending hrtimer or tick — and schedules the next dispatch
-   where the body stopped.
+   earliest pending hrtimer or tick — and re-arms the dispatch where
+   the body stopped.  A switch arms the CPU's other resident event,
+   its switch completion, at the end of the switch cost.
 
 Interrupts are taken at instruction boundaries: a body may overshoot
 its horizon by the one action, batch element or instruction in flight,
@@ -107,14 +109,16 @@ class _Timer:
 @dataclass
 class _CpuState:
     rq: RunQueue
+    dispatch: Event
+    finish_switch: Event
     tick_next: Optional[float] = None
     accounted_until: float = 0.0
     switching: bool = False
     need_resched: bool = False
     resched_reason: str = "tick"
     switch_to: Optional[Task] = None
+    incoming: Optional[Task] = None  # switched to when finish_switch runs
     pending_block: Optional[BlockRequest] = None
-    dispatch: Optional[Event] = None
     timers: List[_Timer] = field(default_factory=list)
 
 
@@ -321,7 +325,13 @@ class Kernel:
         if self._mit is not None:
             self._mit.on_attach(self)
         self.costs = CostModel(self.rng)
-        self.cpus = [_CpuState(RunQueue(c)) for c in range(machine.n_cores)]
+        self.cpus = [
+            _CpuState(RunQueue(c),
+                      Event(self.sim, partial(self._dispatch, c), priority=10),
+                      Event(self.sim, partial(self._finish_switch, c),
+                            priority=5))
+            for c in range(machine.n_cores)
+        ]
         self.balancer = LoadBalancer([st.rq for st in self.cpus],
                                      policy=policy)
         self.tasks: List[Task] = []
@@ -351,11 +361,6 @@ class Kernel:
         if self._tracing:
             for c in range(machine.n_cores):
                 self._trace.process_name(c, f"cpu{c}")
-        # Prebound per-CPU dispatch callbacks: _schedule_dispatch is the
-        # hottest scheduling site in the kernel, and allocating a fresh
-        # closure per dispatch showed up in the sweep profile.
-        self._dispatch_cbs = [partial(self._dispatch, c)
-                              for c in range(machine.n_cores)]
         # Precompiled kernel-footprint touchers, keyed by (cpu, offset):
         # the switch path walks one of 8 rotating line windows, so each
         # (cpu, offset, kind) walk is resolved to set buckets once (see
@@ -521,21 +526,17 @@ class Kernel:
         return ctx
 
     def _schedule_dispatch(self, cpu: int, time: float) -> None:
-        st = self.cpus[cpu]
+        dispatch = self.cpus[cpu].dispatch
         time = max(time, self.sim.now)
-        if st.dispatch is not None and not st.dispatch.cancelled:
-            if st.dispatch.time <= time + _EPS:
-                return
-            st.dispatch.cancel()
-        st.dispatch = self.sim.call_at(
-            time, self._dispatch_cbs[cpu], priority=10)
+        entry = dispatch.entry
+        if entry is None or entry[0] > time + _EPS:
+            self.sim.arm(dispatch, time)
 
     def _kick(self, cpu: int) -> None:
         self._schedule_dispatch(cpu, self.sim.now)
 
     def _dispatch(self, cpu: int) -> None:
         st = self.cpus[cpu]
-        st.dispatch = None
         if st.switching:
             return
         now = self.sim.now
@@ -548,11 +549,12 @@ class Kernel:
 
         # 3. due hrtimers → interrupt
         irq_ns = 0.0
-        due = (
-            [t for t in st.timers
-             if not t.cancelled and t.expiry <= now + _EPS]
-            if st.timers else None
-        )
+        due = None
+        for timer in st.timers:
+            if not timer.cancelled and timer.expiry <= now + _EPS:
+                if due is None:
+                    due = []
+                due.append(timer)
         if due:
             irq_ns = self.costs.irq_entry()
             for timer in due:
@@ -607,19 +609,18 @@ class Kernel:
         self._schedule_dispatch(cpu, outcome.end)
 
     def _next_event_time(self, cpu: int) -> float:
+        """The CPU's event horizon: its earliest live timer or tick."""
         st = self.cpus[cpu]
-        if not st.timers:
-            if st.tick_next is not None:
-                return st.tick_next
+        horizon = st.tick_next
+        for timer in st.timers:
+            if not timer.cancelled and (horizon is None
+                                        or timer.expiry < horizon):
+                horizon = timer.expiry
+        if horizon is None:
             # A running task with no tick cannot happen (tick is armed
             # whenever the CPU is busy), but stay safe.
             return self.sim.now + self.params.tick
-        candidates = [t.expiry for t in st.timers if not t.cancelled]
-        if st.tick_next is not None:
-            candidates.append(st.tick_next)
-        if not candidates:
-            return self.sim.now + self.params.tick
-        return min(candidates)
+        return horizon
 
     # ------------------------------------------------------------------
     # Accounting
@@ -833,15 +834,13 @@ class Kernel:
                     f"preempt pid{next_task.pid}", now, cpu, next_task.pid,
                     args={"prev_pid": prev.pid if prev else None},
                 )
-        self.sim.call_at(
-            max(now + cost, self.sim.now),
-            partial(self._finish_switch, cpu, next_task),
-            priority=5,
-        )
+        st.incoming = next_task
+        self.sim.arm(st.finish_switch, max(now + cost, self.sim.now))
 
-    def _finish_switch(self, cpu: int, task: Task) -> None:
+    def _finish_switch(self, cpu: int) -> None:
         st = self.cpus[cpu]
         st.switching = False
+        task, st.incoming = st.incoming, None
         now = self.sim.now
         st.rq.current = task
         task.state = TaskState.RUNNING

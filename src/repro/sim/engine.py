@@ -8,9 +8,13 @@ whole simulation deterministic.  Ordering lives in the tuple — never in
 instead of calling back into Python attribute lookups; this is the
 single hottest comparison in the whole simulation.
 
-The :class:`Event` is its own handle: ``call_at`` returns the event it
-pushed, and the event's ``cancel()`` marks it so that it never runs.
-Events fire in one place, :meth:`Simulator.drain`.
+An :class:`Event` is a callback with a fixed priority and its own
+handle, in the heap at most once.  ``call_at`` builds one and arms it;
+a resident event (the kernel keeps two per CPU, its dispatch and its
+switch completion) is built once and re-armed with
+:meth:`Simulator.arm`, which replaces its heap entry.  Nothing stale is
+ever left in the heap.  Events fire in one place,
+:meth:`Simulator.drain`.
 
 Time is a ``float`` number of nanoseconds since simulation start.  All
 kernel and scheduler quantities in this project are expressed in
@@ -20,39 +24,38 @@ converted through :data:`repro.uarch.timing.CPU_FREQ_GHZ`.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 
 class Event:
-    """A single scheduled callback, doubling as its own cancel handle.
+    """A scheduled callback, doubling as its own handle.
 
     Events run in ``(time, priority, seq)`` order.  Lower priority
     values run first among events at the same timestamp; the default
-    priority of 0 is fine for nearly everything.  Interrupt delivery
-    uses a negative priority so that a timer firing at exactly the
-    instant a task would block is handled interrupt-first, as on real
-    hardware.
-
-    Events have no ``__init__``: only :meth:`Simulator.call_at` and
-    :meth:`Simulator.call_after` build them, slot by slot.
+    priority of 0 is fine for nearly everything.  ``entry`` is the
+    event's heap entry while it is armed, else None.
     """
 
-    __slots__ = ("time", "callback", "cancelled")
+    __slots__ = ("callback", "priority", "cancelled", "entry", "_sim")
+
+    def __init__(self, sim: "Simulator", callback: Callable[[], None], *,
+                 priority: int = 0) -> None:
+        self.callback = callback
+        self.priority = priority
+        self.cancelled = False
+        self.entry: Optional[_HeapEntry] = None
+        self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent.
-
-        Deletion is lazy: the entry stays in the heap until it reaches
-        the top, where :meth:`Simulator.drain` and
-        :meth:`Simulator.peek_next_time` pop it unrun."""
+        """Prevent the event from firing.  Idempotent.  The heap entry
+        goes at once, in O(n): nothing on a hot path cancels."""
         self.cancelled = True
+        if self.entry is not None:
+            self._sim._disarm(self)
 
 
 _HeapEntry = Tuple[float, int, int, Event]
-
-#: Hoisted allocator: ``object.__new__`` bound once, looked up never.
-_new_event = object.__new__
 
 
 class Simulator:
@@ -62,10 +65,13 @@ class Simulator:
     >>> fired = []
     >>> _ = sim.call_at(10.0, lambda: fired.append(sim.now))
     >>> _ = sim.call_after(5.0, lambda: fired.append(sim.now))
+    >>> tick = Event(sim, lambda: fired.append(sim.now))
+    >>> sim.arm(tick, 12.0)
+    >>> sim.arm(tick, 7.0)
     >>> sim.drain()
-    2
+    3
     >>> fired
-    [5.0, 10.0]
+    [5.0, 7.0, 10.0]
     """
 
     __slots__ = ("_now", "_heap", "_seq", "events_fired")
@@ -100,21 +106,8 @@ class Simulator:
         Scheduling in the past is an error: it would silently reorder
         history and mask bugs in the caller.
         """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time} ns; simulation time is "
-                f"already {self._now} ns"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        # Build the event slot by slot, with no __init__ frame: this is
-        # the hottest allocation in the simulation (every timer re-arm
-        # and every dispatch passes through here).
-        event = _new_event(Event)
-        event.time = time
-        event.callback = callback
-        event.cancelled = False
-        heappush(self._heap, (time, priority, seq, event))
+        event = Event(self, callback, priority=priority)
+        self.arm(event, time)
         return event
 
     def call_after(
@@ -127,25 +120,36 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        time = self._now + delay
+        return self.call_at(self._now + delay, callback, priority=priority)
+
+    def arm(self, event: Event, time: float) -> None:
+        """Run ``event`` at absolute time ``time``, and not at any time
+        it was armed at before.  It takes a fresh ``seq``, as a
+        ``call_at`` does.  :meth:`drain` disarms an event just before
+        running it, so a callback may re-arm its own event."""
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule event at {time} ns; simulation time is "
+                f"already {self._now} ns"
+            )
+        if event.entry is not None:
+            self._disarm(event)
         seq = self._seq
         self._seq = seq + 1
-        event = _new_event(Event)
-        event.time = time
-        event.callback = callback
-        event.cancelled = False
-        heappush(self._heap, (time, priority, seq, event))
-        return event
+        event.entry = entry = (time, event.priority, seq, event)
+        heappush(self._heap, entry)
+
+    def _disarm(self, event: Event) -> None:
+        self._heap.remove(event.entry)
+        heapify(self._heap)
+        event.entry = None
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def peek_next_time(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or None."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
+        """Time of the next pending event, or None."""
+        return self._heap[0][0] if self._heap else None
 
     def drain(
         self,
@@ -161,19 +165,16 @@ class Simulator:
 
         Events at exactly ``max_time`` run.  The clock stays at the last
         event run; it never advances to ``max_time`` on its own.
-        Cancelled entries at the top are popped before each check, as
-        :meth:`peek_next_time` pops them.
         """
         count = 0
         heap = self._heap
-        while stop is None or not stop():
-            while heap and heap[0][3].cancelled:
-                heappop(heap)
-            if not heap or (max_time is not None and heap[0][0] > max_time):
+        while (stop is None or not stop()) and heap:
+            if max_time is not None and heap[0][0] > max_time:
                 break
-            event = heappop(heap)[3]
+            time, _, _, event = heappop(heap)
+            event.entry = None
             self.events_fired += 1
-            self._now = event.time
+            self._now = time
             event.callback()
             count += 1
             if max_events is not None and count >= max_events:
@@ -181,5 +182,5 @@ class Simulator:
         return count
 
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        """Number of events still queued."""
+        return len(self._heap)

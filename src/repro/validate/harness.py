@@ -132,11 +132,13 @@ _BUGGY_POLICIES = {
     ("greedy-pick", "eevdf"): _EevdfGreedyPick,
 }
 
-#: Bugs planted below the policy layer (balancer / memory hierarchy),
-#: applied to the constructed kernel rather than the policy class.
+#: Bugs planted below the policy layer (kernel / balancer / memory
+#: hierarchy), applied to the constructed kernel rather than the policy
+#: class.
 _KERNEL_BUGS: Tuple[str, ...] = (
     "skip-migration-renorm",  # balancer moves tasks with absolute vruntime
     "inclusive-llc-leak",     # LLC evictions stop back-invalidating
+    "lost-kick",              # no _kick arms a dispatch
 )
 
 #: Public names accepted by ``--inject-bug``.
@@ -212,6 +214,8 @@ def run_case(spec: WorkloadSpec, scheduler: str, *,
         kernel.balancer.policy = None
     elif bug == "inclusive-llc-leak":
         inject_llc_leak(machine.hierarchy)
+    elif bug == "lost-kick":
+        kernel._kick = lambda cpu: None
     tasks = []
     for task, tspec in build_tasks(spec):
         cpu = None

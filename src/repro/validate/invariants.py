@@ -402,7 +402,7 @@ class StepProbe:
                         "current-not-queued", now,
                         f"pid{curr.pid} is current and queued on cpu{rq.cpu}",
                     )
-            elif (not st.switching and rq.queued and st.dispatch is None
+            elif (not st.switching and rq.queued and st.dispatch.entry is None
                   and st.pending_block is None):
                 mon.report(
                     "work-conservation", now,

@@ -2,18 +2,19 @@
 pre-optimization semantics operation for operation.
 
 The perf work replaced the cache/TLB set representation (ordered dicts
-indexed by a preallocated list) and the event engine's heap entries.
-These tests drive the optimized structures and straightforward
-reference models through identical randomized operation sequences and
-require identical observable behaviour — hit/miss pattern, eviction
-victims, LRU order, and event firing order (including cancellations).
+indexed by a preallocated list), the event engine's heap entries and
+its per-CPU dispatch events (now resident, re-armed in place).  These
+tests drive the optimized structures and straightforward reference
+models through identical randomized operation sequences and require
+identical observable behaviour — hit/miss pattern, eviction victims,
+LRU order, and firing order (including cancellations and re-arms).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.uarch.address import PAGE_SIZE
 from repro.uarch.cache import CacheGeometry, CacheLevel
 from repro.uarch.timing import LATENCY
@@ -149,60 +150,162 @@ class TestTlbGoldenTrace:
 
 
 # ----------------------------------------------------------------------
-# Event engine vs a naive sorted-list reference
+# Event engine vs a naive scan reference
 # ----------------------------------------------------------------------
+class RefEngine:
+    """The engine's contract written the obvious way: one dict of live
+    entries, scanned for the least ``(time, priority, seq)``.  A
+    resident event (a "slot") keeps one label, so re-arming it replaces
+    its entry."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.live = {}  # label -> (time, priority, seq)
+
+    def schedule(self, label, time, priority):
+        assert time >= self.now
+        self.live[label] = (time, priority, self.seq)
+        self.seq += 1
+
+    def cancel(self, label):
+        self.live.pop(label, None)
+
+    def next_label(self):
+        return min(self.live, key=self.live.__getitem__)
+
+    def drain(self, run, max_time=None):
+        count = 0
+        while self.live:
+            label = self.next_label()
+            time = self.live[label][0]
+            if max_time is not None and time > max_time:
+                break
+            del self.live[label]
+            self.now = time
+            run(label)
+            count += 1
+        return count
+
+
 class TestEngineGoldenTrace:
+    N_EVENTS = 400
+    N_SLOTS = 4
+    #: Firings per slot that run scripted actions; later ones run none,
+    #: so self-re-arming slots die out.
+    SLOT_SCRIPT = 40
+    PRIORITIES = (-1, 0, 0, 1)
+
+    def _actions(self, rng):
+        """One callback's script: ``("cancel", event)`` and
+        ``("arm", slot, delay)`` actions."""
+        out = []
+        if rng.random() < 0.2:
+            out.append(("cancel", f"ev{rng.randrange(self.N_EVENTS)}"))
+        while rng.random() < 0.4:
+            out.append(("arm", rng.randrange(self.N_SLOTS),
+                        float(rng.randrange(0, 8))))
+        return out
+
     def test_firing_order_matches_reference(self):
-        """Random schedule/cancel workload with mixed priorities and
-        cancels issued from inside callbacks, drained in two phases:
-        the heap (lazy deletion, tuple entries) must fire callbacks in
-        exactly the order a naive scan for the least
+        """Random workload with mixed priorities: events are cancelled,
+        and resident events ("slots") armed and re-armed earlier and
+        later, both up front and from inside callbacks, often at the
+        same ``(time, priority)`` as one-off events.  Drained in two
+        phases, the engine (one heap, re-armed in place) must fire
+        callbacks in exactly the order a naive scan for the least
         ``(time, priority, seq)`` picks."""
         rng = random.Random(7)
-        sim = Simulator()
-        fired: list = []
-        handles = {}
-        pending = {}  # label -> (time, priority, seq, in-callback victim)
-        for seq in range(400):
-            label = f"ev{seq}"
+        event_script = {f"ev{i}": self._actions(rng)
+                        for i in range(self.N_EVENTS)}
+        slot_script = [[self._actions(rng) for _ in range(self.SLOT_SCRIPT)]
+                       for _ in range(self.N_SLOTS)]
+        slot_prio = [rng.choice(self.PRIORITIES) for _ in range(self.N_SLOTS)]
+        prio = {f"slot{j}": p for j, p in enumerate(slot_prio)}
+        sim, ref = Simulator(), RefEngine()
+        handles, slots = {}, []
+        logs = {"sim": [], "ref": []}
+        firings = {"sim": [0] * self.N_SLOTS, "ref": [0] * self.N_SLOTS}
+        seen = {"killed": 0, "earlier": 0, "later": 0, "ties": 0}
+
+        def act(engine, actions):
+            for action in actions:
+                if action[0] == "cancel":
+                    if engine == "sim":
+                        handles[action[1]].cancel()
+                    else:
+                        seen["killed"] += action[1] in ref.live
+                        ref.cancel(action[1])
+                    continue
+                _, j, delay = action
+                if engine == "sim":
+                    sim.arm(slots[j], sim.now + delay)
+                    continue
+                label, time = f"slot{j}", ref.now + delay
+                if label in ref.live:
+                    seen["earlier"] += time < ref.live[label][0]
+                    seen["later"] += time > ref.live[label][0]
+                ref.schedule(label, time, slot_prio[j])
+
+        def run(engine, label):
+            logs[engine].append(label)
+            if engine == "ref":
+                is_slot = label.startswith("slot")
+                seen["ties"] += any(
+                    entry[:2] == (ref.now, prio[label])
+                    and other.startswith("slot") != is_slot
+                    for other, entry in ref.live.items())
+            if label.startswith("slot"):
+                j = int(label[4:])
+                n = firings[engine][j]
+                firings[engine][j] = n + 1
+                if n < self.SLOT_SCRIPT:
+                    act(engine, slot_script[j][n])
+            else:
+                act(engine, event_script[label])
+
+        for j in range(self.N_SLOTS):
+            slots.append(Event(sim, lambda lab=f"slot{j}": run("sim", lab),
+                               priority=slot_prio[j]))
+        for i in range(self.N_EVENTS):
+            label = f"ev{i}"
             when = float(rng.randrange(1, 50))
-            priority = rng.choice((-1, 0, 0, 1))
-            victim = f"ev{rng.randrange(400)}" if rng.random() < 0.2 else None
-
-            def callback(lab=label, victim=victim):
-                fired.append(lab)
-                if victim is not None:
-                    handles[victim].cancel()
-
-            handles[label] = sim.call_at(when, callback, priority=priority)
-            pending[label] = (when, priority, seq, victim)
+            prio[label] = rng.choice(self.PRIORITIES)
+            handles[label] = sim.call_at(
+                when, lambda lab=label: run("sim", lab), priority=prio[label])
+            ref.schedule(label, when, prio[label])
+            if rng.random() < 0.1:  # up-front arms and re-arms
+                j = rng.randrange(self.N_SLOTS)
+                sim.arm(slots[j], when)
+                act("ref", [("arm", j, when)])
             if rng.random() < 0.3:
-                doomed = rng.choice(sorted(pending))
+                doomed = rng.choice(sorted(
+                    lab for lab in ref.live if lab.startswith("ev")))
                 handles[doomed].cancel()
-                del pending[doomed]
+                ref.cancel(doomed)
 
         cut = 25.0
-        expected, live = [], dict(pending)
-        live_at_cut = None
-        killed_in_callback = 0
-        while live:
-            label = min(live, key=lambda lab: live[lab][:3])
-            if live_at_cut is None and live[label][0] > cut:
-                live_at_cut = len(live)
-            victim = live.pop(label)[3]
-            expected.append(label)
-            killed_in_callback += live.pop(victim, None) is not None
-        first = [lab for lab in expected if pending[lab][0] <= cut]
-        assert pending[first[-1]][0] == cut and killed_in_callback > 0
+        assert sim.pending_count() == len(ref.live)
+        assert sim.drain(max_time=cut) == ref.drain(
+            lambda lab: run("ref", lab), max_time=cut)
+        assert logs["sim"] == logs["ref"]
+        assert sim.now == ref.now == cut  # events at exactly ``cut`` ran
+        assert sim.pending_count() == len(ref.live)
+        assert sim.peek_next_time() == ref.live[ref.next_label()][0] > cut
+        assert sim.drain() == ref.drain(lambda lab: run("ref", lab))
+        assert logs["sim"] == logs["ref"]
+        assert sim.now == ref.now
+        assert sim.pending_count() == 0 and sim.peek_next_time() is None
+        assert sum(firings["sim"]) > self.N_SLOTS
+        assert all(count > 0 for count in seen.values()), seen
 
-        assert sim.drain(max_time=cut) == len(first)
-        assert fired == first  # events at exactly ``cut`` ran
-        assert sim.now == cut  # the last event run, not past it
-        assert sim.pending_count() == live_at_cut
-        assert sim.drain() == len(expected) - len(first)
-        assert fired == expected
-        assert sim.now == pending[expected[-1]][0]
-        assert sim.pending_count() == 0
+        # A slot alone: peek, count and drain see it.
+        lone = Event(sim, lambda: logs["sim"].append("lone"))
+        sim.arm(lone, sim.now + 3.0)
+        assert sim.peek_next_time() == sim.now + 3.0
+        assert sim.pending_count() == 1
+        assert sim.drain() == 1 and logs["sim"][-1] == "lone"
+        assert sim.pending_count() == 0 and sim.peek_next_time() is None
 
     def test_pending_count_tracks_live_events(self):
         sim = Simulator()

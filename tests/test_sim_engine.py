@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 class TestScheduling:
@@ -46,6 +46,15 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.call_at(5.0, lambda: None)
 
+    def test_arming_in_the_past_raises(self):
+        sim = Simulator()
+        event = Event(sim, lambda: None)
+        sim.arm(event, 10.0)
+        sim.drain()
+        with pytest.raises(ValueError):
+            sim.arm(event, 5.0)
+        assert event.entry is None and sim.pending_count() == 0
+
     def test_negative_delay_raises(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -84,7 +93,7 @@ class TestCancellation:
         assert sim.peek_next_time() == 20.0
 
     def test_cancel_burst_keeps_surviving_events(self):
-        # A mass-cancel leaves its dead entries in the heap; the
+        # A mass-cancel takes its entries out of the heap; the
         # surviving events must still fire, in order, exactly once.
         sim = Simulator()
         fired = []

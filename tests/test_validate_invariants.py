@@ -439,6 +439,16 @@ def test_migration_renorm_bug_caught_end_to_end(scheduler):
     assert "migration-bounded-lag" in caught
 
 
+@pytest.mark.parametrize("scheduler", ["cfs", "eevdf"])
+def test_lost_kick_caught_by_work_conservation(scheduler):
+    """With ``lost-kick`` no spawn, wakeup or migration arms a dispatch:
+    runnable tasks wait on CPUs whose dispatch event is unarmed, which
+    the work-conservation oracle must report."""
+    spec = generate_workload(0, n_cpus=2, profile="imbalance")
+    outcome = run_case(spec, scheduler, bug="lost-kick")
+    assert "work-conservation" in outcome.invariants
+
+
 def test_clean_imbalance_cases_have_no_violations():
     for seed in range(6):
         spec = generate_workload(seed, n_cpus=2, profile="imbalance")
