@@ -13,7 +13,7 @@ models, while the simulator stays event-driven underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 
@@ -41,9 +41,17 @@ class Batch(Action):
     elements in one loop and sends back one list of per-element
     results.  Interrupts are still taken at element boundaries: a
     window that ends inside a batch resumes it at the next element.
+
+    ``walk`` belongs to the kernel: a load batch keeps there the walk
+    (see :class:`repro.uarch.cache.LoadWalker`) resolved for the CPU,
+    kernel and address space it last ran on, so a batch yielded again
+    there skips the set lookups, and a one-shot batch drops its walk
+    with itself.  It is not an argument and takes no part in ``repr``
+    or comparison.
     """
 
     items: Tuple[Any, ...]
+    walk: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.items = tuple(self.items)

@@ -60,7 +60,8 @@ from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task, TaskState
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
-from repro.uarch.timing import CPU_FREQ_GHZ, cycles_to_ns
+from repro.uarch.cache import LoadWalker
+from repro.uarch.timing import cycles_to_ns
 from repro.victims.layout import ATTACKER_HUGE_REGION
 
 _EPS = 1e-6
@@ -130,9 +131,9 @@ class _KernelExecContext(ExecContext):
     context transiently, and two bodies never run on one CPU at once.
     """
 
-    __slots__ = ("kernel", "cpu", "task", "core", "asid", "_access",
-                 "_translate_data", "_clflush", "_huge_lo", "_huge_hi",
-                 "_base_inst", "_timed_extra", "_flush_ns", "_jitter")
+    __slots__ = ("kernel", "cpu", "task", "core", "asid", "_walker",
+                 "_clflush", "_base_inst", "_timed_extra", "_flush_ns",
+                 "_jitter")
 
     def __init__(self, kernel: "Kernel", cpu: int, task: Task):
         self.kernel = kernel
@@ -142,14 +143,13 @@ class _KernelExecContext(ExecContext):
         self.asid = task.pid
         # The batch loops run for every probe of every attack; their
         # constants (the latency model is fixed for the kernel's life),
-        # the μarch entry points and the ``timed_load`` jitter stream
-        # are bound once here.
+        # this CPU's load walker (userspace attack buffers in the LLC
+        # arena use 2 MiB pages), the flush entry point and the
+        # ``timed_load`` jitter stream are bound once here.
         lat = kernel.machine.config.latency
-        self._access = self.core.hierarchy.access
-        self._translate_data = self.core.tlbs.translate_data
+        self._walker = LoadWalker(self.core.hierarchy, cpu, self.core.tlbs,
+                                  ATTACKER_HUGE_REGION)
         self._clflush = self.core.hierarchy.clflush
-        # Userspace attack buffers in the LLC arena use 2 MiB pages.
-        self._huge_lo, self._huge_hi = ATTACKER_HUGE_REGION
         self._base_inst = lat.base_inst
         self._timed_extra = 2 * lat.rdtscp + lat.base_inst
         self._flush_ns = cycles_to_ns(lat.clflush)
@@ -214,45 +214,29 @@ class _KernelExecContext(ExecContext):
         return 0.0, None, BlockRequest("exit")
 
     # ------------------------------------------------------------------
-    # Batches: one loop per kind, binding its entry points once.  Each
-    # element makes its μarch calls, then any jitter draw, then its
-    # ``t += cost`` add; the loop stops after the element that reaches
-    # ``deadline`` (see ExecContext.exec_batch).  ``x / CPU_FREQ_GHZ``
-    # below is :func:`cycles_to_ns` inlined.
+    # Batches.  ``Loads`` and ``TimedLoads`` run through the walk the
+    # batch keeps (repro.uarch.cache.LoadWalker), one loop for both
+    # kinds.  A walk names the walker (this CPU of this kernel) and the
+    # asid it was resolved for, and is rebuilt when either differs.
+    # ``Flushes`` and ``ExecInsts`` have a loop each, binding its entry
+    # points once.  Each element makes its μarch calls, then any jitter
+    # draw, then its ``t += cost`` add; a loop stops after the element
+    # that reaches ``deadline`` (see ExecContext.exec_batch).
     # ------------------------------------------------------------------
     def exec_batch(self, batch, i, t, deadline, out):
-        return _BATCH_DISPATCH[type(batch)](self, batch.items, i, t,
-                                             deadline, out)
-
-    def _loads(self, addrs, i, t, deadline, out):
-        translate, access = self._translate_data, self._access
-        cpu, asid, base = self.cpu, self.asid, self._base_inst
-        lo, hi = self._huge_lo, self._huge_hi
-        for addr in addrs[i:]:
-            i += 1
-            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
-            cycles += access(cpu, addr, "data")
-            out.append(cycles)
-            t += (cycles + base) / CPU_FREQ_GHZ
-            if t >= deadline:
-                break
-        return i, t
-
-    def _timed_loads(self, addrs, i, t, deadline, out):
-        translate, access = self._translate_data, self._access
-        cpu, asid, extra = self.cpu, self.asid, self._timed_extra
-        lo, hi = self._huge_lo, self._huge_hi
-        jitter = self._jitter
-        for addr in addrs[i:]:
-            i += 1
-            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
-            cycles += access(cpu, addr, "data")
-            measured = cycles + jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
-            out.append(measured if measured > 0.0 else 0.0)
-            t += (cycles + extra) / CPU_FREQ_GHZ
-            if t >= deadline:
-                break
-        return i, t
+        kind = type(batch)
+        if kind is act.TimedLoads:
+            extra, jitter = self._timed_extra, self._jitter
+        elif kind is act.Loads:
+            extra, jitter = self._base_inst, None
+        else:
+            return _BATCH_DISPATCH[kind](self, batch.items, i, t, deadline,
+                                         out)
+        walker, walk = self._walker, batch.walk
+        if walk is None or walk[0] is not walker or walk[1] != self.asid:
+            walk = batch.walk = walker.walk(self.asid, batch.items)
+        return walker.run(walk, i, t, deadline, out, extra, jitter,
+                          TIMED_LOAD_JITTER_CYCLES)
 
     def _flushes(self, addrs, i, t, deadline, out):
         clflush, cost = self._clflush, self._flush_ns
@@ -290,8 +274,6 @@ _DISPATCH = {
 }
 
 _BATCH_DISPATCH = {
-    act.Loads: _KernelExecContext._loads,
-    act.TimedLoads: _KernelExecContext._timed_loads,
     act.Flushes: _KernelExecContext._flushes,
     act.ExecInsts: _KernelExecContext._exec_insts,
 }
@@ -372,10 +354,12 @@ class Kernel:
         self._exec_ctxs: List[Optional[_KernelExecContext]] = \
             [None] * machine.n_cores
         self._kfoot_draw = self.rng.stream("kfoot").randrange
-        self._balance_armed = False
+        # Load balancing runs through one resident event, armed while
+        # any task is left to schedule on a multi-core machine.
+        self._balance_event = Event(self.sim, self._balance_tick)
         if machine.n_cores > 1:
-            self._balance_armed = True
-            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
+            self.sim.arm(self._balance_event,
+                         self.sim.now + BALANCE_INTERVAL_NS)
 
     # ------------------------------------------------------------------
     # Public API
@@ -417,12 +401,12 @@ class Kernel:
             self.policy.place_initial(st.rq, task)
         st.rq.add(task)
         self.tasks.append(task)
-        # The balance chain stops itself once every known task has
-        # exited; a spawn arriving later (staggered fork bursts) must
-        # re-arm it or the rest of the run goes unbalanced.
-        if len(self.cpus) > 1 and not self._balance_armed:
-            self._balance_armed = True
-            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
+        # The balance event stops once every known task has exited; a
+        # spawn arriving later (staggered fork bursts) must re-arm it or
+        # the rest of the run goes unbalanced.
+        if len(self.cpus) > 1 and self._balance_event.entry is None:
+            self.sim.arm(self._balance_event,
+                         self.sim.now + BALANCE_INTERVAL_NS)
         self._kick(cpu)
         return task
 
@@ -948,6 +932,4 @@ class Kernel:
             self._kick(migration.dst_cpu)
         # Keep balancing only while there is anything left to schedule.
         if any(t.state is not TaskState.EXITED for t in self.tasks):
-            self.sim.call_after(BALANCE_INTERVAL_NS, self._balance_tick)
-        else:
-            self._balance_armed = False
+            self.sim.arm(self._balance_event, now + BALANCE_INTERVAL_NS)

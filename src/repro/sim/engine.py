@@ -11,9 +11,9 @@ single hottest comparison in the whole simulation.
 An :class:`Event` is a callback with a fixed priority and its own
 handle, in the heap at most once.  ``call_at`` builds one and arms it;
 a resident event (the kernel keeps two per CPU, its dispatch and its
-switch completion) is built once and re-armed with
-:meth:`Simulator.arm`, which replaces its heap entry.  Nothing stale is
-ever left in the heap.  Events fire in one place,
+switch completion, and one for load balancing) is built once and
+re-armed with :meth:`Simulator.arm`, which replaces its heap entry.
+Nothing stale is ever left in the heap.  Events fire in one place,
 :meth:`Simulator.drain`.
 
 Time is a ``float`` number of nanoseconds since simulation start.  All

@@ -33,15 +33,24 @@ Every level also maintains a **version counter** bumped whenever a line
 it: adding lines cannot un-certify a residency proof, so the executor's
 fast-forward paths may memoize "footprint resident" against the version
 and re-certify in O(1).
+
+**Set identity.**  A level allocates its set dicts once, in its
+constructor, and never replaces them: every removal deletes from a set
+in place, and ``flush_all`` clears each set in place.  Walks resolved
+ahead of time rely on this, because they hold the set dicts themselves:
+:meth:`MemoryHierarchy.make_line_toucher` (the kernel's footprint) and
+the walks of a :class:`LoadWalker` (the attacker's load batches, which
+also hold STLB sets under the same rule in :mod:`repro.uarch.tlb`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.uarch.address import CACHE_LINE_SIZE, line_addr
-from repro.uarch.timing import LATENCY, LatencyModel
+from repro.uarch.address import CACHE_LINE_SIZE, PAGE_SIZE, line_addr
+from repro.uarch.timing import CPU_FREQ_GHZ, LATENCY, LatencyModel
+from repro.uarch.tlb import HUGE_PAGE_SIZE, HUGE_VPN_BASE, TlbHierarchy
 
 #: ``addr & _LINE_MASK == line_addr(addr)``; inlined in the hot paths.
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
@@ -511,3 +520,149 @@ class MemoryHierarchy:
             if line in bucket:
                 del bucket[line]
                 level.version += 1
+
+
+class LoadWalker:
+    """Data loads from one core, with every STLB and cache set of a
+    fixed address tuple looked up once.
+
+    A walker binds a core's levels, set lists and latencies;
+    :meth:`walk` resolves a tuple of addresses in one address space
+    into a *walk*, the tuple ``(walker, asid, steps)``.  For each
+    address, ``steps`` holds the STLB set and ``(asid, vpn)`` tag that
+    :meth:`TlbHierarchy.translate_data` walks, the line, and the line's
+    L1D, L2 and LLC sets.  :meth:`run` then does, per element, exactly
+    what ``translate_data`` and then ``access(core, addr, "data")`` do:
+    the same dict operations, counter increments and version bumps, in
+    the same order.  An LLC eviction still calls
+    ``hierarchy._back_invalidate``, looked up at that moment, so the
+    validate layer's ``inclusive-llc-leak`` plant reaches it.  Holding
+    the set dicts is safe by the set-identity rule (module docstring).
+
+    A walk is valid only for the walker and ``asid`` it names: on
+    another core, machine or address space the addresses map to other
+    sets and tags.  It is a plain tuple because a one-shot batch
+    builds one per pass.
+    """
+
+    __slots__ = ("hierarchy", "core", "_index", "_levels")
+
+    def __init__(self, hierarchy: MemoryHierarchy, core: int,
+                 tlbs: TlbHierarchy, huge: Tuple[int, int]):
+        self.hierarchy = hierarchy
+        self.core = core
+        stlb = tlbs.stlb[core]
+        l1, l2, llc = hierarchy.l1d[core], hierarchy.l2[core], hierarchy.llc
+        self._levels = (
+            stlb, l1, l2, llc,
+            stlb.geometry.n_ways, l1._n_ways, l2._n_ways, llc._n_ways,
+            tlbs.latency.page_walk, hierarchy._l1_hit, hierarchy._l2_hit,
+            hierarchy._llc_hit, hierarchy._dram)
+        # What :meth:`walk` indexes sets with.  The STLB's sets are
+        # indexed ``vpn % n_sets``, as in TlbHierarchy.translate_data.
+        self._index = (*huge, stlb._sets, stlb._n_sets,
+                      l1._sets, l1._line_size, l1._set_mask,
+                      l2._sets, l2._line_size, l2._set_mask,
+                      llc._sets, llc._line_size, llc._set_mask)
+
+    def walk(self, asid: int, addrs: Tuple[int, ...]) -> Tuple[Any, ...]:
+        """Resolve data loads of ``addrs`` in address space ``asid``;
+        an address inside the walker's huge-page bounds is translated
+        through a 2 MiB page, as ``translate_data(huge=True)`` does."""
+        (lo, hi, tsets, n_tsets, sets1, size1, mask1, sets2, size2, mask2,
+         sets3, size3, mask3) = self._index
+        steps = []
+        for addr in addrs:
+            if lo <= addr < hi:
+                vpn = HUGE_VPN_BASE + addr // HUGE_PAGE_SIZE
+            else:
+                vpn = addr // PAGE_SIZE
+            line = addr & _LINE_MASK
+            steps.append((tsets[vpn % n_tsets], (asid, vpn), line,
+                          sets1[(line // size1) & mask1],
+                          sets2[(line // size2) & mask2],
+                          sets3[(line // size3) & mask3]))
+        return self, asid, tuple(steps)
+
+    def run(self, walk: Tuple[Any, ...], i: int, t: float, deadline: float,
+            out: List[Any], extra: int,
+            jitter: Optional[Callable[[float, float], float]],
+            sigma: float) -> Tuple[int, float]:
+        """Load ``walk``'s addresses from index ``i`` on, from time
+        ``t`` ns.
+
+        Each element appends its result to ``out``: its latency in
+        cycles, or with ``jitter`` the measured latency ``max(0, cycles
+        + jitter(0.0, sigma))``.  It then adds ``(cycles + extra) /
+        CPU_FREQ_GHZ`` ns to ``t``, and the walk stops after the
+        element that reaches ``deadline``.  Returns ``(next_index,
+        t)``.
+        """
+        (stlb, l1, l2, llc, stlb_ways, l1_ways, l2_ways, llc_ways,
+         page_walk, l1_hit, l2_hit, llc_hit, dram) = self._levels
+        hierarchy = self.hierarchy
+        for tset, tag, line, b1, b2, b3 in walk[2][i:]:
+            i += 1
+            if tag in tset:
+                stlb.hits += 1
+                del tset[tag]
+                tset[tag] = None
+                cycles = 0
+            else:
+                stlb.misses += 1
+                if len(tset) >= stlb_ways:
+                    del tset[next(iter(tset))]
+                    stlb.evictions += 1
+                    stlb.version += 1
+                tset[tag] = None
+                cycles = page_walk
+            if line in b1:
+                l1.hits += 1
+                del b1[line]
+                b1[line] = None
+                cycles += l1_hit
+            else:
+                l1.misses += 1
+                if line in b2:
+                    l2.hits += 1
+                    del b2[line]
+                    b2[line] = None
+                    cycles += l2_hit
+                else:
+                    l2.misses += 1
+                    if line in b3:
+                        llc.hits += 1
+                        del b3[line]
+                        b3[line] = None
+                        cycles += llc_hit
+                    else:
+                        llc.misses += 1
+                        if len(b3) >= llc_ways:
+                            victim = next(iter(b3))
+                            del b3[victim]
+                            llc.evictions += 1
+                            llc.version += 1
+                            b3[line] = None
+                            hierarchy._back_invalidate(victim)
+                        else:
+                            b3[line] = None
+                        cycles += dram
+                    if len(b2) >= l2_ways:
+                        del b2[next(iter(b2))]
+                        l2.evictions += 1
+                        l2.version += 1
+                    b2[line] = None
+                if len(b1) >= l1_ways:
+                    del b1[next(iter(b1))]
+                    l1.evictions += 1
+                    l1.version += 1
+                b1[line] = None
+            if jitter is None:
+                out.append(cycles)
+            else:
+                measured = cycles + jitter(0.0, sigma)
+                out.append(measured if measured > 0.0 else 0.0)
+            t += (cycles + extra) / CPU_FREQ_GHZ
+            if t >= deadline:
+                break
+        return i, t

@@ -9,6 +9,13 @@ needs no explicit iTLB eviction.
 
 Set indexing follows the linear-indexing results of Gras et al.: the set
 is ``vpn mod n_sets``.
+
+**Set identity.**  A level allocates its set dicts once, in its
+constructor, and never replaces them: an eviction deletes from a set in
+place, and ``flush_all`` (an SGX AEX, :meth:`TlbHierarchy.flush_core`)
+clears each set in place.  The cache's resolved load walks
+(:class:`repro.uarch.cache.LoadWalker`) hold STLB set dicts and rely on
+this.
 """
 
 from __future__ import annotations
@@ -21,8 +28,11 @@ from repro.uarch.timing import LATENCY, LatencyModel
 
 Tag = Tuple[int, int]  # (asid, vpn)
 
-_HUGE_PAGE_SIZE = 2 * 1024 * 1024
-_HUGE_VPN_BASE = 1 << 48  # disjoint from any 4 KiB VPN
+#: A data access through a 2 MiB page (``translate_data(huge=True)``)
+#: is tagged with ``HUGE_VPN_BASE + addr // HUGE_PAGE_SIZE``, a VPN
+#: namespace disjoint from any 4 KiB VPN.
+HUGE_PAGE_SIZE = 2 * 1024 * 1024
+HUGE_VPN_BASE = 1 << 48
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,7 @@ class TlbHierarchy:
         """
         if huge:
             # Tag huge translations in a disjoint VPN namespace.
-            vpn = _HUGE_VPN_BASE + addr // _HUGE_PAGE_SIZE
+            vpn = HUGE_VPN_BASE + addr // HUGE_PAGE_SIZE
         else:
             vpn = addr // PAGE_SIZE
         tag = (asid, vpn)

@@ -2,15 +2,21 @@
 
 Every producer of ``Loads``/``TimedLoads``/``Flushes``/``ExecInsts``
 runs twice on machines built from one seed: batched, through
-:class:`CoroutineBody` and the kernel context's batch loops, and one
-element at a time, through the per-action body loop and the single
-load/flush/fetch handlers kept below as the reference (the code they
-replaced, copied unchanged).  Both runs see the same seeded sequence of
-short windows and the same victim activity between windows, and after
-every window they must agree on the outcome, the values the producer
-returned, the element count, every cache, TLB and BTB, and the next
-``timed_load`` jitter draw.  The windows end inside elements, right
-after a batch's first element and right after its last one; the test
+:class:`CoroutineBody` and the kernel context's batch loops (load
+batches through their resolved walks), and one element at a time,
+through the per-action body loop and the single load/flush/fetch
+handlers kept below as the reference.  The handlers call the μarch's
+single-access entry points, ``TlbHierarchy.translate_data`` and
+``MemoryHierarchy.access``, which the ``repro.validate.uarch`` reference
+models check.  Both runs see the same seeded sequence of short windows
+and the same victim activity between windows, and after every window
+they must agree on the outcome, the values the producer returned, the
+element count, every cache, TLB and BTB, and the next ``timed_load``
+jitter draw.  The windows end inside elements, right after a batch's
+first element and right after its last one.  Between windows the body
+moves between CPUs and between two attacker pids, and both machines
+take a core's TLB flush (an SGX AEX) and private-cache flush, so a
+walk is reused only where it is valid and survives flushes.  The test
 checks that each case occurred.
 """
 
@@ -33,16 +39,19 @@ from repro.kernel.kernel import TIMED_LOAD_JITTER_CYCLES, _KernelExecContext
 from repro.kernel.threads import CoroutineBody, RunOutcome
 from repro.sched.task import Task
 from repro.uarch.timing import CPU_FREQ_GHZ
+from repro.validate.uarch import inject_llc_leak
 from repro.victims.layout import (
+    ATTACKER_HUGE_REGION,
     ATTACKER_LLC_ARENA,
     ATTACKER_TLB_ARENA,
     TTABLE_BASE,
 )
 
 SEED = 5
-ATTACKER_PID = 4242
+ATTACKER_PIDS = (4242, 4243)
 VICTIM_ASID = 77
 WINDOWS = 400
+HUGE_LO, HUGE_HI = ATTACKER_HUGE_REGION
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +126,12 @@ class PerActionBody:
 class PerActionContext(_KernelExecContext):
     """The kernel context with the single load/flush/fetch handlers."""
 
-    __slots__ = ()
+    __slots__ = ("_translate_data", "_access")
+
+    def __init__(self, kernel, cpu, task):
+        super().__init__(kernel, cpu, task)
+        self._translate_data = self.core.tlbs.translate_data
+        self._access = self.core.hierarchy.access
 
     def exec_action(self, action, now):
         handler = _REF_DISPATCH.get(type(action))
@@ -130,7 +144,7 @@ class PerActionContext(_KernelExecContext):
         addr = action.addr
         cycles = self._translate_data(
             self.cpu, self.asid, addr,
-            huge=self._huge_lo <= addr < self._huge_hi)
+            huge=HUGE_LO <= addr < HUGE_HI)
         cycles += self._access(self.cpu, addr, "data")
         return (cycles + self._base_inst) / CPU_FREQ_GHZ, cycles, None
 
@@ -138,7 +152,7 @@ class PerActionContext(_KernelExecContext):
         addr = action.addr
         cycles = self._translate_data(
             self.cpu, self.asid, addr,
-            huge=self._huge_lo <= addr < self._huge_hi)
+            huge=HUGE_LO <= addr < HUGE_HI)
         cycles += self._access(self.cpu, addr, "data")
         measured = cycles + self._jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
         return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
@@ -273,6 +287,21 @@ def tlb_evictor(env, returned):
     return _rounds(evictor.degrade, returned), _execute([VICTIM_CODE])
 
 
+#: Lines on both sides of both bounds of the 2 MiB-page arena.
+EDGE_LINES = tuple(bound + offset for bound in ATTACKER_HUGE_REGION
+                   for offset in (-128, -64, 0, 64))
+
+
+def arena_edges(env, returned):
+    prime = act.Loads(EDGE_LINES)
+    probe = act.TimedLoads(EDGE_LINES)
+
+    def measure():
+        yield prime
+        return (yield probe)
+    return _rounds(measure, returned), _touch_lines(list(EDGE_LINES))
+
+
 def code_line_staller(env, returned):
     staller = CodeLineStaller(env.machine.config.geometry.llc, VICTIM_CODE,
                               ATTACKER_LLC_ARENA)
@@ -291,7 +320,7 @@ def polluter(env, returned):
 
 PRODUCERS = (flush_reload, prime_probe, dual_btb_probe, flush_reload_seeker,
              prime_probe_seeker, presence_oracle, tlb_evictor,
-             code_line_staller, polluter)
+             code_line_staller, arena_edges, polluter)
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +345,12 @@ def machine_state(env):
             jitter.gauss(0.0, TIMED_LOAD_JITTER_CYCLES))
 
 
+def _flush_core(env, cpu):
+    """An SGX AEX's TLB flush and a private-cache flush of ``cpu``."""
+    env.machine.tlbs.flush_core(cpu)
+    env.machine.hierarchy.flush_core_private(cpu)
+
+
 def _window(r, start):
     """A deadline one element in (the window runs exactly one element
     or action), or a short random one."""
@@ -338,17 +373,23 @@ def test_batches_match_per_action_protocol(producer):
         ref_gen = one_at_a_time(ref_gen)
     batched = CoroutineBody(gen)
     ref = PerActionBody(ref_gen)
-    cpu = 0
-    ctx = _KernelExecContext(batched_env.kernel, cpu,
-                             Task("attacker", pid=ATTACKER_PID))
-    ref_ctx = PerActionContext(ref_env.kernel, cpu,
-                               Task("attacker", pid=ATTACKER_PID))
+    # The batched side runs on the kernel's pooled per-CPU contexts,
+    # rebound to the running task; the reference side mirrors them.
+    tasks = [Task("attacker", pid=pid) for pid in ATTACKER_PIDS]
+    ref_tasks = [Task("attacker", pid=pid) for pid in ATTACKER_PIDS]
+    ref_ctxs = [PerActionContext(ref_env.kernel, cpu, ref_tasks[0])
+                for cpu in (0, 1)]
+    cpu, who = 0, 0
 
     r = random.Random(SEED)
-    seen = dict(inside_element=0, after_first=0, after_last=0)
+    seen = dict(inside_element=0, after_first=0, after_last=0,
+                cpu_move=0, pid_move=0, flush=0)
     t = 0.0
     for window in range(WINDOWS):
         deadline = _window(r, t)
+        ctx = batched_env.kernel._ctx(cpu, tasks[who])
+        ref_ctx = ref_ctxs[cpu]
+        ref_ctx.task, ref_ctx.asid = ref_tasks[who], ref_tasks[who].pid
         outcome = batched.run(ctx, t, deadline)
         assert ref.run(ref_ctx, t, deadline) == outcome, window
         assert batched_returned == ref_returned, window
@@ -369,10 +410,24 @@ def test_batches_match_per_action_protocol(producer):
             poke(batched_env, r)
             r.setstate(state)
             ref_poke(ref_env, r)
+        # Short producers exit after a few dozen windows, so the moves
+        # and flushes come on a fixed beat rather than by chance.
+        if window % 5 == 4:
+            flushed = r.randrange(2)
+            _flush_core(batched_env, flushed)
+            _flush_core(ref_env, flushed)
+            seen["flush"] += 1
+        if window % 3 == 2:
+            seen["cpu_move"] += 1
+            cpu = 1 - cpu
+        if window % 4 == 1:
+            seen["pid_move"] += 1
+            who = 1 - who
         t = outcome.end + r.uniform(0.0, 200.0)
 
     assert batched_returned or producer is polluter, "no round completed"
     assert seen["inside_element"] and seen["after_last"], seen
+    assert seen["cpu_move"] and seen["pid_move"] and seen["flush"], seen
     # A one-element batch's first element is its last.
     one_element = producer in (dual_btb_probe, flush_reload_seeker)
     assert one_element or seen["after_first"], seen
@@ -387,8 +442,52 @@ def test_empty_batch_runs_nothing_and_costs_nothing():
         yield act.Compute(10.0)
 
     body = CoroutineBody(gen())
-    ctx = _KernelExecContext(env.kernel, 0, Task("a", pid=ATTACKER_PID))
+    ctx = _KernelExecContext(env.kernel, 0, Task("a", pid=ATTACKER_PIDS[0]))
     outcome = body.run(ctx, 0.0, 5.0)
     assert received == [[]]
     assert outcome == RunOutcome(10.0)
     assert body.actions_executed == 1
+
+
+def test_llc_leak_planted_after_the_walk_is_built_still_bites():
+    """The walk calls the hierarchy's back-invalidation as it is when
+    an LLC line is evicted, not as it was when the walk was built."""
+    llc = build_env("cfs", n_cores=2, seed=SEED).machine.config.geometry.llc
+    stride = llc.n_sets * llc.line_size
+    # Core 1 holds ``shared``; core 0 loads the rest of its LLC set.
+    shared = ATTACKER_LLC_ARENA
+    congruent = tuple(shared + stride * k for k in range(1, llc.n_ways + 1))
+
+    def run(batched):
+        env = build_env("cfs", n_cores=2, seed=SEED)
+        machine = env.machine
+        ctx = _KernelExecContext(env.kernel, 0,
+                                 Task("a", pid=ATTACKER_PIDS[0]))
+        batch = act.Loads(congruent)
+        results = []
+
+        def load_pass():
+            out = []
+            if batched:
+                ctx.exec_batch(batch, 0, 0.0, float("inf"), out)
+            else:
+                for addr in congruent:
+                    cycles = machine.tlbs.translate_data(
+                        0, ctx.asid, addr, huge=HUGE_LO <= addr < HUGE_HI)
+                    out.append(cycles + machine.hierarchy.access(0, addr))
+            results.append(out)
+
+        machine.hierarchy.access(1, shared)
+        load_pass()  # builds the batched side's walk
+        machine.hierarchy.access(1, shared)
+        inject_llc_leak(machine.hierarchy)
+        load_pass()
+        return results, machine_state(env), machine
+
+    batched_results, batched_state, machine = run(batched=True)
+    ref_results, ref_state, _ = run(batched=False)
+    assert batched_results == ref_results
+    assert batched_state == ref_state
+    # The leak bit: core 1 kept its copy of a line the LLC evicted.
+    assert machine.hierarchy.l1d[1].contains(shared)
+    assert not machine.hierarchy.llc.contains(shared)

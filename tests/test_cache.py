@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.uarch.cache import CacheGeometry, CacheLevel, HierarchyGeometry, MemoryHierarchy
 from repro.uarch.timing import LATENCY
+from repro.uarch.tlb import TlbHierarchy
 
 
 class TestCacheGeometry:
@@ -177,3 +178,35 @@ class TestMemoryHierarchy:
         h.flush_core_private(0)
         assert not h.l1d[0].contains(0x7000)
         assert h.llc.contains(0x7000)
+
+
+def test_removals_and_flushes_keep_every_set_dict():
+    """The set-identity rule: resolved walks (the kernel's footprint
+    touchers, the attacker's load walks) hold set dicts, so no removal
+    or flush may replace one."""
+    h = TestMemoryHierarchy()._hier()
+    tlbs = TlbHierarchy(2)
+    levels = [*h.l1i, *h.l1d, *h.l2, h.llc, *tlbs.itlb, *tlbs.stlb]
+    # Holding the dicts keeps a replaced one's id from being reused.
+    held = [list(level._sets) for level in levels]
+    before = [[id(bucket) for bucket in sets] for sets in held]
+
+    target, stride = 0x4000, 32 * 64
+    h.access(0, target)
+    h.access(0, target + stride, kind="inst")
+    for i in range(1, 5):  # the 4-way LLC set overflows
+        h.access(1, target + i * stride)
+    assert not h.l1d[0].contains(target)  # back-invalidated
+    h.clflush(target + 2 * stride)
+    assert not h.is_cached_anywhere(target + 2 * stride)
+    h.flush_core_private(1)
+    for page in range(0, 128 * 20, 128):  # one STLB and iTLB set overflow
+        tlbs.translate_data(0, 1, page * 4096)
+        tlbs.translate_fetch(1, 1, page * 4096)
+    assert tlbs.stlb[0].evictions and tlbs.itlb[1].evictions
+    tlbs.flush_core(0)
+    for level in levels:
+        level.flush_all()
+
+    assert [[id(bucket) for bucket in level._sets]
+            for level in levels] == before

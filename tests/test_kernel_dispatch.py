@@ -294,6 +294,28 @@ class TestMultiCore:
         env.kernel.run_until(max_time=20 * MS)
         assert {t.cpu for t in tasks} == {0, 1}
 
+    def test_balance_event_stops_when_idle_and_rearms_on_spawn(self):
+        env = build_env(n_cores=2, seed=0)
+        kernel = env.kernel
+        balance = kernel._balance_event
+        short = Task("short", body=ComputeBody(0.5 * MS))
+        kernel.spawn(short, cpu=0)
+        kernel.run_until()  # returns once the heap drains
+        assert short.state is TaskState.EXITED
+        assert balance.entry is None
+        assert kernel.sim.pending_count() == 0
+
+        late = [Task(f"late{i}", body=ComputeBody()) for i in range(2)]
+        for t in late:
+            kernel.spawn(t, cpu=0)
+        assert balance.entry is not None
+        tick = balance.entry[0]
+        assert tick == kernel.now + 4 * MS
+        kernel.run_until(max_time=tick)
+        assert [(m.time, m.src_cpu, m.dst_cpu)
+                for m in kernel.balancer.migrations] == [(tick, 0, 1)]
+        assert sorted(t.cpu for t in late) == [0, 1]
+
     def test_pinned_task_never_migrates(self):
         env = build_env(n_cores=2, seed=0)
         pinned = Task("p", body=ComputeBody())
