@@ -141,7 +141,7 @@ class Core:
         predicted = self.btb.predict(inst.pc)
         if predicted is not None:
             resolved = (inst.pc & _REGION_MASK) | (predicted & ~_REGION_MASK)
-            self.hierarchy.prefetch(self.core_id, resolved, kind="inst")
+            self.hierarchy.prefetch(self.core_id, resolved)
             if resolved != inst.next_pc:
                 cycles += lat.branch_mispredict
                 self.stats.mispredicts += 1
@@ -403,7 +403,7 @@ class Core:
             if inst.kind.is_memory and inst.mem_addr is not None:
                 addrs.append(inst.mem_addr)
         if addrs:
-            # One batched walk issues the same accesses in the same
-            # order as per-instruction issue_speculative calls.
+            # Squashed loads still fill the caches (Fig 5.1's smear):
+            # one access per address, in program order.
             self.hierarchy.access_many(self.core_id, addrs, kind="data")
             self.stats.speculative_issues += len(addrs)

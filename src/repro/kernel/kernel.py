@@ -343,9 +343,9 @@ class Kernel:
         if self._tracing:
             for c in range(machine.n_cores):
                 self._trace.process_name(c, f"cpu{c}")
-        # Precompiled kernel-footprint touchers, keyed by (cpu, offset):
-        # the switch path walks one of 8 rotating line windows, so each
-        # (cpu, offset, kind) walk is resolved to set buckets once (see
+        # Kernel-footprint touchers, keyed by (cpu, offset): the switch
+        # path touches one of 8 rotating line windows, so each (cpu,
+        # offset, kind) window's L1 sets are looked up once (see
         # MemoryHierarchy.make_line_toucher) and reused thereafter.
         self._kfoot_touchers: Dict[Tuple[int, int], Tuple] = {}
         # One pooled ExecContext per CPU (rebound per body invocation)
@@ -886,8 +886,9 @@ class Kernel:
         # switch-path text/data happen to map — chosen away from the
         # victims' hot sets, the common case on a 16K-set LLC.  (When
         # they do collide, §4.3's channel-noise mitigations apply.)
-        # Batched walk: same addresses in the same order as per-line
-        # access() calls, precompiled per rotating window.
+        # Each toucher accesses its window's lines in order, as
+        # per-line access() calls would, with the L1 sets looked up
+        # once per window.
         touchers = self._kfoot_touchers.get((cpu, offset))
         if touchers is None:
             hierarchy = self.machine.hierarchy

@@ -64,10 +64,6 @@ def kernel_counts(kernel) -> Dict[str, float]:
     # Paths deleted as never firing; bench/layers.py still reads both.
     counts["ff.windows.periodic"] = 0
     counts["ff.windows.loop"] = 0
-
-    # Batched-access accounting.
-    counts["uarch.access_many.calls"] = hierarchy.batch_calls
-    counts["uarch.access_many.addrs"] = hierarchy.batch_addrs
     counts["kernel.tasks"] = len(kernel.tasks)
     return counts
 

@@ -19,14 +19,14 @@ last): membership, recency update and LRU eviction are all O(1), where
 the previous list representation paid an O(ways) scan-and-remove on
 every hit — the hottest loop in the whole hierarchy.
 
-:class:`CacheLevel` owns the sets and counters of one level.
-:class:`MemoryHierarchy` walks them directly: ``access``, ``clflush``
-and the LLC back-invalidation perform the per-level dict operations
-inline, because a simulated attack issues millions of loads and a
-method call per level per load dominated their cost.  The
-``repro.validate.uarch`` reference models check that the flat walk
-matches the per-level semantics (latency, LRU order, counters and
-versions).
+:class:`CacheLevel` owns the sets and counters of one level and has no
+walk of its own: :meth:`MemoryHierarchy.access` is the walk, and its
+docstring states what it does at each level.  ``access``, ``clflush``
+and the LLC back-invalidation perform the dict operations inline,
+because a simulated attack issues millions of loads and a method call
+per level per load dominated their cost.  The ``repro.validate.uarch``
+reference models check the walk's latency, LRU order, counters and
+versions.
 
 Every level also maintains a **version counter** bumped whenever a line
 *leaves* the level (eviction, invalidation, flush).  Fills never bump
@@ -38,9 +38,10 @@ and re-certify in O(1).
 constructor, and never replaces them: every removal deletes from a set
 in place, and ``flush_all`` clears each set in place.  Walks resolved
 ahead of time rely on this, because they hold the set dicts themselves:
-:meth:`MemoryHierarchy.make_line_toucher` (the kernel's footprint) and
-the walks of a :class:`LoadWalker` (the attacker's load batches, which
-also hold STLB sets under the same rule in :mod:`repro.uarch.tlb`).
+the touchers of :meth:`MemoryHierarchy.make_line_toucher` (the kernel's
+footprint, which holds L1 sets) and the walks of a :class:`LoadWalker`
+(the attacker's load batches, which hold every level's sets and, under
+the same rule in :mod:`repro.uarch.tlb`, STLB sets).
 """
 
 from __future__ import annotations
@@ -120,29 +121,6 @@ class CacheLevel:
         self._line_size = geometry.line_size
         self._n_ways = geometry.n_ways
 
-    def lookup(self, addr: int, *, touch: bool = True,
-               count_stats: bool = True) -> bool:
-        """True if the line holding ``addr`` is resident.
-
-        ``touch`` updates LRU order on hit (a probe that should not
-        perturb recency can pass ``touch=False``).  ``count_stats=False``
-        leaves the hit/miss counters alone — the prefetch path uses it
-        so hardware-initiated fills never masquerade as demand accesses
-        in channel-noise accounting.
-        """
-        line = addr & _LINE_MASK
-        bucket = self._sets[(line // self._line_size) & self._set_mask]
-        if line in bucket:
-            if count_stats:
-                self.hits += 1
-            if touch:
-                del bucket[line]
-                bucket[line] = None
-            return True
-        if count_stats:
-            self.misses += 1
-        return False
-
     def contains(self, addr: int) -> bool:
         """Presence check with no statistics or LRU side effects."""
         line = addr & _LINE_MASK
@@ -161,24 +139,6 @@ class CacheLevel:
             if line not in sets[(line // size) & mask]:
                 return False
         return True
-
-    def fill(self, addr: int) -> Optional[int]:
-        """Insert the line holding ``addr``; return the evicted line (or
-        None).  Filling an already-resident line just refreshes LRU."""
-        line = addr & _LINE_MASK
-        bucket = self._sets[(line // self._line_size) & self._set_mask]
-        if line in bucket:
-            del bucket[line]
-            bucket[line] = None
-            return None
-        victim = None
-        if len(bucket) >= self._n_ways:
-            victim = next(iter(bucket))
-            del bucket[victim]
-            self.evictions += 1
-            self.version += 1
-        bucket[line] = None
-        return victim
 
     def resident_lines(self, set_index: int) -> Tuple[int, ...]:
         """Lines currently resident in ``set_index`` (LRU → MRU order)."""
@@ -226,12 +186,6 @@ class MemoryHierarchy:
             (level._sets, level._line_size, level._set_mask, level)
             for c in range(n_cores)
             for level in (self.l1i[c], self.l1d[c], self.l2[c]))
-        #: Batched-access accounting (telemetry; pulled at snapshot time):
-        #: number of ``access_many``/toucher batches and total addresses
-        #: they carried.  Plain int adds, one per *batch* — never per
-        #: address — so the disabled-observability overhead guard holds.
-        self.batch_calls = 0
-        self.batch_addrs = 0
         #: Cores whose hardware prefetcher is currently disabled (the
         #: PreFence mitigation toggles membership at context switches).
         #: Empty by default, so the demand path never pays for it.
@@ -255,13 +209,17 @@ class MemoryHierarchy:
         ``count_stats=False`` performs all fills and LRU updates but
         skips the hit/miss counters (prefetches, see :meth:`prefetch`).
 
-        The walk inlines each level's lookup and fill: the same dict
-        operations, counter updates and version bumps, in the same
-        order, as :meth:`CacheLevel.lookup` and :meth:`CacheLevel.fill`
-        on every level.  A line missed in a level cannot reappear there
-        before that level's fill (back-invalidation only removes lines),
-        so the fills skip their residency check.  LLC evictions still go
-        through :meth:`_back_invalidate`, one call per eviction.
+        The walk probes L1, L2 and the LLC in turn.  A hit counts in its
+        level, moves the line to MRU and ends the probes; each miss
+        counts in its level, and below the LLC the line comes from DRAM.
+        The line is then filled into each level that missed, LLC first,
+        at MRU.  A full set first drops its LRU line, counting an
+        eviction and bumping the level's version.  A line missed in a
+        level cannot reappear there before that level's fill
+        (back-invalidation only removes lines), so the fills need no
+        residency check.  The LLC's victim is purged from the private
+        caches through :meth:`_back_invalidate`, one call per eviction,
+        before the L2 fill.
         """
         line = addr & _LINE_MASK
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
@@ -320,142 +278,54 @@ class MemoryHierarchy:
         b1[line] = None
         return latency
 
-    def access_many(self, core: int, addrs: Iterable[int], kind: str = "data",
-                    *, count_stats: bool = True) -> int:
-        """Access ``addrs`` in order; returns the summed latency in cycles.
-
-        Behaviourally identical to calling :meth:`access` per address
-        (same fills, evictions and counters, so traces are bit-equal),
-        but one call amortizes the per-access attribute lookups across a
-        whole batch — the kernel's context-switch footprint toucher and
-        the core's warm-up paths issue 16-24 accesses at a time.
-        """
-        l1 = self.l1d[core] if kind == "data" else self.l1i[core]
-        l2 = self.l2[core]
-        llc = self.llc
-        # The kernel's context-switch footprint toucher lands here with
-        # 16-24 addresses that are nearly always L1 hits after the first
-        # switch, so the L1 probe is inlined down to one list subscript
-        # and one dict membership test.  Counters accumulate locally and
-        # apply once per batch; fills, evictions and recency updates are
-        # the same operations as :meth:`access`, so resulting state and
-        # counter values are bit-equal.
-        sets = l1._sets
-        mask = l1._set_mask
-        size = l1._line_size
-        l1_hit = self._l1_hit
-        total = 0
-        hits = 0
-        misses = 0
-        l2_lookup = l2.lookup
-        llc_lookup = llc.lookup
-        l1_fill = l1.fill
-        l2_fill = l2.fill
-        for addr in addrs:
-            line = addr & _LINE_MASK
-            bucket = sets[(line // size) & mask]
-            if line in bucket:
-                hits += 1
-                del bucket[line]
-                bucket[line] = None
-                total += l1_hit
-            elif l2_lookup(addr, count_stats=count_stats):
-                misses += 1
-                l1_fill(addr)
-                total += self._l2_hit
-            elif llc_lookup(addr, count_stats=count_stats):
-                misses += 1
-                l2_fill(addr)
-                l1_fill(addr)
-                total += self._llc_hit
-            else:
-                misses += 1
-                evicted = llc.fill(addr)
-                if evicted is not None:
-                    self._back_invalidate(evicted)
-                l2_fill(addr)
-                l1_fill(addr)
-                total += self._dram
-        if count_stats:
-            l1.hits += hits
-            l1.misses += misses
-        self.batch_calls += 1
-        self.batch_addrs += hits + misses
-        return total
+    def access_many(self, core: int, addrs: Iterable[int],
+                    kind: str = "data") -> int:
+        """:meth:`access` each of ``addrs`` in order; returns the summed
+        latency in cycles."""
+        access = self.access
+        return sum(access(core, addr, kind) for addr in addrs)
 
     def make_line_toucher(self, core: int, addrs: Iterable[int],
-                          kind: str = "data"):
-        """Precompiled :meth:`access_many` for a fixed tuple of
-        line-aligned addresses.
+                          kind: str = "data") -> Callable[[], None]:
+        """A zero-argument callable that accesses a fixed tuple of
+        line-aligned addresses from ``core``, in order, exactly as
+        ``access(core, line, kind)`` per line would.
 
-        The kernel's context-switch footprint walks the same 8 rotating
-        address windows thousands of times per run; resolving the set
-        index of every line once at build time reduces the per-switch
-        walk to one dict membership test per line.  The returned
-        zero-argument callable performs exactly the accesses
-        ``access_many(core, addrs, kind=kind)`` would — same fills,
-        evictions, recency updates and counter totals — and returns the
-        summed latency in cycles.
+        The kernel's context-switch footprint touches one of 8 rotating
+        line windows on every switch-in, and after the first switch
+        almost every line hits in L1.  So each line's L1 set is looked
+        up once, here: a hit moves the line to MRU in its resolved set,
+        and the hits are added to the L1 counter once per call.  A miss goes through :meth:`access`,
+        looked up at that moment, so the validate layer's
+        ``inclusive-llc-leak`` plant reaches its back-invalidations.
+        Holding the set dicts is safe by the set-identity rule (module
+        docstring).
         """
         addrs = tuple(addrs)
         if any(a & ~_LINE_MASK for a in addrs):
             raise ValueError("make_line_toucher requires line-aligned addresses")
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
-        l2 = self.l2[core]
-        llc = self.llc
         size = l1._line_size
         mask = l1._set_mask
         pairs = tuple((l1._sets[(a // size) & mask], a) for a in addrs)
-        l1_hit = self._l1_hit
-        l2_hit = self._l2_hit
-        llc_hit = self._llc_hit
-        dram = self._dram
-        l1_fill = l1.fill
-        l2_fill = l2.fill
-        l2_lookup = l2.lookup
-        llc_lookup = llc.lookup
-        llc_fill = llc.fill
-        back_invalidate = self._back_invalidate
 
-        n_lines = len(pairs)
-
-        def touch() -> int:
-            self.batch_calls += 1
-            self.batch_addrs += n_lines
-            total = 0
+        def touch() -> None:
             hits = 0
-            misses = 0
             for bucket, line in pairs:
                 if line in bucket:
                     hits += 1
                     del bucket[line]
                     bucket[line] = None
-                elif l2_lookup(line):
-                    misses += 1
-                    l1_fill(line)
-                    total += l2_hit
-                elif llc_lookup(line):
-                    misses += 1
-                    l2_fill(line)
-                    l1_fill(line)
-                    total += llc_hit
                 else:
-                    misses += 1
-                    evicted = llc_fill(line)
-                    if evicted is not None:
-                        back_invalidate(evicted)
-                    l2_fill(line)
-                    l1_fill(line)
-                    total += dram
+                    self.access(core, line, kind)
             l1.hits += hits
-            l1.misses += misses
-            return total + hits * l1_hit
 
         return touch
 
-    def prefetch(self, core: int, addr: int, kind: str = "inst") -> None:
-        """Bring a line in without charging the requester (BTB-driven
-        target prefetch, next-line prefetch).
+    def prefetch(self, core: int, addr: int) -> None:
+        """Bring an instruction line into ``core``'s caches, through its
+        L1I, without charging the requester (the BTB-driven target
+        prefetch).
 
         Prefetches move lines and recency exactly like demand accesses,
         but they are hardware-initiated: they must not count as demand
@@ -470,7 +340,7 @@ class MemoryHierarchy:
             self.prefetches_suppressed += 1
             return
         self.prefetches_issued += 1
-        self.access(core, addr, kind=kind, count_stats=False)
+        self.access(core, addr, "inst", count_stats=False)
 
     def clflush(self, addr: int) -> None:
         """Flush one line from every cache in the system: the LLC, then

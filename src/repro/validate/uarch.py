@@ -139,8 +139,8 @@ class RefHierarchy:
         l1.fill(addr)
         return self.latency.dram
 
-    def prefetch(self, core: int, addr: int, kind: str = "inst") -> None:
-        self.access(core, addr, kind=kind, count_stats=False)
+    def prefetch(self, core: int, addr: int) -> None:
+        self.access(core, addr, kind="inst", count_stats=False)
 
     def clflush(self, addr: int) -> None:
         self.llc.invalidate(addr)
@@ -331,9 +331,9 @@ def generate_uarch_ops(seed: int, n_cores: int = 2,
             ops.append(("access", core, addr,
                         "data" if rng.random() < 0.7 else "inst"))
         elif roll < 0.55:
-            # Batched walk (the Tier-2 fast path's entry point): must
-            # be indistinguishable from the same accesses issued one
-            # at a time against the reference.
+            # The speculative smear's entry point (a loop over
+            # access): must be indistinguishable from the same
+            # accesses issued one at a time against the reference.
             many = tuple(rng.choice(pool)
                          for _ in range(rng.randrange(2, 7)))
             ops.append(("access_many", core, many,

@@ -1,11 +1,14 @@
 """Unit + property tests for the cache hierarchy."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uarch.cache import CacheGeometry, CacheLevel, HierarchyGeometry, MemoryHierarchy
+from repro.uarch.cache import CacheGeometry, HierarchyGeometry, MemoryHierarchy
 from repro.uarch.timing import LATENCY
 from repro.uarch.tlb import TlbHierarchy
+from repro.validate.uarch import inject_llc_leak
 
 
 class TestCacheGeometry:
@@ -32,74 +35,92 @@ class TestCacheGeometry:
 
 
 class TestCacheLevelLru:
-    def _cache(self, ways=2):
-        return CacheLevel("t", CacheGeometry(4, ways))
+    """Each level's LRU sets, driven through ``MemoryHierarchy.access``.
+    The examples run a 4-set, 2-way L1D over an L2 and LLC that never
+    evict, so every eviction and refresh in them is the L1D's own; the
+    properties run tiny levels throughout."""
+
+    STRIDE = 4 * 64  # same L1D set, different L2 and LLC sets
+
+    def _hier(self):
+        return MemoryHierarchy(1, HierarchyGeometry(
+            l1d=CacheGeometry(4, 2), l2=CacheGeometry(64, 8),
+            llc=CacheGeometry(256, 16)))
 
     def test_miss_then_hit(self):
-        c = self._cache()
-        assert not c.lookup(0x100)
-        c.fill(0x100)
-        assert c.lookup(0x100)
+        h = self._hier()
+        assert not h.l1d[0].contains(0x100)
+        assert h.access(0, 0x100) == LATENCY.dram
+        assert h.l1d[0].contains(0x100)
+        assert h.access(0, 0x100) == LATENCY.l1_hit
 
     def test_lru_eviction_order(self):
-        c = self._cache(ways=2)
-        stride = 4 * 64  # same set
-        c.fill(0)
-        c.fill(stride)
-        evicted = c.fill(2 * stride)
-        assert evicted == 0  # oldest goes first
+        h = self._hier()
+        l1 = h.l1d[0]
+        for addr in (0, self.STRIDE, 2 * self.STRIDE):
+            h.access(0, addr)
+        # The oldest line went first, down to the L2.
+        assert l1.resident_lines(0) == (self.STRIDE, 2 * self.STRIDE)
+        assert (l1.evictions, l1.version) == (1, 1)
+        assert h.access(0, 0) == LATENCY.l2_hit
 
     def test_hit_refreshes_recency(self):
-        c = self._cache(ways=2)
-        stride = 4 * 64
-        c.fill(0)
-        c.fill(stride)
-        c.lookup(0)  # refresh line 0
-        evicted = c.fill(2 * stride)
-        assert evicted == stride
-
-    def test_untouched_probe_does_not_refresh(self):
-        c = self._cache(ways=2)
-        stride = 4 * 64
-        c.fill(0)
-        c.fill(stride)
-        c.lookup(0, touch=False)
-        evicted = c.fill(2 * stride)
-        assert evicted == 0
+        h = self._hier()
+        h.access(0, 0)
+        h.access(0, self.STRIDE)
+        assert h.access(0, 0) == LATENCY.l1_hit  # refresh line 0
+        h.access(0, 2 * self.STRIDE)
+        assert h.l1d[0].resident_lines(0) == (0, 2 * self.STRIDE)
 
     def test_refill_resident_line_evicts_nothing(self):
-        c = self._cache()
-        c.fill(0x40)
-        assert c.fill(0x40) is None
+        h = self._hier()
+        h.access(0, 0x40)
+        h.access(0, 0x40 + self.STRIDE)  # the set is now full
+        h.access(0, 0x40)
+        l1 = h.l1d[0]
+        assert l1.resident_lines(1) == (0x40 + self.STRIDE, 0x40)
+        assert [(level.evictions, level.version)
+                for level in (l1, h.l2[0], h.llc)] == [(0, 0)] * 3
 
     def test_hits_misses_counted(self):
-        c = self._cache()
-        c.lookup(0)
-        c.fill(0)
-        c.lookup(0)
-        assert c.misses == 1
-        assert c.hits == 1
+        h = self._hier()
+        h.access(0, 0)
+        h.access(0, 0)
+        l1 = h.l1d[0]
+        assert l1.misses == 1
+        assert l1.hits == 1
+        assert (h.l2[0].hits, h.l2[0].misses) == (0, 1)
+        assert (h.llc.hits, h.llc.misses) == (0, 1)
+
+    @staticmethod
+    def _tight():
+        # Every level evicts, and LLC evictions back-invalidate.
+        return MemoryHierarchy(1, HierarchyGeometry(
+            l1i=CacheGeometry(4, 3), l1d=CacheGeometry(4, 3),
+            l2=CacheGeometry(4, 3), llc=CacheGeometry(4, 3)))
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1,
                     max_size=200))
     @settings(max_examples=50)
     def test_occupancy_never_exceeds_ways(self, line_numbers):
-        """Property: no set ever holds more than `ways` lines."""
-        geometry = CacheGeometry(4, 3)
-        c = CacheLevel("t", geometry)
+        """Property: no set of any level ever holds more than `ways`
+        lines."""
+        h = self._tight()
         for n in line_numbers:
-            c.fill(n * 64)
-        for set_index in range(4):
-            assert len(c.resident_lines(set_index)) <= 3
+            h.access(0, n * 64)
+        for level in (h.l1d[0], h.l2[0], h.llc):
+            for set_index in range(4):
+                assert len(level.resident_lines(set_index)) <= 3
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1,
                     max_size=200))
     @settings(max_examples=50)
     def test_most_recent_fill_is_always_resident(self, line_numbers):
-        c = CacheLevel("t", CacheGeometry(4, 3))
+        h = self._tight()
         for n in line_numbers:
-            c.fill(n * 64)
-            assert c.contains(n * 64)
+            h.access(0, n * 64)
+            for level in (h.l1d[0], h.l2[0], h.llc):
+                assert level.contains(n * 64)
 
 
 class TestMemoryHierarchy:
@@ -169,7 +190,7 @@ class TestMemoryHierarchy:
 
     def test_prefetch_fills_without_distinct_latency(self):
         h = self._hier()
-        h.prefetch(0, 0x6000, kind="inst")
+        h.prefetch(0, 0x6000)
         assert h.is_cached_anywhere(0x6000)
 
     def test_flush_core_private_keeps_llc(self):
@@ -210,3 +231,75 @@ def test_removals_and_flushes_keep_every_set_dict():
 
     assert [[id(bucket) for bucket in level._sets]
             for level in levels] == before
+
+
+def _state(h):
+    """Every level's sets (LRU → MRU), counters and version."""
+    return [(level.name, tuple(level.occupied_sets()), level.hits,
+             level.misses, level.evictions, level.version)
+            for level in (h.llc, *h.l1i, *h.l1d, *h.l2)]
+
+
+@pytest.mark.parametrize("plant_late", [False, True],
+                         ids=["healthy", "llc_leak_after_build"])
+def test_toucher_matches_access_per_line(plant_late):
+    """A footprint toucher does what ``access`` per line does, L1 hits
+    and misses alike, also after an ``inclusive-llc-leak`` plant that
+    lands once the touchers exist.  Hierarchy A runs touchers, B the
+    per-line ``access`` calls, both between the same random accesses
+    and flushes on two cores; the geometries are tiny, so toucher
+    lines miss, the LLC evicts and private copies get purged."""
+    geometry = HierarchyGeometry(
+        l1i=CacheGeometry(4, 2), l1d=CacheGeometry(4, 2),
+        l2=CacheGeometry(8, 2), llc=CacheGeometry(8, 4))
+    a, b = MemoryHierarchy(2, geometry), MemoryHierarchy(2, geometry)
+    purged = []
+    if not plant_late:
+        purge = b._back_invalidate
+
+        def counting_purge(line):
+            purged.append(b.is_cached_anywhere(line))
+            purge(line)
+        b._back_invalidate = counting_purge
+
+    windows = {}
+    for core in (0, 1):
+        for kind in ("inst", "data"):
+            for base in (0, 0x140, 0x1000):
+                lines = tuple(range(base, base + 4 * 64, 64))
+                windows[core, kind, base] = (
+                    lines, a.make_line_toucher(core, lines, kind))
+    if plant_late:
+        inject_llc_leak(a)
+        inject_llc_leak(b)
+
+    rng = random.Random(5)
+    keys = sorted(windows)
+    toucher_misses = toucher_llc_evictions = 0
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.4:
+            core, kind, _ = key = rng.choice(keys)
+            lines, touch = windows[key]
+            l1 = a.l1d[core] if kind == "data" else a.l1i[core]
+            misses, evictions = l1.misses, a.llc.evictions
+            touch()
+            for line in lines:
+                b.access(core, line, kind)
+            toucher_misses += l1.misses - misses
+            toucher_llc_evictions += a.llc.evictions - evictions
+        elif roll < 0.9:
+            core = rng.randrange(2)
+            kind = rng.choice(("inst", "data"))
+            addr = rng.randrange(0x2000)
+            assert a.access(core, addr, kind) == b.access(core, addr, kind)
+        else:
+            addr = rng.randrange(0x2000)
+            a.clflush(addr)
+            b.clflush(addr)
+        assert _state(a) == _state(b)
+    assert toucher_misses and toucher_llc_evictions
+    if plant_late:
+        assert a.llc.evictions  # every one of them under the plant
+    else:
+        assert any(purged)

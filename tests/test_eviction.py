@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.uarch.cache import CacheGeometry, CacheLevel
+from repro.uarch.cache import CacheGeometry, HierarchyGeometry, MemoryHierarchy
 from repro.uarch.eviction import (
     build_cache_eviction_set,
     build_llc_eviction_set,
@@ -38,24 +38,30 @@ class TestCacheEvictionSets:
                                        extra_ways=2)
         assert len(addrs) == 18
 
+    def _hierarchy(self):
+        return MemoryHierarchy(1, HierarchyGeometry(llc=self.GEOMETRY))
+
     def test_exactly_associativity_evicts_target(self):
-        """Priming the set must displace the victim line."""
-        cache = CacheLevel("llc", self.GEOMETRY)
+        """Priming the set must displace the victim line, and the
+        inclusive LLC takes its private copies with it."""
+        h = self._hierarchy()
         target = 0x400100
-        cache.fill(target)
+        h.access(0, target)
         for addr in build_llc_eviction_set(self.GEOMETRY, target, 0x3000_0000):
-            cache.fill(addr)
-        assert not cache.contains(target)
+            h.access(0, addr)
+        assert not h.llc.contains(target)
+        assert not h.is_cached_anywhere(target)
 
     def test_probe_set_does_not_self_evict(self):
         """With exactly `ways` lines, priming twice leaves all resident
         — the property that makes the set usable as a P+P probe."""
-        cache = CacheLevel("llc", self.GEOMETRY)
+        h = self._hierarchy()
         addrs = build_llc_eviction_set(self.GEOMETRY, 0x400100, 0x3000_0000)
         for _ in range(2):
             for addr in addrs:
-                cache.fill(addr)
-        assert all(cache.contains(a) for a in addrs)
+                h.access(0, addr)
+        assert all(h.llc.contains(a) for a in addrs)
+        assert h.llc.evictions == 0
 
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=50)

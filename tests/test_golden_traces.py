@@ -16,7 +16,7 @@ import random
 
 from repro.sim.engine import Event, Simulator
 from repro.uarch.address import PAGE_SIZE
-from repro.uarch.cache import CacheGeometry, CacheLevel
+from repro.uarch.cache import CacheGeometry, HierarchyGeometry, MemoryHierarchy
 from repro.uarch.timing import LATENCY
 from repro.uarch.tlb import TlbHierarchy
 
@@ -31,11 +31,10 @@ class RefLruSet:
         self.n_ways = n_ways
         self.entries: list = []
 
-    def lookup(self, key, touch: bool = True) -> bool:
+    def lookup(self, key) -> bool:
         if key in self.entries:
-            if touch:
-                self.entries.remove(key)
-                self.entries.append(key)
+            self.entries.remove(key)
+            self.entries.append(key)
             return True
         return False
 
@@ -65,57 +64,90 @@ class RefCache:
     def _line(self, addr: int) -> int:
         return addr - addr % self.geometry.line_size
 
-    def lookup(self, addr: int, touch: bool = True) -> bool:
-        return self._set(addr).lookup(self._line(addr), touch)
+    def lookup(self, addr: int) -> bool:
+        return self._set(addr).lookup(self._line(addr))
 
     def fill(self, addr: int):
         return self._set(addr).fill(self._line(addr))
+
+    def invalidate(self, line: int) -> None:
+        entries = self._set(line).entries
+        if line in entries:
+            entries.remove(line)
 
     def resident_lines(self, set_index: int):
         return tuple(self.sets[set_index].entries)
 
 
+class RefInclusiveCore:
+    """One core's L1D, L2 and inclusive LLC: look each level up in
+    turn, fill every level that missed on the way back, and purge an
+    LLC victim from the private levels."""
+
+    def __init__(self, geometry: HierarchyGeometry):
+        self.levels = (RefCache(geometry.l1d), RefCache(geometry.l2),
+                       RefCache(geometry.llc))
+
+    def access(self, addr: int) -> int:
+        l1, l2, llc = self.levels
+        if l1.lookup(addr):
+            return LATENCY.l1_hit
+        if l2.lookup(addr):
+            l1.fill(addr)
+            return LATENCY.l2_hit
+        if llc.lookup(addr):
+            l2.fill(addr)
+            l1.fill(addr)
+            return LATENCY.llc_hit
+        victim = llc.fill(addr)
+        if victim is not None:
+            l1.invalidate(victim)
+            l2.invalidate(victim)
+        l2.fill(addr)
+        l1.fill(addr)
+        return LATENCY.dram
+
+
 # ----------------------------------------------------------------------
-# CacheLevel vs reference
+# MemoryHierarchy.access vs reference
 # ----------------------------------------------------------------------
 class TestCacheGoldenTrace:
     GEOMETRY = CacheGeometry(n_sets=8, n_ways=4)
-
-    def _random_ops(self, rng, n_ops):
-        # Addresses concentrated on few sets so eviction happens often.
-        for _ in range(n_ops):
-            addr = rng.randrange(0, 64 * 8 * 16) * 4
-            yield rng.choice(["lookup", "probe", "fill"]), addr
+    # Small enough that every level evicts and LLC victims still have
+    # private copies to purge.
+    TIGHT = HierarchyGeometry(l1d=GEOMETRY, l2=CacheGeometry(16, 4),
+                              llc=CacheGeometry(32, 4))
 
     def test_randomized_trace_matches_reference(self):
         rng = random.Random(1234)
-        cache = CacheLevel("L1", self.GEOMETRY)
-        ref = RefCache(self.GEOMETRY)
-        for op, addr in self._random_ops(rng, 4000):
-            if op == "lookup":
-                assert cache.lookup(addr) == ref.lookup(addr)
-            elif op == "probe":
-                # touch=False must not perturb recency in either model.
-                assert cache.lookup(addr, touch=False) == ref.lookup(
-                    addr, touch=False
-                )
-            else:
-                assert cache.fill(addr) == ref.fill(addr)
-        for set_index in range(self.GEOMETRY.n_sets):
-            assert cache.resident_lines(set_index) == ref.resident_lines(
-                set_index
-            )
+        h = MemoryHierarchy(1, self.TIGHT)
+        levels = (h.l1d[0], h.l2[0], h.llc)
+        ref = RefInclusiveCore(self.TIGHT)
+        for _ in range(4000):
+            # Addresses concentrated on few sets so eviction happens often.
+            addr = rng.randrange(0, 64 * 8 * 16) * 4
+            assert h.access(0, addr) == ref.access(addr)
+            for level, model in zip(levels, ref.levels):
+                for set_index in range(level.geometry.n_sets):
+                    assert level.resident_lines(set_index) == \
+                        model.resident_lines(set_index)
+        assert h.llc.evictions and h.l2[0].evictions
 
     def test_eviction_order_is_lru(self):
-        cache = CacheLevel("L1", self.GEOMETRY)
+        # The default L2 and LLC put every line below in its own set.
+        h = MemoryHierarchy(1, HierarchyGeometry(l1d=self.GEOMETRY))
+        l1 = h.l1d[0]
         line = self.GEOMETRY.line_size
-        stride = self.GEOMETRY.n_sets * line  # same set every time
+        stride = self.GEOMETRY.n_sets * line  # same L1D set every time
         ways = [i * stride for i in range(self.GEOMETRY.n_ways)]
         for addr in ways:
-            assert cache.fill(addr) is None
+            h.access(0, addr)
         # Touch way 0 so way 1 becomes LRU, then overflow the set.
-        assert cache.lookup(ways[0])
-        assert cache.fill(self.GEOMETRY.n_ways * stride) == ways[1]
+        assert h.access(0, ways[0]) == LATENCY.l1_hit
+        h.access(0, self.GEOMETRY.n_ways * stride)
+        assert l1.resident_lines(0) == (
+            ways[2], ways[3], ways[0], self.GEOMETRY.n_ways * stride)
+        assert l1.evictions == 1
 
 
 class TestTlbGoldenTrace:

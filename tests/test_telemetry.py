@@ -266,18 +266,6 @@ class TestCounterWiring:
             assert f"  {level:<6} hit rate" in out
         assert "(coverage " in out
 
-    def test_batch_accounting_counts_addresses(self):
-        from repro.uarch.cache import MemoryHierarchy
-
-        hierarchy = MemoryHierarchy(1)
-        hierarchy.access_many(0, [0x1000, 0x1040, 0x2000])
-        assert hierarchy.batch_calls == 1
-        assert hierarchy.batch_addrs == 3
-        toucher = hierarchy.make_line_toucher(0, (0x1000, 0x1040))
-        toucher()
-        assert hierarchy.batch_calls == 2
-        assert hierarchy.batch_addrs == 5
-
 
 # ----------------------------------------------------------------------
 # Export formats
