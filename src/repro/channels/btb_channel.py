@@ -26,7 +26,6 @@ from typing import Iterator, Optional
 from repro.cpu.isa import Instruction, InstrKind
 from repro.kernel import actions as act
 from repro.channels.prime_probe import prime_probe_threshold
-from repro.uarch.address import line_addr
 
 _4GIB = 1 << 32
 
@@ -58,10 +57,6 @@ class BtbGadgetLayout:
     @property
     def probe_marker(self) -> int:
         return self.probe_pc + self.delta  # T2 (same low bits as T1)
-
-    @property
-    def marker_line(self) -> int:
-        return line_addr(self.probe_marker)
 
 
 class BtbTrainProbe:

@@ -35,7 +35,8 @@ Observability (see docs/OBSERVABILITY.md):
   ``--manifest-dir`` (default ``runs/``; suppress with ``--no-manifest``)
   from which ``repro replay`` re-executes it bit-identically;
 * ``--metrics`` prints a metrics table after the run; ``--trace FILE``
-  records a Perfetto-loadable Chrome trace of the schedule;
+  writes a Perfetto-loadable Chrome trace of the schedule (a traced
+  command runs its cells in this process, with the cell cache off);
 * ``--progress`` shows live per-cell progress for parallel sweeps;
 * repeated cells are served from a content-addressed result cache under
   ``<manifest-dir>/cellcache`` (every experiment is a pure function of
@@ -1114,6 +1115,13 @@ def _configure_obs(args: argparse.Namespace) -> None:
             os.environ.pop(name, None)
 
     telemetry = bool(getattr(args, "telemetry", False))
+    # A trace is built from the records of the kernels this process
+    # runs, so a traced command computes every cell here: serially, and
+    # never from the cell cache.
+    tracing = (getattr(args, "trace", None) is not None
+               or args.command == "trace")
+    if tracing:
+        args.jobs = 1
     # --telemetry needs the workers to record metric snapshots into
     # their cell manifests, so it implies metric *collection* (the
     # post-run table still prints only with an explicit --metrics).
@@ -1129,7 +1137,7 @@ def _configure_obs(args: argparse.Namespace) -> None:
     cache_dir = getattr(args, "cell_cache_dir", None)
     if cache_dir is None and manifest_dir is not None:
         cache_dir = os.path.join(manifest_dir, "cellcache")
-    if getattr(args, "no_cell_cache", False):
+    if getattr(args, "no_cell_cache", False) or tracing:
         cache_dir = None
     _set("REPRO_CELL_CACHE_DIR", cache_dir is not None, cache_dir or "")
     # Chaos rides the same env-var channel so pool workers (fork or

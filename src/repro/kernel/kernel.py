@@ -317,32 +317,22 @@ class Kernel:
         self.balancer = LoadBalancer([st.rq for st in self.cpus],
                                      policy=policy)
         self.tasks: List[Task] = []
-        # Observability: instruments are bound once here; with the
-        # default (disabled) registry they are shared no-op singletons,
-        # so instrumented sites cost one empty method call.  Tracing is
-        # additionally guarded by ``self._tracing`` at each site.
+        self.timer_fires = 0
+        # Observability reads the tracer's records, never the event
+        # paths: run_until folds their growth into the metrics registry
+        # (with metrics on), and a traced kernel's records become the
+        # Perfetto trace at export.
         obs = get_obs()
-        metrics = self._metrics = obs.metrics
-        self._metrics_on = metrics.enabled
-        # kernel_counts() as of the last fold (see run_until).
+        self._metrics = obs.metrics
+        self._metrics_on = self._metrics.enabled
+        # kernel_counts() and the fold's positions in the switch,
+        # wakeup and migration streams and timer_fires as of the last
+        # fold (see run_until).
         self._folded: Dict[str, float] = {}
-        self._m_switches = metrics.counter("kernel.switches")
-        self._m_switch_reason = {
-            reason: metrics.counter(f"kernel.switch.{reason}")
-            for reason in ("block", "preempt_wakeup", "tick", "exit", "idle")
-        }
-        self._m_wakeups = metrics.counter("kernel.wakeups")
-        self._m_grant = metrics.counter("sched.wakeup_preempt.granted")
-        self._m_deny = metrics.counter("sched.wakeup_preempt.denied")
-        self._h_wakeup_lag = metrics.histogram("sched.wakeup_lag_ns")
-        self._m_timer_fires = metrics.counter("kernel.timer_fires")
-        self._m_migrations = metrics.counter("kernel.migrations")
+        self._folded_at = (0, 0, 0, 0)
         self._trace = obs.tracer
         self._tracing = self._trace.enabled
-        self._open_spans: List[Optional[Task]] = [None] * machine.n_cores
-        if self._tracing:
-            for c in range(machine.n_cores):
-                self._trace.process_name(c, f"cpu{c}")
+        self._trace.register(self.tracer, self.tasks, machine.n_cores)
         # Kernel-footprint touchers, keyed by (cpu, offset): the switch
         # path touches one of 8 rotating line windows, so each (cpu,
         # offset, kind) window's L1 sets are looked up once (see
@@ -420,10 +410,11 @@ class Kernel:
         """Advance the simulation until ``predicate()`` holds, the event
         heap drains, or ``max_time``/``max_events`` is hit.
 
-        With metrics on, the growth of :func:`kernel_counts` since the
-        previous fold is then added to the registry as counters, so a
-        cell counts every kernel it built; with tracing also on, their
-        running totals become Perfetto counter-track points."""
+        With metrics on, the growth of :func:`kernel_counts` and of the
+        scheduling counts since the previous fold is then added to the
+        registry, so a cell counts every kernel it built; with tracing
+        also on, the running totals of the former become Perfetto
+        counter-track points."""
         events = self.sim.drain(predicate, max_time=max_time,
                                 max_events=max_events)
         if self._metrics_on:
@@ -432,15 +423,48 @@ class Kernel:
             raise RuntimeError("kernel.run_until exceeded max_events")
 
     def _fold_counts(self) -> None:
+        metrics = self._metrics
         counts = kernel_counts(self)
         folded = self._folded
         now = self.sim.now
         for name, value in counts.items():
-            counter = self._metrics.counter(name)
+            counter = metrics.counter(name)
             counter.inc(value - folded.get(name, 0))
             if self._tracing:
                 self._trace.counter(name, now, 0, counter.value)
         self._folded = counts
+        # The scheduling counts, from the records appended since.
+        tracer = self.tracer
+        n_switches, n_wakeups, n_migrations, timer_fires = self._folded_at
+        switches = metrics.counter("kernel.switches")
+        left = {reason: metrics.counter(f"kernel.switch.{reason}")
+                for reason in ("block", "preempt_wakeup", "tick", "exit",
+                               "idle")}
+        for record in tracer.switches[n_switches:]:
+            if record.next_pid is not None:
+                switches.inc()
+            # Count why a running task leaves the CPU.  A switch onto
+            # an empty CPU has none: its last task was counted when it
+            # blocked or exited.
+            if record.prev_pid is not None or record.next_pid is None:
+                left[record.reason].inc()
+        wakeups = tracer.wakeups[n_wakeups:]
+        metrics.counter("kernel.wakeups").inc(len(wakeups))
+        granted = metrics.counter("sched.wakeup_preempt.granted")
+        denied = metrics.counter("sched.wakeup_preempt.denied")
+        lag = metrics.histogram("sched.wakeup_lag_ns")
+        for record in wakeups:
+            if record.curr_pid is not None:
+                (granted if record.preempted else denied).inc()
+                # Eq 2.2 margin: how far behind the current task the
+                # wakee was placed (positive → wakee is owed CPU).
+                lag.observe(record.curr_vruntime - record.placed_vruntime)
+        metrics.counter("kernel.timer_fires").inc(
+            self.timer_fires - timer_fires)
+        metrics.counter("kernel.migrations").inc(
+            len(tracer.migrations) - n_migrations)
+        self._folded_at = (len(tracer.switches), len(tracer.wakeups),
+                           len(tracer.migrations), self.timer_fires)
 
     def task_exited(self, task: Task) -> bool:
         return task.state is TaskState.EXITED
@@ -639,9 +663,6 @@ class Kernel:
             self.tracer.record_switch(
                 SwitchRecord(now, cpu, curr.pid, None, "exit", curr.vruntime)
             )
-            self._m_switch_reason["exit"].inc()
-            if self._tracing:
-                self._trace_sched_out(cpu, now, "exit")
             self._begin_switch(cpu)
             return
         syscall_ns = self.costs.syscall_entry()
@@ -658,9 +679,6 @@ class Kernel:
         self.tracer.record_switch(
             SwitchRecord(now, cpu, curr.pid, None, "block", curr.vruntime)
         )
-        self._m_switch_reason["block"].inc()
-        if self._tracing:
-            self._trace_sched_out(cpu, end, "block")
         self._begin_switch(cpu, at=end)
 
     # ------------------------------------------------------------------
@@ -668,7 +686,7 @@ class Kernel:
     # ------------------------------------------------------------------
     def _fire_timer(self, cpu: int, timer: _Timer) -> float:
         """Deliver one due timer; returns extra IRQ-path nanoseconds."""
-        self._m_timer_fires.inc()
+        self.timer_fires += 1
         extra = self.costs.timer_fire()
         task = timer.task
         if timer.interval is not None and not timer.cancelled:
@@ -713,18 +731,6 @@ class Kernel:
                 # and may veto the grant (SchedGuard's blocking slot).
                 preempt = self._mit.filter_wakeup_preempt(
                     st.rq, curr, task, preempt, self.sim.now)
-        self._m_wakeups.inc()
-        if curr is not None:
-            (self._m_grant if preempt else self._m_deny).inc()
-            if self._metrics_on:
-                # Eq 2.2 margin: how far behind the current task the
-                # wakee was placed (positive → wakee is owed CPU).
-                self._h_wakeup_lag.observe(curr.vruntime - task.vruntime)
-        if self._tracing:
-            self._trace.instant(
-                f"wakeup pid{task.pid}", self.sim.now, target, task.pid,
-                args={"preempted": preempt, "placed_vruntime": task.vruntime},
-            )
         self.tracer.record_wakeup(
             WakeupRecord(
                 self.sim.now,
@@ -779,9 +785,6 @@ class Kernel:
             self.tracer.record_switch(
                 SwitchRecord(now, cpu, prev.pid if prev else None, None, "idle")
             )
-            self._m_switch_reason["idle"].inc()
-            if self._tracing:
-                self._trace_sched_out(cpu, now, "idle")
             pending = [t.expiry for t in st.timers if not t.cancelled]
             if pending:
                 self._schedule_dispatch(cpu, min(pending))
@@ -805,19 +808,6 @@ class Kernel:
                 next_task.vruntime,
             )
         )
-        self._m_switches.inc()
-        if prev is not None:
-            # Count why a running task leaves the CPU.  A switch onto
-            # an empty CPU has none: its last task was counted when it
-            # blocked or exited.
-            self._m_switch_reason[reason].inc()
-        if self._tracing:
-            self._trace_sched_out(cpu, now, reason)
-            if reason == "preempt_wakeup":
-                self._trace.instant(
-                    f"preempt pid{next_task.pid}", now, cpu, next_task.pid,
-                    args={"prev_pid": prev.pid if prev else None},
-                )
         st.incoming = next_task
         self.sim.arm(st.finish_switch, max(now + cost, self.sim.now))
 
@@ -844,24 +834,8 @@ class Kernel:
                     task.pid, task.body.program, self.config.aex_notify_depth
                 )
                 delay += self.costs.eresume()
-        if self._tracing:
-            self._trace_sched_in(cpu, now, task)
         self._record_exit(cpu, task)
         self._schedule_dispatch(cpu, now + delay)
-
-    # ------------------------------------------------------------------
-    # Trace-span maintenance (only called when tracing is enabled)
-    # ------------------------------------------------------------------
-    def _trace_sched_in(self, cpu: int, ts: float, task: Task) -> None:
-        self._trace.thread_name(cpu, task.pid, f"{task.name} (pid {task.pid})")
-        self._trace.begin(task.name, ts, cpu, task.pid)
-        self._open_spans[cpu] = task
-
-    def _trace_sched_out(self, cpu: int, ts: float, reason: str) -> None:
-        task = self._open_spans[cpu]
-        if task is not None:
-            self._trace.end(task.name, ts, cpu, task.pid, args={"reason": reason})
-            self._open_spans[cpu] = None
 
     def _record_exit(self, cpu: int, task: Task) -> None:
         pc = None
@@ -920,10 +894,7 @@ class Kernel:
         # charged up to `now` (update_curr before detach_task).
         for cpu in range(len(self.cpus)):
             self._charge_upto(cpu, now)
-        migrations = self.balancer.balance(now)
-        if migrations:
-            self._m_migrations.inc(len(migrations))
-        for migration in migrations:
+        for migration in self.balancer.balance(now):
             self.tracer.record_migration(MigrationRecord(
                 migration.time, migration.src_cpu, migration.dst_cpu,
                 migration.task.pid,

@@ -7,10 +7,12 @@ changes event timing):
 * **metrics** (:mod:`repro.obs.metrics`) — counters and histograms
   over the sim engine, kernel, schedulers, μarch and attacks, with
   near-zero cost when disabled.  Each kernel folds its engine, μarch
-  and CPU counts in as counters whenever its ``run_until`` returns
-  (:mod:`repro.obs.collect`);
-* **tracing** (:mod:`repro.obs.trace`) — bounded span/instant recording
-  exported as Chrome trace-event JSON (Perfetto-loadable);
+  and CPU counts (:mod:`repro.obs.collect`) and the scheduling counts
+  of its :class:`~repro.kernel.tracing.KernelTracer` records in
+  whenever its ``run_until`` returns;
+* **tracing** (:mod:`repro.obs.trace`) — each kernel's
+  ``KernelTracer`` records, turned into Chrome trace-event JSON
+  (Perfetto-loadable) at export;
 * **manifests** (:mod:`repro.obs.manifest`) — per-run and per-cell JSON
   records (seed, params, version, wall time, metrics snapshot) from
   which any run re-executes bit-identically.

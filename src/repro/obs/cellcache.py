@@ -65,11 +65,10 @@ from repro.obs import count
 from repro.obs.manifest import _package_version, _sanitize, result_digest
 
 __all__ = ["CellCache", "cell_cache", "cell_key", "CACHE_ENV",
-           "CACHE_SCHEMA", "LOCK_STALE_ENV"]
+           "CACHE_SCHEMA"]
 
 CACHE_ENV = "REPRO_CELL_CACHE_DIR"
 CACHE_SCHEMA = 1
-LOCK_STALE_ENV = "REPRO_CELLCACHE_LOCK_STALE_S"
 
 #: Memoized caches keyed by directory, so repeated cells in one process
 #: share one instance (and one ``makedirs`` check).
@@ -125,29 +124,13 @@ class CellCache:
 
     #: A store lock older than this is considered abandoned (its writer
     #: crashed between acquire and release) and is broken by the next
-    #: writer.  Class attribute is the default; per-instance override
-    #: via the ``lock_stale_s`` constructor arg or the
-    #: ``REPRO_CELLCACHE_LOCK_STALE_S`` environment variable (for
-    #: sweeps whose individual cells legitimately run longer than a
-    #: minute — a live slow writer must never have its lock broken).
+    #: writer.  The lock is held only while one already-pickled entry
+    #: is written, so a live writer never holds it this long.
     LOCK_STALE_S = 60.0
 
-    def __init__(self, directory: str,
-                 lock_stale_s: Optional[float] = None):
+    def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        if lock_stale_s is None:
-            env = os.environ.get(LOCK_STALE_ENV, "").strip()
-            if env:
-                try:
-                    lock_stale_s = float(env)
-                except ValueError:
-                    lock_stale_s = None
-        if lock_stale_s is not None and lock_stale_s > 0:
-            # Shadow the class attribute so every internal use — and
-            # every external reader of ``cache.LOCK_STALE_S`` — sees
-            # the configured value.
-            self.LOCK_STALE_S = float(lock_stale_s)
         #: Test-only injection points: ``{point_name: callable}``,
         #: invoked (when set) at the named interleaving points —
         #: ``store.locked`` (lock held, before the write),

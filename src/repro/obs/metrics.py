@@ -6,9 +6,11 @@ methods, and registers nothing.  Instrumented code grabs its
 instruments once (at construction) and calls them unconditionally, so
 the disabled-mode cost of an instrumentation site is one no-op method
 call on an event that already costs orders of magnitude more — and the
-per-instruction hot paths are never instrumented at all (μarch stats
-are *pulled* from the existing hit/miss counters and folded in at each
-``Kernel.run_until``, see :mod:`repro.obs.collect`).
+per-instruction hot paths and the kernel's event paths are never
+instrumented at all (μarch stats are *pulled* from the existing
+hit/miss counters, scheduling counts from the kernel's trace records,
+and both folded in at each ``Kernel.run_until``, see
+:mod:`repro.obs.collect`).
 
 Metric names are dotted paths (``kernel.switch.preempt_wakeup``);
 :meth:`MetricsRegistry.snapshot` returns a plain JSON-safe dict and

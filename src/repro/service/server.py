@@ -55,7 +55,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.wire import WireCell, WireError, cell_from_wire
 from repro.obs import count
@@ -558,14 +558,3 @@ class ExperimentService:
             self._pool_generation += 1
             self._pool_replacements += 1
             count("service.pool_replacements")
-
-
-async def run_service(config: ServiceConfig,
-                      ready: Optional[Callable[["ExperimentService"], None]]
-                      = None) -> None:
-    """Start a service and block until something drains it."""
-    service = ExperimentService(config)
-    await service.start()
-    if ready is not None:
-        ready(service)
-    await service.serve_until_stopped()

@@ -87,10 +87,6 @@ class Btb:
             return entry.target
         return None
 
-    def entry_at(self, pc: int) -> Optional[BtbEntry]:
-        """Raw entry access for tests/diagnostics."""
-        return self._entries.get(self.index_of(pc))
-
     def flush(self) -> None:
         self._entries.clear()
 

@@ -65,16 +65,14 @@ class RefLevel:
     def _bucket(self, addr: int) -> List[int]:
         return self.sets[(addr // self.line_size) % self.n_sets]
 
-    def lookup(self, addr: int, *, touch: bool = True,
-               count_stats: bool = True) -> bool:
+    def lookup(self, addr: int, *, count_stats: bool = True) -> bool:
         line = self._line(addr)
         bucket = self._bucket(addr)
         if line in bucket:
             if count_stats:
                 self.hits += 1
-            if touch:
-                bucket.remove(line)
-                bucket.append(line)
+            bucket.remove(line)
+            bucket.append(line)
             return True
         if count_stats:
             self.misses += 1

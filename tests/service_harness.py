@@ -23,6 +23,7 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 import repro.obs as obs_mod
+from repro.chaos import ChaosSpec, FaultEvent, reset_active
 from repro.experiments.wire import WireCell, cell_from_wire
 from repro.parallel import derive_seed
 from repro.service import ExperimentService, ServiceConfig
@@ -31,9 +32,23 @@ from repro.service.protocol import BatchResult
 
 __all__ = [
     "ServiceHarness",
+    "chaos",
     "resolution_cells",
     "corrupt_cache_entry",
 ]
+
+
+def chaos(tmp_path, *events):
+    """Activate a chaos schedule of ``service.cell`` events, given as
+    ``(kind, match, params)`` triples (the test's conftest restores the
+    environment afterwards)."""
+    path = str(tmp_path / "chaos.json")
+    ChaosSpec(events=[
+        FaultEvent(point="service.cell", kind=kind, match=match,
+                   params=params)
+        for kind, match, params in events]).save(path)
+    os.environ["REPRO_CHAOS"] = path
+    reset_active()
 
 
 class ServiceHarness:

@@ -1,6 +1,4 @@
-"""RingBuffer: unbounded fast path, bounded wraparound, list parity."""
-
-import pytest
+"""RingBuffer: the list-append fast path and list parity."""
 
 from repro.obs.ring import RingBuffer
 
@@ -33,66 +31,3 @@ class TestUnbounded:
         assert not ring
         ring.append(1)
         assert ring
-
-
-class TestBounded:
-    def test_no_wrap_below_capacity(self):
-        ring = RingBuffer(4)
-        ring.extend([1, 2, 3])
-        assert list(ring) == [1, 2, 3]
-        assert ring.dropped == 0
-
-    def test_wraparound_keeps_newest(self):
-        ring = RingBuffer(4)
-        ring.extend(range(10))
-        assert list(ring) == [6, 7, 8, 9]
-        assert ring.dropped == 6
-        assert len(ring) == 4
-
-    def test_indexing_after_wrap(self):
-        ring = RingBuffer(3)
-        ring.extend(range(7))  # keeps 4, 5, 6
-        assert ring[0] == 4
-        assert ring[2] == 6
-        assert ring[-1] == 6
-        with pytest.raises(IndexError):
-            ring[3]
-
-    def test_slice_after_wrap(self):
-        ring = RingBuffer(3)
-        ring.extend(range(7))
-        assert ring[1:] == [5, 6]
-
-    def test_equality_after_wrap(self):
-        a = RingBuffer(3)
-        a.extend(range(7))
-        b = RingBuffer(3)
-        b.extend(range(4, 7))
-        assert a == b
-        assert a == [4, 5, 6]
-
-    def test_clear_resets_wrap_state(self):
-        ring = RingBuffer(2)
-        ring.extend(range(5))
-        ring.clear()
-        assert list(ring) == []
-        assert ring.dropped == 0
-        ring.extend([10, 11])
-        assert list(ring) == [10, 11]
-
-    def test_capacity_one(self):
-        ring = RingBuffer(1)
-        ring.extend(range(5))
-        assert list(ring) == [4]
-        assert ring.dropped == 4
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-        with pytest.raises(ValueError):
-            RingBuffer(-3)
-
-    def test_repr_mentions_drops(self):
-        ring = RingBuffer(2)
-        ring.extend(range(5))
-        assert "dropped=3" in repr(ring)

@@ -24,7 +24,7 @@ from repro.obs.manifest import result_digest
 from repro.obs.telemetry import write_telemetry
 from repro.parallel import starmap_kwargs
 
-from tests.service_harness import ServiceHarness, resolution_cells
+from tests.service_harness import ServiceHarness, chaos, resolution_cells
 
 pytestmark = pytest.mark.service
 
@@ -77,6 +77,11 @@ class TestInflightDedupe:
         unique = resolution_cells(3, seed=1)
         batch_cells = unique * 4  # 12 submitted, 3 distinct
         expected = serial_digests(unique)
+        # Hold each unique cell in flight until the server has taken
+        # in every duplicate: a cell that finished first would be in
+        # the cell cache, and its duplicates served from there.
+        chaos(tmp_path, *(("timeout", {"seed": cell.params["seed"]},
+                           {"sleep_s": 0.5}) for cell in unique))
 
         with ServiceHarness(cache_dir=cache_dir, workers=2) as harness:
             batch = harness.submit(batch_cells)

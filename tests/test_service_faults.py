@@ -34,31 +34,18 @@ import time
 
 import pytest
 
-from repro.chaos import ChaosSpec, FaultEvent, reset_active
 from repro.obs.cellcache import CellCache
 from repro.obs.journal import journal_path, replay
 from repro.service.client import Backpressure, ServiceError
 from tests.service_harness import (
     ServiceHarness,
+    chaos,
     corrupt_cache_entry,
     resolution_cells,
 )
 from tests.test_service_determinism import serial_digests
 
 pytestmark = pytest.mark.service
-
-
-def chaos(tmp_path, *events):
-    """Activate a chaos schedule of ``service.cell`` events, given as
-    ``(kind, match, params)`` triples (the test's conftest restores the
-    environment afterwards)."""
-    path = str(tmp_path / "chaos.json")
-    ChaosSpec(events=[
-        FaultEvent(point="service.cell", kind=kind, match=match,
-                   params=params)
-        for kind, match, params in events]).save(path)
-    os.environ["REPRO_CHAOS"] = path
-    reset_active()
 
 
 # ----------------------------------------------------------------------

@@ -228,16 +228,87 @@ class TestCounterWiring:
 
     def test_switch_reasons_count_tasks_leaving_the_cpu(self):
         """``kernel.switch.<reason>`` counts why a running task left the
-        CPU, once per departure; ``kernel.switches`` counts switch-ins."""
+        CPU, once per departure; ``kernel.switches`` counts switch-ins.
+        The kernel folds these and the wakeup, timer and migration
+        counts from its records; the values are the ones its former
+        per-event instruments counted."""
+        from repro.attacks.btb_gcd import run_btb_gcd_attack
+        from repro.experiments.preemption_count import run_budget_measurement
         from repro.experiments.resolution import run_resolution
+        from repro.experiments.setup import build_env
+        from repro.kernel.threads import ComputeBody
+        from repro.sched.task import Task
 
-        metrics = obs_mod.configure(metrics=True).metrics
-        run_resolution(tau=740.0, preemptions=200, seed=1)
-        reasons = {reason: metrics.get(f"kernel.switch.{reason}").value
-                   for reason in ("block", "exit", "preempt_wakeup", "tick")}
-        assert reasons == {"block": 201, "exit": 1, "preempt_wakeup": 201,
-                           "tick": 1}
-        assert metrics.get("kernel.switches").value == 405
+        def migrating():
+            kernel = build_env("cfs", n_cores=2, seed=1).kernel
+            tasks = [kernel.spawn(Task(f"c{i}", body=ComputeBody(20e6)),
+                                  cpu=0) for i in range(3)]
+            kernel.run_until(lambda: all(map(kernel.task_exited, tasks)))
+
+        names = ("switches", "switch.block", "switch.exit",
+                 "switch.preempt_wakeup", "switch.tick", "switch.idle",
+                 "wakeups", "timer_fires", "migrations")
+        cells = [
+            (lambda: run_resolution(tau=740.0, preemptions=200, seed=1),
+             (405, 201, 1, 201, 1, 0, 201, 201, 0),
+             (201, 0, 201, 2412000000.0)),
+            (lambda: run_budget_measurement(extra_compute_ns=12_000.0,
+                                            scheduler="eevdf", seed=0),
+             (335, 166, 1, 165, 2, 0, 166, 166, 0),
+             (165, 1, 166, 344367133.1675005)),
+            (lambda: run_btb_gcd_attack(1071, 462, seed=3, rounds=200,
+                                        polluter=True),
+             (447, 227, 2, 217, 0, 12, 227, 227, 0),
+             (217, 0, 217, 2561198462.502289)),
+            (migrating, (10, 0, 3, 0, 7, 3, 0, 0, 2), (0, 0, 0, 0.0)),
+        ]
+        for run, counts, wakeup_preempts in cells:
+            metrics = obs_mod.configure(metrics=True).metrics
+            run()
+            assert tuple(metrics.get(f"kernel.{name}").value
+                         for name in names) == counts
+            lag = metrics.get("sched.wakeup_lag_ns")
+            assert (metrics.get("sched.wakeup_preempt.granted").value,
+                    metrics.get("sched.wakeup_preempt.denied").value,
+                    lag.count, lag.sum) == wakeup_preempts
+
+    def test_stepped_run_folds_each_record_once(self):
+        """A kernel stepped through many ``run_until`` calls folds the
+        same scheduling counts as one call, and registers every one of
+        them, zeros included."""
+        from repro.experiments.setup import build_env
+        from repro.kernel import actions as act
+        from repro.kernel.threads import ComputeBody, CoroutineBody
+        from repro.sched.task import Task
+
+        def napper():
+            for _ in range(50):
+                yield act.Compute(20_000.0)
+                yield act.Nanosleep(100_000.0)
+
+        def run(step_ns):
+            metrics = obs_mod.configure(metrics=True).metrics
+            kernel = build_env("cfs", n_cores=2, seed=1).kernel
+            kernel.spawn(Task("hog", body=ComputeBody(20e6)), cpu=0)
+            kernel.spawn(Task("napper", body=CoroutineBody(napper())), cpu=0)
+            end = 0.0
+            while end < 30e6:
+                end += step_ns
+                kernel.run_until(max_time=end)
+            return {name: value for name, value in metrics.snapshot().items()
+                    if name.startswith(("kernel.", "sched."))}
+
+        stepped = run(250_000.0)
+        assert stepped == run(30e6)
+        assert sorted(stepped) == sorted(
+            ["kernel.switches", "kernel.tasks", "kernel.wakeups",
+             "kernel.timer_fires", "kernel.migrations",
+             "sched.wakeup_preempt.granted", "sched.wakeup_preempt.denied",
+             "sched.wakeup_lag_ns"]
+            + [f"kernel.switch.{reason}" for reason in
+               ("block", "exit", "idle", "preempt_wakeup", "tick")])
+        assert stepped["kernel.wakeups"] == stepped["kernel.timer_fires"] > 0
+        assert stepped["sched.wakeup_lag_ns"]["count"] > 0
 
     def test_run_counts_every_cell_and_records_no_ratios(self, tmp_path,
                                                          capsys):
