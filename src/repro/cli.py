@@ -1156,7 +1156,13 @@ def _configure_obs(args: argparse.Namespace) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_obs(args)
-    rc = args.func(args) or 0
+    from repro.sched.task import fresh_pids
+
+    # Tasks are numbered from 1000, as in a fresh process, so what a
+    # command writes (a trace names tasks by pid) depends on its
+    # arguments alone, also when main runs twice in one process.
+    with fresh_pids():
+        rc = args.func(args) or 0
     import repro.obs as obs_mod
 
     obs = obs_mod.get_obs()

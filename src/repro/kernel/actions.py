@@ -44,7 +44,9 @@ class Batch(Action):
 
     ``walk`` belongs to the kernel: a load batch keeps there the walk
     (see :class:`repro.uarch.cache.LoadWalker`) resolved for the CPU,
-    kernel and address space it last ran on, so a batch yielded again
+    kernel and address space it last ran on, and a flush batch the
+    flush walk (see :meth:`repro.uarch.cache.MemoryHierarchy.flush_walk`)
+    resolved for the machine it last ran on, so a batch yielded again
     there skips the set lookups, and a one-shot batch drops its walk
     with itself.  It is not an argument and takes no part in ``repr``
     or comparison.

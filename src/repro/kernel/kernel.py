@@ -132,8 +132,7 @@ class _KernelExecContext(ExecContext):
     """
 
     __slots__ = ("kernel", "cpu", "task", "core", "asid", "_walker",
-                 "_clflush", "_base_inst", "_timed_extra", "_flush_ns",
-                 "_jitter")
+                 "_base_inst", "_timed_extra", "_flush_ns", "_jitter")
 
     def __init__(self, kernel: "Kernel", cpu: int, task: Task):
         self.kernel = kernel
@@ -144,12 +143,11 @@ class _KernelExecContext(ExecContext):
         # The batch loops run for every probe of every attack; their
         # constants (the latency model is fixed for the kernel's life),
         # this CPU's load walker (userspace attack buffers in the LLC
-        # arena use 2 MiB pages), the flush entry point and the
-        # ``timed_load`` jitter stream are bound once here.
+        # arena use 2 MiB pages) and the ``timed_load`` jitter stream
+        # are bound once here.
         lat = kernel.machine.config.latency
         self._walker = LoadWalker(self.core.hierarchy, cpu, self.core.tlbs,
                                   ATTACKER_HUGE_REGION)
-        self._clflush = self.core.hierarchy.clflush
         self._base_inst = lat.base_inst
         self._timed_extra = 2 * lat.rdtscp + lat.base_inst
         self._flush_ns = cycles_to_ns(lat.clflush)
@@ -214,14 +212,16 @@ class _KernelExecContext(ExecContext):
         return 0.0, None, BlockRequest("exit")
 
     # ------------------------------------------------------------------
-    # Batches.  ``Loads`` and ``TimedLoads`` run through the walk the
-    # batch keeps (repro.uarch.cache.LoadWalker), one loop for both
-    # kinds.  A walk names the walker (this CPU of this kernel) and the
-    # asid it was resolved for, and is rebuilt when either differs.
-    # ``Flushes`` and ``ExecInsts`` have a loop each, binding its entry
-    # points once.  Each element makes its μarch calls, then any jitter
-    # draw, then its ``t += cost`` add; a loop stops after the element
-    # that reaches ``deadline`` (see ExecContext.exec_batch).
+    # Batches.  ``Loads`` and ``TimedLoads`` run through the load walk
+    # the batch keeps (repro.uarch.cache.LoadWalker), one loop for both
+    # kinds.  A load walk names the walker (this CPU of this kernel)
+    # and the asid it was resolved for, and is rebuilt when either
+    # differs.  ``Flushes`` run through the flush walk the batch
+    # keeps (MemoryHierarchy.flush_walk), which names the hierarchy and
+    # holds on any of its CPUs.  ``ExecInsts`` has a loop of its own.
+    # Each element makes its μarch calls, then any jitter draw, then
+    # its ``t += cost`` add; a loop stops after the element that
+    # reaches ``deadline`` (see ExecContext.exec_batch).
     # ------------------------------------------------------------------
     def exec_batch(self, batch, i, t, deadline, out):
         kind = type(batch)
@@ -229,25 +229,21 @@ class _KernelExecContext(ExecContext):
             extra, jitter = self._timed_extra, self._jitter
         elif kind is act.Loads:
             extra, jitter = self._base_inst, None
+        elif kind is act.Flushes:
+            hierarchy, walk = self.core.hierarchy, batch.walk
+            if walk is None or walk[0] is not hierarchy:
+                walk = batch.walk = hierarchy.flush_walk(batch.items)
+            return hierarchy.run_flush_walk(walk, i, t, deadline, out,
+                                            self._flush_ns)
+        elif kind is act.ExecInsts:
+            return self._exec_insts(batch.items, i, t, deadline, out)
         else:
-            return _BATCH_DISPATCH[kind](self, batch.items, i, t, deadline,
-                                         out)
+            raise TypeError(f"unknown batch {batch!r}")
         walker, walk = self._walker, batch.walk
         if walk is None or walk[0] is not walker or walk[1] != self.asid:
             walk = batch.walk = walker.walk(self.asid, batch.items)
         return walker.run(walk, i, t, deadline, out, extra, jitter,
                           TIMED_LOAD_JITTER_CYCLES)
-
-    def _flushes(self, addrs, i, t, deadline, out):
-        clflush, cost = self._clflush, self._flush_ns
-        for addr in addrs[i:]:
-            i += 1
-            clflush(addr)
-            out.append(None)
-            t += cost
-            if t >= deadline:
-                break
-        return i, t
 
     def _exec_insts(self, insts, i, t, deadline, out):
         execute, asid = self.core.execute, self.asid
@@ -271,11 +267,6 @@ _DISPATCH = {
     act.Nanosleep: _KernelExecContext._act_nanosleep,
     act.Pause: _KernelExecContext._act_pause,
     act.Exit: _KernelExecContext._act_exit,
-}
-
-_BATCH_DISPATCH = {
-    act.Flushes: _KernelExecContext._flushes,
-    act.ExecInsts: _KernelExecContext._exec_insts,
 }
 
 

@@ -39,9 +39,11 @@ constructor, and never replaces them: every removal deletes from a set
 in place, and ``flush_all`` clears each set in place.  Walks resolved
 ahead of time rely on this, because they hold the set dicts themselves:
 the touchers of :meth:`MemoryHierarchy.make_line_toucher` (the kernel's
-footprint, which holds L1 sets) and the walks of a :class:`LoadWalker`
-(the attacker's load batches, which hold every level's sets and, under
-the same rule in :mod:`repro.uarch.tlb`, STLB sets).
+footprint, which holds L1 sets), the walks of a :class:`LoadWalker`
+(the attacker's load batches, which hold one core's L1D, L2 and LLC
+sets and, under the same rule in :mod:`repro.uarch.tlb`, STLB sets) and
+the flush walks of :meth:`MemoryHierarchy.flush_walk` (the attacker's
+flush batches, which hold LLC sets and every core's private sets).
 """
 
 from __future__ import annotations
@@ -180,12 +182,15 @@ class MemoryHierarchy:
         self.l1d = [CacheLevel(f"L1D#{c}", geo.l1d) for c in range(n_cores)]
         self.l2 = [CacheLevel(f"L2#{c}", geo.l2) for c in range(n_cores)]
         self.llc = CacheLevel("LLC", geo.llc)
-        # Every private level in purge order (per core: L1I, L1D, L2),
-        # with its set list and index math, for the flush walks.
-        self._private = tuple(
+        # Every level in clflush's purge order (the LLC, then per core
+        # L1I, L1D, L2) with its set list and index math, for the flush
+        # walks; the private ones also for the back-invalidation.
+        self._purge_order = tuple(
             (level._sets, level._line_size, level._set_mask, level)
-            for c in range(n_cores)
-            for level in (self.l1i[c], self.l1d[c], self.l2[c]))
+            for level in (self.llc, *(
+                private for c in range(n_cores)
+                for private in (self.l1i[c], self.l1d[c], self.l2[c]))))
+        self._private = self._purge_order[1:]
         #: Cores whose hardware prefetcher is currently disabled (the
         #: PreFence mitigation toggles membership at context switches).
         #: Empty by default, so the demand path never pays for it.
@@ -345,18 +350,46 @@ class MemoryHierarchy:
     def clflush(self, addr: int) -> None:
         """Flush one line from every cache in the system: the LLC, then
         each core's L1I, L1D and L2, deleting it from each level's set
-        and bumping the version of every level that held it."""
-        line = addr & _LINE_MASK
-        llc = self.llc
-        bucket = llc._sets[(line // llc._line_size) & llc._set_mask]
-        if line in bucket:
-            del bucket[line]
-            llc.version += 1
-        for sets, size, mask, level in self._private:
-            bucket = sets[(line // size) & mask]
-            if line in bucket:
-                del bucket[line]
-                level.version += 1
+        and bumping the version of every level that held it.
+
+        It runs a one-line flush walk, so the uarch campaign's checks of
+        ``clflush`` against ``RefHierarchy`` check the loop that runs
+        the attacker's ``Flushes`` batches."""
+        self.run_flush_walk(self.flush_walk((addr,)), 0, 0.0, 0.0, [], 0.0)
+
+    def flush_walk(self, addrs: Iterable[int]) -> Tuple[Any, ...]:
+        """Resolve a clflush of each of ``addrs`` into a *flush walk*,
+        the tuple ``(hierarchy, steps)``: per address, the line and its
+        ``(set, level)`` pair in every level, in :meth:`clflush`'s purge
+        order.  The walk depends only on this hierarchy, so it is valid
+        on each of its cores and on no other machine.  Holding the set
+        dicts is safe by the set-identity rule (module docstring)."""
+        steps = []
+        for addr in addrs:
+            line = addr & _LINE_MASK
+            steps.append((line, tuple(
+                (sets[(line // size) & mask], level)
+                for sets, size, mask, level in self._purge_order)))
+        return self, tuple(steps)
+
+    def run_flush_walk(self, walk: Tuple[Any, ...], i: int, t: float,
+                       deadline: float, out: List[Any],
+                       cost: float) -> Tuple[int, float]:
+        """Flush ``walk``'s lines from index ``i`` on, from time ``t``
+        ns.  Each element appends None to ``out`` and adds ``cost`` ns
+        to ``t``, and the walk stops after the element that reaches
+        ``deadline``.  Returns ``(next_index, t)``."""
+        for line, pairs in walk[1][i:]:
+            i += 1
+            for bucket, level in pairs:
+                if line in bucket:
+                    del bucket[line]
+                    level.version += 1
+            out.append(None)
+            t += cost
+            if t >= deadline:
+                break
+        return i, t
 
     def is_cached_anywhere(self, addr: int) -> bool:
         """Presence probe used by tests and oracles (no side effects)."""
@@ -401,10 +434,10 @@ class LoadWalker:
     into a *walk*, the tuple ``(walker, asid, steps)``.  For each
     address, ``steps`` holds the STLB set and ``(asid, vpn)`` tag that
     :meth:`TlbHierarchy.translate_data` walks, the line, and the line's
-    L1D, L2 and LLC sets.  :meth:`run` then does, per element, exactly
-    what ``translate_data`` and then ``access(core, addr, "data")`` do:
-    the same dict operations, counter increments and version bumps, in
-    the same order.  An LLC eviction still calls
+    L1D, L2 and LLC sets.  :meth:`run` then does, per element, what
+    ``translate_data`` and then ``access(core, addr, "data")`` do: the
+    same dict operations in the same order, and the same counter and
+    version totals per pass.  An LLC eviction still calls
     ``hierarchy._back_invalidate``, looked up at that moment, so the
     validate layer's ``inclusive-llc-leak`` plant reaches it.  Holding
     the set dicts is safe by the set-identity rule (module docstring).
@@ -467,51 +500,54 @@ class LoadWalker:
         CPU_FREQ_GHZ`` ns to ``t``, and the walk stops after the
         element that reaches ``deadline``.  Returns ``(next_index,
         t)``.
+
+        Each level's hits and evictions are counted in locals and added,
+        with the misses and the versions those evictions bump, to the
+        levels the pass reached when it returns, also when it stops at
+        ``deadline``.  This is exact because nothing reads the counters
+        inside a pass; ``_back_invalidate`` still bumps the private
+        levels' versions in place, and the sums do not depend on order.
         """
         (stlb, l1, l2, llc, stlb_ways, l1_ways, l2_ways, llc_ways,
          page_walk, l1_hit, l2_hit, llc_hit, dram) = self._levels
         hierarchy = self.hierarchy
+        start = i
+        sh = se = h1 = e1 = h2 = e2 = h3 = e3 = 0
         for tset, tag, line, b1, b2, b3 in walk[2][i:]:
             i += 1
             if tag in tset:
-                stlb.hits += 1
+                sh += 1
                 del tset[tag]
                 tset[tag] = None
                 cycles = 0
             else:
-                stlb.misses += 1
                 if len(tset) >= stlb_ways:
                     del tset[next(iter(tset))]
-                    stlb.evictions += 1
-                    stlb.version += 1
+                    se += 1
                 tset[tag] = None
                 cycles = page_walk
             if line in b1:
-                l1.hits += 1
+                h1 += 1
                 del b1[line]
                 b1[line] = None
                 cycles += l1_hit
             else:
-                l1.misses += 1
                 if line in b2:
-                    l2.hits += 1
+                    h2 += 1
                     del b2[line]
                     b2[line] = None
                     cycles += l2_hit
                 else:
-                    l2.misses += 1
                     if line in b3:
-                        llc.hits += 1
+                        h3 += 1
                         del b3[line]
                         b3[line] = None
                         cycles += llc_hit
                     else:
-                        llc.misses += 1
                         if len(b3) >= llc_ways:
                             victim = next(iter(b3))
                             del b3[victim]
-                            llc.evictions += 1
-                            llc.version += 1
+                            e3 += 1
                             b3[line] = None
                             hierarchy._back_invalidate(victim)
                         else:
@@ -519,13 +555,11 @@ class LoadWalker:
                         cycles += dram
                     if len(b2) >= l2_ways:
                         del b2[next(iter(b2))]
-                        l2.evictions += 1
-                        l2.version += 1
+                        e2 += 1
                     b2[line] = None
                 if len(b1) >= l1_ways:
                     del b1[next(iter(b1))]
-                    l1.evictions += 1
-                    l1.version += 1
+                    e1 += 1
                 b1[line] = None
             if jitter is None:
                 out.append(cycles)
@@ -535,4 +569,40 @@ class LoadWalker:
             t += (cycles + extra) / CPU_FREQ_GHZ
             if t >= deadline:
                 break
+        # Misses follow from the hits: every element reaches the STLB
+        # and L1D, and a level's misses go on to the next level.  Zero
+        # totals are skipped: 20,000 fresh one-element passes ran 12%
+        # slower with an add to every counter of every level.
+        n = i - start
+        if sh:
+            stlb.hits += sh
+        if n != sh:
+            stlb.misses += n - sh
+            if se:
+                stlb.evictions += se
+                stlb.version += se
+        if h1:
+            l1.hits += h1
+            n -= h1
+        if n:
+            l1.misses += n
+            if e1:
+                l1.evictions += e1
+                l1.version += e1
+            if h2:
+                l2.hits += h2
+                n -= h2
+            if n:
+                l2.misses += n
+                if e2:
+                    l2.evictions += e2
+                    l2.version += e2
+                if h3:
+                    llc.hits += h3
+                    n -= h3
+                if n:
+                    llc.misses += n
+                    if e3:
+                        llc.evictions += e3
+                        llc.version += e3
         return i, t

@@ -51,6 +51,13 @@ def chaos(tmp_path, *events):
     reset_active()
 
 
+async def _settle(timeout: float) -> None:
+    """Wait up to ``timeout`` s for the loop's other tasks to finish."""
+    others = asyncio.all_tasks() - {asyncio.current_task()}
+    if others:
+        await asyncio.wait(others, timeout=timeout)
+
+
 class ServiceHarness:
     """Context manager: a live service on an ephemeral loopback port.
 
@@ -89,6 +96,11 @@ class ServiceHarness:
         if self.service is not None:
             asyncio.run_coroutine_threadsafe(
                 self.service.drain(), self._loop).result(timeout=120)
+        # Connection handlers may still be closing their transports
+        # (``writer.wait_closed()``); a loop stopped under them leaks
+        # the sockets.
+        asyncio.run_coroutine_threadsafe(
+            _settle(timeout=10.0), self._loop).result(timeout=30)
         self._loop.call_soon_threadsafe(self._loop.stop)
         assert self._thread is not None
         self._thread.join(timeout=30)

@@ -2,22 +2,23 @@
 
 Every producer of ``Loads``/``TimedLoads``/``Flushes``/``ExecInsts``
 runs twice on machines built from one seed: batched, through
-:class:`CoroutineBody` and the kernel context's batch loops (load
-batches through their resolved walks), and one element at a time,
-through the per-action body loop and the single load/flush/fetch
+:class:`CoroutineBody` and the kernel context's batch loops (load and
+flush batches through their resolved walks), and one element at a
+time, through the per-action body loop and the single load/flush/fetch
 handlers kept below as the reference.  The handlers call the μarch's
 single-access entry points, ``TlbHierarchy.translate_data`` and
 ``MemoryHierarchy.access``, which the ``repro.validate.uarch`` reference
-models check.  Both runs see the same seeded sequence of short windows
-and the same victim activity between windows, and after every window
-they must agree on the outcome, the values the producer returned, the
-element count, every cache, TLB and BTB, and the next ``timed_load``
-jitter draw.  The windows end inside elements, right after a batch's
-first element and right after its last one.  Between windows the body
-moves between CPUs and between two attacker pids, and both machines
-take a core's TLB flush (an SGX AEX) and private-cache flush, so a
-walk is reused only where it is valid and survives flushes.  The test
-checks that each case occurred.
+models check, a per-line flush written out below, and
+``random.Random.gauss``.  Both runs see the same seeded sequence of
+short windows and the same victim activity between windows, and after
+every window they must agree on the outcome, the values the producer
+returned, the element count, every cache, TLB and BTB, and the state of
+the ``timed_load`` jitter stream.  The windows end inside elements,
+right after a batch's first element and right after its last one.
+Between windows the body moves between CPUs and between two attacker
+pids, and both machines take a core's TLB flush (an SGX AEX) and
+private-cache flush, so a walk is reused only where it is valid and
+survives flushes.  The test checks that each case occurred.
 """
 
 import random
@@ -38,6 +39,7 @@ from repro.kernel import actions as act
 from repro.kernel.kernel import TIMED_LOAD_JITTER_CYCLES, _KernelExecContext
 from repro.kernel.threads import CoroutineBody, RunOutcome
 from repro.sched.task import Task
+from repro.uarch.address import CACHE_LINE_SIZE
 from repro.uarch.timing import CPU_FREQ_GHZ
 from repro.validate.uarch import inject_llc_leak
 from repro.victims.layout import (
@@ -123,15 +125,32 @@ class PerActionBody:
         return RunOutcome(t)
 
 
+def clflush(hierarchy, addr):
+    """Flush one line from every cache, one level at a time: the LLC,
+    then each core's L1I, L1D and L2, bumping the version of each level
+    that held it."""
+    line = addr & ~(CACHE_LINE_SIZE - 1)
+    levels = [hierarchy.llc]
+    for core in range(hierarchy.n_cores):
+        levels += [hierarchy.l1i[core], hierarchy.l1d[core],
+                   hierarchy.l2[core]]
+    for level in levels:
+        bucket = level._sets[level.geometry.set_index(line)]
+        if line in bucket:
+            del bucket[line]
+            level.version += 1
+
+
 class PerActionContext(_KernelExecContext):
     """The kernel context with the single load/flush/fetch handlers."""
 
-    __slots__ = ("_translate_data", "_access")
+    __slots__ = ("_translate_data", "_access", "_gauss")
 
     def __init__(self, kernel, cpu, task):
         super().__init__(kernel, cpu, task)
         self._translate_data = self.core.tlbs.translate_data
         self._access = self.core.hierarchy.access
+        self._gauss = kernel.rng.stream("timed_load").gauss
 
     def exec_action(self, action, now):
         handler = _REF_DISPATCH.get(type(action))
@@ -154,12 +173,12 @@ class PerActionContext(_KernelExecContext):
             self.cpu, self.asid, addr,
             huge=HUGE_LO <= addr < HUGE_HI)
         cycles += self._access(self.cpu, addr, "data")
-        measured = cycles + self._jitter(0.0, TIMED_LOAD_JITTER_CYCLES)
+        measured = cycles + self._gauss(0.0, TIMED_LOAD_JITTER_CYCLES)
         return ((cycles + self._timed_extra) / CPU_FREQ_GHZ,
                 measured if measured > 0.0 else 0.0, None)
 
     def _act_flush(self, action, now):
-        self._clflush(action.addr)
+        clflush(self.core.hierarchy, action.addr)
         return self._flush_ns, None, None
 
     def _act_exec_inst(self, action, now):
@@ -339,10 +358,8 @@ def machine_state(env):
     btbs = [(list(btb._entries.items()), btb.invalidations, btb.allocations)
             for btb in machine.btbs]
     cores = [core.stats for core in machine.cores]
-    jitter = random.Random()
-    jitter.setstate(env.kernel.rng.stream("timed_load").getstate())
     return (caches, tlbs, btbs, cores,
-            jitter.gauss(0.0, TIMED_LOAD_JITTER_CYCLES))
+            env.kernel.rng.stream("timed_load").getstate())
 
 
 def _flush_core(env, cpu):
@@ -447,6 +464,26 @@ def test_empty_batch_runs_nothing_and_costs_nothing():
     assert received == [[]]
     assert outcome == RunOutcome(10.0)
     assert body.actions_executed == 1
+
+
+def test_flush_walk_is_rebuilt_on_another_machine():
+    """One ``Flushes`` batch run on two machines flushes each machine's
+    own caches, on every core."""
+    batch = act.Flushes(FR_LINES)
+    for _ in range(2):
+        env = build_env("cfs", n_cores=2, seed=SEED)
+        hierarchy = env.machine.hierarchy
+        for core in (0, 1):
+            for line in FR_LINES:
+                hierarchy.access(core, line, "data")
+                hierarchy.access(core, line, "inst")
+        ctx = _KernelExecContext(env.kernel, 1,
+                                 Task("a", pid=ATTACKER_PIDS[0]))
+        out = []
+        ctx.exec_batch(batch, 0, 0.0, float("inf"), out)
+        assert out == [None] * len(FR_LINES)
+        assert not any(hierarchy.is_cached_anywhere(line)
+                       for line in FR_LINES)
 
 
 def test_llc_leak_planted_after_the_walk_is_built_still_bites():

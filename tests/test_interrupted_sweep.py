@@ -95,8 +95,10 @@ def test_external_sigterm_leaves_valid_resumable_journal(tmp_path):
             break
         time.sleep(0.02)
     proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=60)
-    assert proc.returncode == 130, (proc.returncode, proc.stderr.read())
+    # communicate, not wait: it reads and closes both pipes, so it can
+    # neither block on a full pipe nor leak them.
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 130, (proc.returncode, stderr)
 
     recovered = replay(journal_path(run_dir))
     journaled = len(recovered)

@@ -81,7 +81,8 @@ def test_reopen_appends_without_a_second_header(tmp_path):
         journal.record("k1", "d1")
     with SweepJournal(str(tmp_path), spec_digest="ignored") as journal:
         journal.record("k2", "d2")
-    raw = open(journal_path(str(tmp_path)), "rb").read()
+    with open(journal_path(str(tmp_path)), "rb") as fh:
+        raw = fh.read()
     headers = [line for line in raw.splitlines() if b'"header"' in line]
     assert len(headers) == 1
     recovered = replay(journal_path(str(tmp_path)))

@@ -83,7 +83,8 @@ class TestRunRecorded:
             "resolution", dict(tau=740.0, preemptions=20, seed=0),
             out_dir=str(tmp_path),
         )
-        data = json.loads(open(path).read())
+        with open(path) as fh:
+            data = json.load(fh)
         assert data["schema"] == 1
         assert data["experiment"] == "resolution"
         assert data["params"]["tau"] == 740.0

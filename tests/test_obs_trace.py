@@ -241,11 +241,12 @@ class TestTracedCommands:
 
     @staticmethod
     def _events(path):
-        """The trace's ``(ph, ts, cpu)`` events (task PIDs count up
-        across runs in one process)."""
+        """The trace's events, whole: a traced command numbers its tasks
+        as a fresh process does, so even their pids and names repeat."""
         trace = json.loads(path.read_text())
         assert validate_chrome_trace(trace) == []
-        events = [(e["ph"], e["ts"], e["pid"]) for e in trace["traceEvents"]]
+        events = [(e["ph"], e["name"], e["ts"], e["pid"], e["tid"],
+                   e.get("args")) for e in trace["traceEvents"]]
         assert [e for e in events if e[0] == "B"]
         return events
 

@@ -417,8 +417,8 @@ class TestReport:
         path.write_text(json.dumps(manifest))
         first = write_telemetry(str(tmp_path), str(tmp_path / "t1.json"))
         second = write_telemetry(str(tmp_path), str(tmp_path / "t2.json"))
-        assert (open(first).read().replace("t1", "")
-                == open(second).read().replace("t2", ""))
+        with open(first) as a, open(second) as b:
+            assert a.read().replace("t1", "") == b.read().replace("t2", "")
 
 
 # ----------------------------------------------------------------------
