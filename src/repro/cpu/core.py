@@ -22,14 +22,14 @@ retires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.cpu.isa import Instruction, InstrKind
 from repro.cpu.program import Program
 from repro.uarch.address import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.uarch.btb import Btb
 from repro.uarch.cache import MemoryHierarchy
-from repro.uarch.timing import LatencyModel, cycles_to_ns
+from repro.uarch.timing import CPU_FREQ_GHZ, LatencyModel, cycles_to_ns
 from repro.uarch.tlb import TlbHierarchy
 
 #: Upper bits preserved when the BTB's 32-bit target is resolved against
@@ -41,6 +41,11 @@ _REGION_MASK = ~((1 << 32) - 1)
 #: ``pc & _FETCH_LINE_MASK == line_addr(pc)``).
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _FETCH_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
+
+#: A fetch walk step's BTB effect (see :meth:`Core.fetch_walk`): a taken
+#: control transfer allocates its entry, a plain instruction invalidates
+#: a valid colliding one, an untaken branch leaves the BTB alone.
+_BTB_ALLOCATE, _BTB_INVALIDATE, _BTB_KEEP = range(3)
 
 
 @dataclass
@@ -127,7 +132,10 @@ class Core:
         """Execute one instruction for address space ``asid``.
 
         Returns the cost in **nanoseconds** and applies all
-        microarchitectural side effects.
+        microarchitectural side effects.  The attacker's ``ExecInsts``
+        batches take the same steps through :meth:`run_fetch_walk`, and
+        the tests hold that walk to this method: a change here belongs
+        there too.
         """
         lat = self.latency
         cycles = float(lat.base_inst)
@@ -191,6 +199,203 @@ class Core:
                 cycles += latency  # pipelined L1 hits are free; misses stall
             self._last_fetch_line = line
         return cycles
+
+    # ------------------------------------------------------------------
+    # Resolved fetch walks (the attacker's ExecInsts batches)
+    # ------------------------------------------------------------------
+    def fetch_walk(self, asid: int,
+                   insts: Iterable[Instruction]) -> Tuple[Any, ...]:
+        """Resolve :meth:`execute` of each of ``insts`` in address space
+        ``asid`` into a *fetch walk*, the tuple ``(core, asid, steps)``.
+
+        An ``ExecInsts`` batch (an iTLB/STLB eviction set's NOPs, a BTB
+        gadget's JMP or RET) is a fixed tuple yielded again every round,
+        so per instruction a step holds what ``execute`` would look up:
+        the page, its ``(asid, vpn)`` tag and the iTLB and STLB sets
+        :meth:`TlbHierarchy.translate_fetch` walks, the line and its
+        L1I, L2 and LLC sets, the BTB slot, the PC and the next PC, the
+        BTB effect (``_BTB_ALLOCATE`` with the target,
+        ``_BTB_INVALIDATE`` or ``_BTB_KEEP``) and the fence.  Holding
+        the set dicts is safe by the set-identity rule of
+        :mod:`repro.uarch.cache` and :mod:`repro.uarch.tlb`.  A walk is
+        valid only on this core and for ``asid``.
+
+        A batch carries no loads or stores (the attacker's loads are
+        ``Loads``/``TimedLoads``), so a LOAD or STORE raises TypeError.
+        """
+        core = self.core_id
+        itlb, stlb = self.tlbs.itlb[core], self.tlbs.stlb[core]
+        hierarchy = self.hierarchy
+        l1, l2, llc = hierarchy.l1i[core], hierarchy.l2[core], hierarchy.llc
+        steps = []
+        for inst in insts:
+            kind = inst.kind
+            if kind.is_memory:
+                raise TypeError(f"a fetch walk runs no {kind.name}: {inst!r}")
+            pc = inst.pc
+            if not kind.is_control_transfer:
+                effect, target = _BTB_INVALIDATE, None
+            elif kind is InstrKind.BRANCH and not inst.taken:
+                effect, target = _BTB_KEEP, None
+            else:
+                effect = _BTB_ALLOCATE
+                target = inst.target if inst.target is not None else inst.next_pc
+            page = pc >> _PAGE_SHIFT
+            line = pc & _FETCH_LINE_MASK
+            steps.append((
+                page, (asid, page), itlb._sets[page % itlb._n_sets],
+                stlb._sets[page % stlb._n_sets],
+                line, l1._sets[(line // l1._line_size) & l1._set_mask],
+                l2._sets[(line // l2._line_size) & l2._set_mask],
+                llc._sets[(line // llc._line_size) & llc._set_mask],
+                Btb.index_of(pc), pc, inst.next_pc, effect, target,
+                inst.fenced))
+        return self, asid, tuple(steps)
+
+    def run_fetch_walk(self, walk: Tuple[Any, ...], i: int, t: float,
+                       deadline: float, out: List[Any]) -> Tuple[int, float]:
+        """Execute ``walk``'s instructions from index ``i`` on, from time
+        ``t`` ns.
+
+        Each element does what :meth:`execute` does for a non-memory
+        instruction, with the same dict operations and counter
+        statements in the same order: the pipeline-refill and warm-up
+        adds; on a new page, ``translate_fetch``'s iTLB→STLB walk; on a
+        new line, the L1I→L2→LLC walk of ``access(core, pc, "inst")``,
+        whose latency counts only above an L1 hit; a valid BTB entry's
+        target prefetch through ``hierarchy.prefetch`` (so a core parked
+        in ``prefetch_disabled`` issues none) and mispredict; the BTB
+        update; the fence.  An LLC eviction calls
+        ``hierarchy._back_invalidate`` as it is at that moment, so the
+        validate layer's ``inclusive-llc-leak`` plant reaches it.  The
+        latencies are integer cycles, so their sum is exact in any
+        grouping.  The element appends its cost in ns to ``out`` and
+        adds it to ``t``; the walk stops after the element that reaches
+        ``deadline``.  Counters, versions and :class:`CoreStats` are
+        updated in place; the core's fetch state is read when the pass
+        starts and written back when it returns.  Returns
+        ``(next_index, t)``.
+        """
+        lat = self.latency
+        base, refill, warm_extra = (float(lat.base_inst), lat.pipeline_refill,
+                                    lat.frontend_warmup_extra)
+        mispredict, lfence, l1_hit = lat.branch_mispredict, lat.lfence, lat.l1_hit
+        core, tlbs, hierarchy = self.core_id, self.tlbs, self.hierarchy
+        itlb, stlb = tlbs.itlb[core], tlbs.stlb[core]
+        itlb_ways, stlb_ways = itlb._n_ways, stlb._n_ways
+        stlb_hit, page_walk = tlbs._stlb_hit, tlbs._page_walk
+        l1, l2, llc = hierarchy.l1i[core], hierarchy.l2[core], hierarchy.llc
+        l1_ways, l2_ways, llc_ways = l1._n_ways, l2._n_ways, llc._n_ways
+        h_l1_hit, h_l2_hit = hierarchy._l1_hit, hierarchy._l2_hit
+        h_llc_hit, dram = hierarchy._llc_hit, hierarchy._dram
+        btb, stats = self.btb, self.stats
+        entries = btb._entries
+        cold, warmup = self._pipeline_cold, self._warmup_remaining
+        last_page, last_line = self._last_fetch_page, self._last_fetch_line
+        for (page, tag, tset1, tset2, line, b1, b2, b3, slot, pc, next_pc,
+             effect, target, fenced) in walk[2][i:]:
+            i += 1
+            cycles = base
+            if cold:
+                cycles += refill
+                cold = False
+            if warmup > 0:
+                cycles += warm_extra
+                warmup -= 1
+            if page != last_page:
+                if tag in tset1:
+                    itlb.hits += 1
+                    del tset1[tag]
+                    tset1[tag] = None
+                else:
+                    itlb.misses += 1
+                    if tag in tset2:
+                        stlb.hits += 1
+                        del tset2[tag]
+                        tset2[tag] = None
+                        cycles += stlb_hit
+                    else:
+                        stlb.misses += 1
+                        if len(tset2) >= stlb_ways:
+                            del tset2[next(iter(tset2))]
+                            stlb.evictions += 1
+                            stlb.version += 1
+                        tset2[tag] = None
+                        cycles += page_walk
+                    if len(tset1) >= itlb_ways:
+                        del tset1[next(iter(tset1))]
+                        itlb.evictions += 1
+                        itlb.version += 1
+                    tset1[tag] = None
+                last_page = page
+            if line != last_line:
+                if line in b1:
+                    l1.hits += 1
+                    del b1[line]
+                    b1[line] = None
+                    latency = h_l1_hit
+                else:
+                    l1.misses += 1
+                    if line in b2:
+                        l2.hits += 1
+                        del b2[line]
+                        b2[line] = None
+                        latency = h_l2_hit
+                    else:
+                        l2.misses += 1
+                        if line in b3:
+                            llc.hits += 1
+                            del b3[line]
+                            b3[line] = None
+                            latency = h_llc_hit
+                        else:
+                            llc.misses += 1
+                            if len(b3) >= llc_ways:
+                                victim = next(iter(b3))
+                                del b3[victim]
+                                llc.evictions += 1
+                                llc.version += 1
+                                b3[line] = None
+                                hierarchy._back_invalidate(victim)
+                            else:
+                                b3[line] = None
+                            latency = dram
+                        if len(b2) >= l2_ways:
+                            del b2[next(iter(b2))]
+                            l2.evictions += 1
+                            l2.version += 1
+                        b2[line] = None
+                    if len(b1) >= l1_ways:
+                        del b1[next(iter(b1))]
+                        l1.evictions += 1
+                        l1.version += 1
+                    b1[line] = None
+                if latency > l1_hit:
+                    cycles += latency
+                last_line = line
+            entry = entries.get(slot)
+            if entry is not None and entry.valid:
+                resolved = (pc & _REGION_MASK) | (entry.target & ~_REGION_MASK)
+                hierarchy.prefetch(core, resolved)
+                if resolved != next_pc:
+                    cycles += mispredict
+                    stats.mispredicts += 1
+                if effect == _BTB_INVALIDATE:
+                    entry.valid = False
+                    btb.invalidations += 1
+            if effect == _BTB_ALLOCATE:
+                btb.on_control_transfer(pc, target)
+            if fenced:
+                cycles += lfence
+            stats.instructions_retired += 1
+            cost = cycles / CPU_FREQ_GHZ
+            out.append(cost)
+            t += cost
+            if t >= deadline:
+                break
+        self._pipeline_cold, self._warmup_remaining = cold, warmup
+        self._last_fetch_page, self._last_fetch_line = last_page, last_line
+        return i, t
 
     # ------------------------------------------------------------------
     # Program execution against a deadline (used by the kernel)

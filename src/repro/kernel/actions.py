@@ -43,13 +43,14 @@ class Batch(Action):
     window that ends inside a batch resumes it at the next element.
 
     ``walk`` belongs to the kernel: a load batch keeps there the walk
-    (see :class:`repro.uarch.cache.LoadWalker`) resolved for the CPU,
-    kernel and address space it last ran on, and a flush batch the
-    flush walk (see :meth:`repro.uarch.cache.MemoryHierarchy.flush_walk`)
-    resolved for the machine it last ran on, so a batch yielded again
-    there skips the set lookups, and a one-shot batch drops its walk
-    with itself.  It is not an argument and takes no part in ``repr``
-    or comparison.
+    (see :class:`repro.uarch.cache.LoadWalker`) and an ``ExecInsts``
+    batch the fetch walk (see :meth:`repro.cpu.core.Core.fetch_walk`)
+    resolved for the CPU, kernel and address space it last ran on, and
+    a flush batch the flush walk (see
+    :meth:`repro.uarch.cache.MemoryHierarchy.flush_walk`) resolved for
+    the machine it last ran on, so a batch yielded again there skips
+    the set lookups, and a one-shot batch drops its walk with itself.
+    It is not an argument and takes no part in ``repr`` or comparison.
     """
 
     items: Tuple[Any, ...]
@@ -77,7 +78,10 @@ class Flushes(Batch):
 class ExecInsts(Batch):
     """Execute synthetic instructions in the attacker's own address
     space (BTB gadget priming/probing, iTLB eviction-set fetches).
-    Each result is the instruction's cost in ns."""
+    Each result is the instruction's cost in ns.  The instructions are
+    fetches and control transfers only: the attacker's loads are
+    ``Loads``/``TimedLoads``, and a LOAD or STORE here raises
+    TypeError when the batch runs."""
 
 
 @dataclass

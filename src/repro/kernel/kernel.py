@@ -214,14 +214,15 @@ class _KernelExecContext(ExecContext):
     # ------------------------------------------------------------------
     # Batches.  ``Loads`` and ``TimedLoads`` run through the load walk
     # the batch keeps (repro.uarch.cache.LoadWalker), one loop for both
-    # kinds.  A load walk names the walker (this CPU of this kernel)
-    # and the asid it was resolved for, and is rebuilt when either
-    # differs.  ``Flushes`` run through the flush walk the batch
-    # keeps (MemoryHierarchy.flush_walk), which names the hierarchy and
-    # holds on any of its CPUs.  ``ExecInsts`` has a loop of its own.
-    # Each element makes its μarch calls, then any jitter draw, then
-    # its ``t += cost`` add; a loop stops after the element that
-    # reaches ``deadline`` (see ExecContext.exec_batch).
+    # kinds, and ``ExecInsts`` through the fetch walk it keeps
+    # (Core.fetch_walk).  Both walks name what they were resolved for,
+    # the walker or the core (this CPU of this kernel), and the asid,
+    # and are rebuilt when either differs.  ``Flushes`` run through the
+    # flush walk the batch keeps (MemoryHierarchy.flush_walk), which
+    # names the hierarchy and holds on any of its CPUs.  Each element
+    # makes its μarch calls, then any jitter draw, then its ``t +=
+    # cost`` add; a loop stops after the element that reaches
+    # ``deadline`` (see ExecContext.exec_batch).
     # ------------------------------------------------------------------
     def exec_batch(self, batch, i, t, deadline, out):
         kind = type(batch)
@@ -236,7 +237,10 @@ class _KernelExecContext(ExecContext):
             return hierarchy.run_flush_walk(walk, i, t, deadline, out,
                                             self._flush_ns)
         elif kind is act.ExecInsts:
-            return self._exec_insts(batch.items, i, t, deadline, out)
+            core, walk = self.core, batch.walk
+            if walk is None or walk[0] is not core or walk[1] != self.asid:
+                walk = batch.walk = core.fetch_walk(self.asid, batch.items)
+            return core.run_fetch_walk(walk, i, t, deadline, out)
         else:
             raise TypeError(f"unknown batch {batch!r}")
         walker, walk = self._walker, batch.walk
@@ -244,17 +248,6 @@ class _KernelExecContext(ExecContext):
             walk = batch.walk = walker.walk(self.asid, batch.items)
         return walker.run(walk, i, t, deadline, out, extra, jitter,
                           TIMED_LOAD_JITTER_CYCLES)
-
-    def _exec_insts(self, insts, i, t, deadline, out):
-        execute, asid = self.core.execute, self.asid
-        for inst in insts[i:]:
-            i += 1
-            cost = execute(asid, inst)
-            out.append(cost)
-            t += cost
-            if t >= deadline:
-                break
-        return i, t
 
 
 _DISPATCH = {

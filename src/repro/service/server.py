@@ -50,6 +50,7 @@ are answered by the ``stats`` op.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -76,6 +77,12 @@ class InjectedTransportFailure(ConnectionError):
 
 #: Pause before transport retry ``n`` is ``n`` times this.
 RETRY_BACKOFF_S = 0.05
+
+#: Worker pools start their processes fresh: the service runs beside
+#: other threads (its event loop may itself run on one), and a process
+#: forked from a multi-threaded one can hang on a lock another thread
+#: held at the fork.
+_POOL_CONTEXT = multiprocessing.get_context("spawn")
 
 
 @dataclass
@@ -215,7 +222,7 @@ class ExperimentService:
         self._stopped = asyncio.Event()
         if not self.inline:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers)
+                max_workers=self.config.workers, mp_context=_POOL_CONTEXT)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=protocol.MAX_LINE_BYTES,
@@ -240,8 +247,10 @@ class ExperimentService:
         if self._journal is not None:
             self._journal.close()
         if self._server is not None:
+            # Not ``wait_closed()``: since Python 3.12.1 it also waits
+            # for every open connection to drop, and a ``drain`` op
+            # keeps its own connection open until this returns.
             self._server.close()
-            await self._server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -553,7 +562,7 @@ class ExperimentService:
             if self._pool_generation != seen_generation:
                 return  # another cell already replaced it
             old, self._pool = self._pool, ProcessPoolExecutor(
-                max_workers=self.config.workers)
+                max_workers=self.config.workers, mp_context=_POOL_CONTEXT)
             old.shutdown(wait=False)
             self._pool_generation += 1
             self._pool_replacements += 1

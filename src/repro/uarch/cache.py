@@ -41,9 +41,12 @@ ahead of time rely on this, because they hold the set dicts themselves:
 the touchers of :meth:`MemoryHierarchy.make_line_toucher` (the kernel's
 footprint, which holds L1 sets), the walks of a :class:`LoadWalker`
 (the attacker's load batches, which hold one core's L1D, L2 and LLC
-sets and, under the same rule in :mod:`repro.uarch.tlb`, STLB sets) and
+sets and, under the same rule in :mod:`repro.uarch.tlb`, STLB sets),
 the flush walks of :meth:`MemoryHierarchy.flush_walk` (the attacker's
-flush batches, which hold LLC sets and every core's private sets).
+flush batches, which hold LLC sets and every core's private sets) and
+the fetch walks of :meth:`repro.cpu.core.Core.fetch_walk` (the
+attacker's ``ExecInsts`` batches, which hold one core's L1I, L2 and LLC
+sets and its iTLB and STLB sets).
 """
 
 from __future__ import annotations

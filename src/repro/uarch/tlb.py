@@ -14,8 +14,9 @@ is ``vpn mod n_sets``.
 constructor, and never replaces them: an eviction deletes from a set in
 place, and ``flush_all`` (an SGX AEX, :meth:`TlbHierarchy.flush_core`)
 clears each set in place.  The cache's resolved load walks
-(:class:`repro.uarch.cache.LoadWalker`) hold STLB set dicts and rely on
-this.
+(:class:`repro.uarch.cache.LoadWalker`) hold STLB set dicts, and the
+core's resolved fetch walks (:meth:`repro.cpu.core.Core.fetch_walk`)
+hold iTLB and STLB set dicts; both rely on this.
 """
 
 from __future__ import annotations

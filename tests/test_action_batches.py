@@ -2,23 +2,26 @@
 
 Every producer of ``Loads``/``TimedLoads``/``Flushes``/``ExecInsts``
 runs twice on machines built from one seed: batched, through
-:class:`CoroutineBody` and the kernel context's batch loops (load and
-flush batches through their resolved walks), and one element at a
-time, through the per-action body loop and the single load/flush/fetch
-handlers kept below as the reference.  The handlers call the μarch's
-single-access entry points, ``TlbHierarchy.translate_data`` and
-``MemoryHierarchy.access``, which the ``repro.validate.uarch`` reference
-models check, a per-line flush written out below, and
-``random.Random.gauss``.  Both runs see the same seeded sequence of
-short windows and the same victim activity between windows, and after
-every window they must agree on the outcome, the values the producer
-returned, the element count, every cache, TLB and BTB, and the state of
-the ``timed_load`` jitter stream.  The windows end inside elements,
-right after a batch's first element and right after its last one.
-Between windows the body moves between CPUs and between two attacker
-pids, and both machines take a core's TLB flush (an SGX AEX) and
-private-cache flush, so a walk is reused only where it is valid and
-survives flushes.  The test checks that each case occurred.
+:class:`CoroutineBody` and the kernel context's batch loops (load,
+flush and fetch batches through their resolved walks), and one element
+at a time, through the per-action body loop and the single
+load/flush/fetch handlers kept below as the reference.  The handlers
+call the μarch's single-access entry points,
+``TlbHierarchy.translate_data`` and ``MemoryHierarchy.access``, which
+the ``repro.validate.uarch`` reference models check, a per-line flush
+written out below, ``random.Random.gauss`` and ``Core.execute``.  Both
+runs see the same seeded sequence of short windows and the same victim
+activity between windows, and after every window they must agree on
+the outcome, the values the producer returned, the element count,
+every cache, TLB and BTB, the prefetch counters, each core's stats and
+fetch state, and the state of the ``timed_load`` jitter stream.  The
+windows end inside elements, right after a batch's first element and
+right after its last one.  Between windows the body moves between CPUs
+and between two attacker pids, both machines take a core's TLB flush
+(an SGX AEX) and private-cache flush, and both reset the body's core
+for a context switch and park or unpark it in ``prefetch_disabled``
+(PreFence), so a walk is reused only where it is valid and survives
+flushes.  The test checks that each case occurred.
 """
 
 import random
@@ -32,7 +35,7 @@ from repro.channels.prime_probe import PrimeProbe, PrimeProbeSet
 from repro.channels.seek import FlushReloadSeeker, PrimeProbeSeeker
 from repro.core.degradation import CodeLineStaller, TlbEvictor
 from repro.core.oracle import VictimPresenceOracle
-from repro.cpu.isa import Instruction, nop
+from repro.cpu.isa import Instruction, InstrKind, branch, nop
 from repro.experiments.channel_noise import PolluterConfig, make_polluter
 from repro.experiments.setup import build_env
 from repro.kernel import actions as act
@@ -306,6 +309,37 @@ def tlb_evictor(env, returned):
     return _rounds(evictor.degrade, returned), _execute([VICTIM_CODE])
 
 
+_4GIB = 1 << 32
+FETCH_PC = 0x3000_0000
+JMP_PC, RET_PC = FETCH_PC + 0x1000, FETCH_PC + 0x2000
+
+
+def fetch_mix(env, returned):
+    """Every path of the fetch walk: one line, a new line and a new
+    page; an untaken branch and a fence; a JMP, then a NOP 4 GiB away
+    that predicts through the JMP's entry, mispredicts and invalidates
+    it; and a RET whose colliding entry is a JMP's 4 GiB away, left
+    valid by an untaken branch that mispredicts through it, so the RET
+    predicts a target other than its next PC."""
+    def jmp(pc):
+        return Instruction(pc=pc, kind=InstrKind.JMP, target=pc + 0x440)
+
+    insts = act.ExecInsts((
+        nop(FETCH_PC), nop(FETCH_PC + 4), nop(FETCH_PC + 0x40),
+        branch(FETCH_PC + 0x44, FETCH_PC + 0x400, taken=False),
+        Instruction(pc=FETCH_PC + 0x48, kind=InstrKind.NOP, fenced=True),
+        jmp(JMP_PC), nop(JMP_PC + _4GIB),
+        jmp(RET_PC + _4GIB),
+        branch(RET_PC + 2 * _4GIB, RET_PC + 2 * _4GIB + 0x100, taken=False),
+        Instruction(pc=RET_PC, kind=InstrKind.RET, target=RET_PC + 1),
+    ))
+
+    def measure():
+        return (yield insts)
+    return (_rounds(measure, returned),
+            _execute([JMP_PC + 2 * _4GIB, RET_PC + 3 * _4GIB]))
+
+
 #: Lines on both sides of both bounds of the 2 MiB-page arena.
 EDGE_LINES = tuple(bound + offset for bound in ATTACKER_HUGE_REGION
                    for offset in (-128, -64, 0, 64))
@@ -338,15 +372,16 @@ def polluter(env, returned):
 
 
 PRODUCERS = (flush_reload, prime_probe, dual_btb_probe, flush_reload_seeker,
-             prime_probe_seeker, presence_oracle, tlb_evictor,
+             prime_probe_seeker, presence_oracle, tlb_evictor, fetch_mix,
              code_line_staller, arena_edges, polluter)
 
 
 # ----------------------------------------------------------------------
 # The differential run
 # ----------------------------------------------------------------------
-def machine_state(env):
-    machine = env.machine
+def uarch_state(machine):
+    """Every cache, TLB and BTB, the prefetch counters, and each core's
+    stats and fetch state."""
     h = machine.hierarchy
     caches = [(level.name, tuple(level.occupied_sets()), level.hits,
                level.misses, level.evictions, level.version)
@@ -357,8 +392,15 @@ def machine_state(env):
             for tlb in (*machine.tlbs.itlb, *machine.tlbs.stlb)]
     btbs = [(list(btb._entries.items()), btb.invalidations, btb.allocations)
             for btb in machine.btbs]
-    cores = [core.stats for core in machine.cores]
+    cores = [(core.stats, core._pipeline_cold, core._warmup_remaining,
+              core._last_fetch_page, core._last_fetch_line)
+             for core in machine.cores]
     return (caches, tlbs, btbs, cores,
+            (h.prefetches_issued, h.prefetches_suppressed))
+
+
+def machine_state(env):
+    return (uarch_state(env.machine),
             env.kernel.rng.stream("timed_load").getstate())
 
 
@@ -366,6 +408,13 @@ def _flush_core(env, cpu):
     """An SGX AEX's TLB flush and a private-cache flush of ``cpu``."""
     env.machine.tlbs.flush_core(cpu)
     env.machine.hierarchy.flush_core_private(cpu)
+
+
+def _switch_core(env, cpu):
+    """A context switch's reset of ``cpu``'s fetch state, and PreFence
+    parking ``cpu`` in ``prefetch_disabled``, or unparking it."""
+    env.machine.core(cpu).on_context_switch()
+    env.machine.hierarchy.prefetch_disabled ^= {cpu}
 
 
 def _window(r, start):
@@ -400,7 +449,7 @@ def test_batches_match_per_action_protocol(producer):
 
     r = random.Random(SEED)
     seen = dict(inside_element=0, after_first=0, after_last=0,
-                cpu_move=0, pid_move=0, flush=0)
+                cpu_move=0, pid_move=0, flush=0, switch=0)
     t = 0.0
     for window in range(WINDOWS):
         deadline = _window(r, t)
@@ -434,6 +483,10 @@ def test_batches_match_per_action_protocol(producer):
             _flush_core(batched_env, flushed)
             _flush_core(ref_env, flushed)
             seen["flush"] += 1
+        if window % 7 == 5:
+            _switch_core(batched_env, cpu)
+            _switch_core(ref_env, cpu)
+            seen["switch"] += 1
         if window % 3 == 2:
             seen["cpu_move"] += 1
             cpu = 1 - cpu
@@ -445,9 +498,13 @@ def test_batches_match_per_action_protocol(producer):
     assert batched_returned or producer is polluter, "no round completed"
     assert seen["inside_element"] and seen["after_last"], seen
     assert seen["cpu_move"] and seen["pid_move"] and seen["flush"], seen
+    assert seen["switch"], seen
     # A one-element batch's first element is its last.
     one_element = producer in (dual_btb_probe, flush_reload_seeker)
     assert one_element or seen["after_first"], seen
+    if producer in (dual_btb_probe, fetch_mix):
+        h = batched_env.machine.hierarchy
+        assert h.prefetches_issued and h.prefetches_suppressed, seen
 
 
 def test_empty_batch_runs_nothing_and_costs_nothing():
@@ -519,6 +576,51 @@ def test_llc_leak_planted_after_the_walk_is_built_still_bites():
         machine.hierarchy.access(1, shared)
         inject_llc_leak(machine.hierarchy)
         load_pass()
+        return results, machine_state(env), machine
+
+    batched_results, batched_state, machine = run(batched=True)
+    ref_results, ref_state, _ = run(batched=False)
+    assert batched_results == ref_results
+    assert batched_state == ref_state
+    # The leak bit: core 1 kept its copy of a line the LLC evicted.
+    assert machine.hierarchy.l1d[1].contains(shared)
+    assert not machine.hierarchy.llc.contains(shared)
+
+
+def test_llc_leak_planted_after_the_fetch_walk_is_built_still_bites():
+    """The fetch walk calls the hierarchy's back-invalidation as it is
+    when an LLC line is evicted, not as it was when the walk was built."""
+    llc = build_env("cfs", n_cores=2, seed=SEED).machine.config.geometry.llc
+    stride = llc.n_sets * llc.line_size
+    # Core 1 holds ``shared``; core 0 fetches the rest of its LLC set.
+    shared = ATTACKER_LLC_ARENA
+    batch = act.ExecInsts(tuple(nop(shared + stride * k)
+                                for k in range(1, llc.n_ways + 1)))
+
+    def run(batched):
+        env = build_env("cfs", n_cores=2, seed=SEED)
+        machine = env.machine
+        ctx = _KernelExecContext(env.kernel, 0,
+                                 Task("a", pid=ATTACKER_PIDS[0]))
+        results = []
+
+        def fetch_pass():
+            out = []
+            if batched:
+                ctx.exec_batch(batch, 0, 0.0, float("inf"), out)
+            else:
+                out = [ctx.core.execute(ctx.asid, inst)
+                       for inst in batch.items]
+            results.append(out)
+
+        machine.hierarchy.access(1, shared)
+        fetch_pass()  # builds the batched side's walk
+        walk = batch.walk
+        machine.hierarchy.access(1, shared)
+        inject_llc_leak(machine.hierarchy)
+        fetch_pass()
+        if batched:
+            assert batch.walk is walk  # the second pass reused it
         return results, machine_state(env), machine
 
     batched_results, batched_state, machine = run(batched=True)

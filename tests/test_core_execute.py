@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cpu.isa import Instruction, InstrKind, load, nop
+from repro.cpu.isa import Instruction, InstrKind, branch, load, nop, store
 from repro.cpu.machine import Machine, MachineConfig
 from repro.cpu.program import StraightlineProgram, TraceProgram
+from repro.uarch.address import PAGE_SIZE
 from repro.uarch.timing import LATENCY, cycles_to_ns
+from tests.test_action_batches import uarch_state
 
 
 @pytest.fixture
@@ -54,7 +56,7 @@ class TestExecutionCosts:
     def test_new_line_fetch_miss_costs(self, core):
         warm(core)
         same_line = core.execute(1, nop(0x400000 + 4 * 14))
-        new_line = core.execute(1, nop(0x402000))  # cold line, same page? no
+        new_line = core.execute(1, nop(0x402000))  # new page, cold line
         assert new_line > same_line
 
 
@@ -89,6 +91,81 @@ class TestBtbInteraction:
         core.execute(1, Instruction(pc=0x400000, kind=InstrKind.BRANCH,
                                     target=0x400100, taken=False))
         assert core.btb.predict(0x400000) is None
+
+
+_4GIB = 1 << 32
+
+
+def _jmp(pc):
+    return Instruction(pc=pc, kind=InstrKind.JMP, target=pc + 0x440)
+
+
+#: Cold pipeline and warm-up (past its 12 instructions); the same line,
+#: a new line and a new page; a fence; a JMP's BTB allocate, then a NOP
+#: 4 GiB away that prefetches its predicted target, mispredicts and
+#: invalidates it; an untaken branch that mispredicts through a valid
+#: entry and keeps it; a RET that mispredicts through that entry and
+#: allocates its own.  Then a ``TlbEvictor``'s NOPs for 0x400000: 8
+#: pages in its iTLB set, each in an STLB set of its own, and 12 in its
+#: STLB set, which evict its translation from both levels.
+FETCH_SEQUENCE = (
+    nop(0x400000), nop(0x400004), nop(0x400040), nop(0x402000),
+    Instruction(pc=0x402004, kind=InstrKind.NOP, fenced=True),
+    _jmp(0x401000), nop(0x401000 + _4GIB),
+    _jmp(0x403000 + _4GIB),
+    branch(0x403000 + 2 * _4GIB, 0x403100 + 2 * _4GIB, taken=False),
+    Instruction(pc=0x403000, kind=InstrKind.RET, target=0x403001),
+    nop(0x403001), nop(0x403005), nop(0x403009), nop(0x40300D),
+    *(nop(0x400000 + k * 8 * PAGE_SIZE) for k in range(1, 9)),
+    *(nop(0x400000 + k * 128 * PAGE_SIZE) for k in range(1, 13)),
+)
+
+
+class TestFetchWalk:
+    def test_fetch_walk_matches_execute_one_instruction_at_a_time(self):
+        """Two passes over one fetch walk: a whole pass, then with the
+        core parked in ``prefetch_disabled`` one element per call (each
+        stops at its deadline).  A twin machine executes the same
+        instructions one at a time; after every call both agree."""
+        walked, stepped = (Machine(MachineConfig(n_cores=2))
+                           for _ in range(2))
+        core, ref = walked.core(0), stepped.core(0)
+        walk = core.fetch_walk(7, FETCH_SEQUENCE)
+        out = []
+        i, t = core.run_fetch_walk(walk, 0, 0.0, float("inf"), out)
+        assert (i, out) == (len(FETCH_SEQUENCE),
+                            [ref.execute(7, inst) for inst in FETCH_SEQUENCE])
+        assert t == sum(out)
+        assert uarch_state(walked) == uarch_state(stepped)
+
+        walked.hierarchy.prefetch_disabled.add(0)
+        stepped.hierarchy.prefetch_disabled.add(0)
+        i = 0
+        for inst in FETCH_SEQUENCE:
+            out = []
+            i, t = core.run_fetch_walk(walk, i, 0.0, 0.0, out)
+            assert out == [ref.execute(7, inst)]
+            assert uarch_state(walked) == uarch_state(stepped)
+        assert i == len(FETCH_SEQUENCE)
+
+        # The sequence reached every path it names.  The whole pass
+        # mispredicts three times (the NOP, the branch, the RET), the
+        # parked one four (the JMP 4 GiB from the RET also predicts
+        # through the RET's entry).  Both TLB levels evict, and on the
+        # parked pass the iTLB set's pages hit the STLB.
+        h, btb = walked.hierarchy, walked.btbs[0]
+        itlb, stlb = walked.tlbs.itlb[0], walked.tlbs.stlb[0]
+        assert core.stats.mispredicts == 7
+        assert (h.prefetches_issued, h.prefetches_suppressed) == (3, 4)
+        assert (btb.invalidations, btb.allocations) == (2, 6)
+        assert itlb.evictions and stlb.evictions and stlb.hits
+
+    @pytest.mark.parametrize("inst", [load(0x400000, 0x600000),
+                                      store(0x400000, 0x600000)],
+                             ids=["load", "store"])
+    def test_fetch_walk_rejects_memory_instructions(self, core, inst):
+        with pytest.raises(TypeError):
+            core.fetch_walk(1, (nop(0x3ffffc), inst))
 
 
 class TestRunProgram:

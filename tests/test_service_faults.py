@@ -17,7 +17,8 @@ without digest drift:
 * a full queue — whole-batch backpressure rejection, and the client's
   resubmit loop eventually lands the batch; a batch larger than the
   queue could never fit and is a bad request;
-* a drain — the server journal holds every cell that completed.
+* a drain — the server journal holds every cell that completed, and a
+  client's ``drain`` op is answered before the service stops.
 
 Worker kills and slow workers are scripted chaos schedules on the
 ``service.cell`` point (:func:`chaos`), matched on the cell's ``seed``
@@ -36,6 +37,7 @@ import pytest
 
 from repro.obs.cellcache import CellCache
 from repro.obs.journal import journal_path, replay
+from repro.service import client as service_client
 from repro.service.client import Backpressure, ServiceError
 from tests.service_harness import (
     ServiceHarness,
@@ -302,6 +304,23 @@ class TestServerJournal:
         assert not recovered.torn
         for key, digest in zip(keys, batch.digests):
             assert recovered.digest_for(key) == digest
+
+    def test_drain_op_is_answered_and_closes_the_listener(self, tmp_path):
+        """The ``drain`` op's connection stays open until its reply, so
+        the drain must not wait for every connection to drop (which
+        asyncio's ``Server.wait_closed`` does since Python 3.12.1)."""
+        with ServiceHarness(cache_dir=str(tmp_path / "cc"),
+                            workers=0) as harness:
+            replies = []
+            client = threading.Thread(target=lambda: replies.append(
+                service_client.drain(harness.host, harness.port)),
+                daemon=True)
+            client.start()
+            client.join(timeout=30)
+            assert not client.is_alive(), "the drain op was never answered"
+            assert replies[0]["type"] == "drained"
+            with pytest.raises(OSError):
+                service_client.ping(harness.host, harness.port)
 
     def test_cache_hits_are_journaled_too(self, tmp_path):
         journal_dir = str(tmp_path / "server-run")
