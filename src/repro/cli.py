@@ -11,7 +11,7 @@ without writing harness code:
     python -m repro btb --pairs 5
     python -m repro colocation --trials 20
     python -m repro mitigations
-    python -m repro trace resolution --out trace.json
+    python -m repro --trace trace.json resolution --preemptions 150
     python -m repro stats resolution
     python -m repro replay runs/run-resolution-s0-xxxxxxxxxx.json
     python -m repro serve --port 7341 &
@@ -265,27 +265,11 @@ def _cmd_defense_grid(args: argparse.Namespace) -> None:
 # Observability verbs
 # ----------------------------------------------------------------------
 def _traceable_params(args: argparse.Namespace) -> dict:
-    """Small-run parameters for the trace/stats demonstration verbs."""
+    """Small-run parameters for the ``stats`` demonstration verb."""
     if args.experiment == "resolution":
         return dict(tau=args.tau, preemptions=args.preemptions,
                     seed=args.seed)
     return dict(extra_compute_ns=12_000.0, seed=args.seed)  # budget
-
-
-def _cmd_trace(args: argparse.Namespace) -> None:
-    import repro.obs as obs_mod
-
-    os.environ["REPRO_TRACE"] = "1"
-    obs_mod.reset()
-    try:
-        _run(args, args.experiment, _traceable_params(args))
-        tracer = obs_mod.get_obs().tracer
-        n = tracer.export(args.out)
-    finally:
-        os.environ.pop("REPRO_TRACE", None)
-        obs_mod.reset()
-    print(f"wrote {n} trace events to {args.out}")
-    print("open in https://ui.perfetto.dev or chrome://tracing")
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
@@ -862,18 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_defense_grid)
 
     p = sub.add_parser(
-        "trace",
-        help="run a small experiment with tracing on and export a "
-             "Perfetto-loadable Chrome trace",
-    )
-    p.add_argument("experiment", choices=("resolution", "budget"))
-    p.add_argument("--tau", type=float, default=740.0)
-    p.add_argument("--preemptions", type=int, default=150,
-                   help="small by default: traces grow with run length")
-    p.add_argument("--out", default="trace.json", metavar="FILE")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
         "stats", help="run a small experiment with metrics on and print "
                       "the metrics table",
     )
@@ -1118,8 +1090,7 @@ def _configure_obs(args: argparse.Namespace) -> None:
     # A trace is built from the records of the kernels this process
     # runs, so a traced command computes every cell here: serially, and
     # never from the cell cache.
-    tracing = (getattr(args, "trace", None) is not None
-               or args.command == "trace")
+    tracing = args.trace is not None
     if tracing:
         args.jobs = 1
     # --telemetry needs the workers to record metric snapshots into
@@ -1127,7 +1098,7 @@ def _configure_obs(args: argparse.Namespace) -> None:
     # post-run table still prints only with an explicit --metrics).
     _set("REPRO_METRICS",
          bool(getattr(args, "metrics", False)) or telemetry)
-    _set("REPRO_TRACE", getattr(args, "trace", None) is not None)
+    _set("REPRO_TRACE", tracing)
     _set("REPRO_PROGRESS", bool(getattr(args, "progress", False)))
     manifest_dir = None if args.no_manifest else args.manifest_dir
     _set("REPRO_MANIFEST_DIR", manifest_dir is not None, manifest_dir or "")
@@ -1168,7 +1139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs = obs_mod.get_obs()
     if getattr(args, "metrics", False) and obs.metrics.enabled:
         print(obs.metrics.render())
-    if getattr(args, "trace", None) and obs.tracer.enabled:
+    if args.trace and obs.tracer.enabled:
         n = obs.tracer.export(args.trace)
         print(f"[trace] wrote {n} events to {args.trace}", file=sys.stderr)
     if (getattr(args, "telemetry", False) and not args.no_manifest

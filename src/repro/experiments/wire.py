@@ -1,13 +1,18 @@
-"""Wire-format experiment cells: the service's unit of work.
+"""Experiment cells in their one form: the unit of work everywhere.
 
-The experiment service (:mod:`repro.service`) accepts cells over a JSON
-protocol, so a cell must be constructible from plain JSON — and, just
-as important, two requests that *mean* the same cell must normalize to
-the same parameter dict, because the service dedupes work by the cell's
-content-addressed manifest key (:meth:`repro.obs.cellcache.CellCache.
-key_for`).  Without normalization, ``{"tau": 740}`` and ``{"tau":
-740.0, "preemptions": 1000}`` would be two different keys for one
-simulation.
+A cell is an experiment named ``module:qualname`` plus its normalized
+params, and :func:`repro.obs.cellcache.cell_key` over that pair is its
+one identity.  Every entry point builds that form where the cell
+enters, then runs, keys and records the cell with it: the CLI verbs
+(:func:`repro.obs.manifest.run_recorded`), every experiment's fan-out
+(:func:`repro.parallel.starmap_kwargs`), and ``repro run`` and the
+experiment service (:mod:`repro.service`), which accept cells as plain
+JSON (:func:`cell_from_wire`).  Two spellings that *mean* the same cell
+must therefore normalize to the same parameter dict: without
+normalization, ``{"tau": 740}`` and ``{"tau": 740.0, "preemptions":
+1000}`` would be two different keys for one simulation, and a cell a
+figure computed would miss when the service or a ``repro run`` sweep
+asked for it again.
 
 Normalization rules (:func:`normalize_params`):
 
@@ -69,9 +74,8 @@ class WireCell:
 
     ``experiment`` is canonical (``module:qualname``); ``params`` are
     restored Python values with every signature default filled in, so
-    ``CellCache.key_for(experiment, params)`` is *the* dedupe identity:
-    equal cells — however they were spelled on the wire — have equal
-    keys.
+    ``cell_key(experiment, params)`` is *the* dedupe identity: equal
+    cells — however they were spelled on the wire — have equal keys.
     """
 
     experiment: str
@@ -106,9 +110,13 @@ def normalize_params(fn: Callable[..., Any],
     """Fill signature defaults and coerce int→float against the
     signature (defaults and annotations).
 
-    Raises :class:`WireError` for unknown or missing-required
-    parameters so a bad request can never be keyed (and cached) as if
-    it were a real cell.
+    The result is the params a cell runs, keys and records with: every
+    entry point calls ``fn`` with exactly this dict, so ``740`` keys
+    *and runs* as ``740.0``, and a cache hit is bit-identical to a
+    recompute whichever entry point stored it.  Raises
+    :class:`WireError` for unknown or missing-required parameters so a
+    bad request can never be keyed (and cached) as if it were a real
+    cell.
     """
     try:
         sig = inspect.signature(fn)

@@ -92,10 +92,14 @@ def cell_key(experiment: str, params: Dict[str, Any]) -> Optional[str]:
 
     This is the identity shared by the cell cache, the service dedupe
     map, and the sweep journal: SHA-256 over ``(schema, package
-    version, experiment id, sanitized params)``.  Returns None when
-    the params contain a value that does not survive manifest
-    sanitization — such a cell is not replayable, so nothing may key
-    on it.
+    version, experiment id, sanitized params)``.  Every caller passes
+    the cell's one form — ``experiment`` as ``module:qualname`` and
+    ``params`` from :func:`repro.experiments.wire.normalize_params` —
+    so a cell keys the same whichever entry point (a CLI verb, an
+    experiment's fan-out, ``repro run``, the service) it came through.
+    Returns None when the params contain a value that does not survive
+    manifest sanitization — such a cell is not replayable, so nothing
+    may key on it.
     """
     sanitized = {k: _sanitize(v) for k, v in params.items()}
     if _has_unsanitizable(sanitized):

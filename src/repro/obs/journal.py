@@ -5,8 +5,8 @@ fault, a laptop lid — should cost only the cells in flight, not the
 whole grid.  The journal is the mechanism: one NDJSON file
 (``journal.ndjson``) in the run directory, appended as cells
 *complete*, recording each finished cell's content key (the same
-``CellCache.key_for`` digest that keys the cache and the service
-dedupe) and its ``result_digest``.  On ``--resume`` the runner replays
+:func:`repro.obs.cellcache.cell_key` digest that keys the cache and
+the service dedupe) and its ``result_digest``.  On ``--resume`` the runner replays
 the journal, skips every journaled cell, and reassembles their digests
 without recomputing — final sweep digests are byte-identical to an
 uninterrupted run because the digest of a pure cell does not depend on

@@ -242,41 +242,50 @@ def run_recorded(
 ) -> Tuple[Any, RunManifest, Optional[str]]:
     """Run ``experiment(**params, **extra_kwargs)`` and record it.
 
+    ``params`` are normalized first (:func:`repro.experiments.wire.
+    normalize_params`: defaults filled, ints coerced where the
+    signature says float), and the experiment runs, keys its cell-cache
+    entry and records its manifest with exactly those params, so a
+    cache hit is bit-identical to a recompute whichever entry point
+    stored it.  The entry is keyed as ``module:qualname``, the cell's
+    one identity; the manifest keeps the name it was called by.
+
     ``extra_kwargs`` are execution-only knobs (``jobs``, callbacks)
     that do not affect the result and are therefore excluded from the
-    manifest — the recorded ``params`` alone must re-create the result.
+    key and the manifest — the recorded ``params`` alone must
+    re-create the result, and a ``--jobs 8`` re-run hits the entry a
+    serial run stored.
     Returns ``(result, manifest, manifest_path_or_None)``.
     """
+    from repro.experiments.wire import normalize_params
+
     fn = resolve_experiment(experiment)
-    call = dict(params)
-    if extra_kwargs:
-        call.update(extra_kwargs)
-    # Run-level cell cache: ``params`` alone determine the result (that
-    # is the manifest contract — ``extra_kwargs`` are execution-only),
-    # so the cache key deliberately excludes ``extra_kwargs`` and a
-    # ``--jobs 8`` re-run hits the entry a serial run stored.
+    extra = dict(extra_kwargs or {})
+    params = {name: value
+              for name, value in normalize_params(fn, params).items()
+              if name not in extra}
+    canonical = f"{fn.__module__}:{fn.__qualname__}"
     cache = key = None
     if os.environ.get("REPRO_CELL_CACHE_DIR", "").strip():
         from repro.obs.cellcache import cell_cache
 
         cache = cell_cache()
-        if cache is not None:
-            key = cache.key_for(experiment, params)
-            if key is not None:
-                hit, result = cache.fetch(key)
-                if hit:
-                    manifest = _manifest(
-                        experiment, params, result, kind="run",
-                        started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                        wall_time_s=0.0, metrics={"cellcache.hit": 1},
-                    )
-                    path = manifest.save(out_dir) if out_dir else None
-                    return result, manifest, path
+        key = cache.key_for(canonical, params)
+        if key is not None:
+            hit, result = cache.fetch(key)
+            if hit:
+                manifest = _manifest(
+                    experiment, params, result, kind="run",
+                    started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                    wall_time_s=0.0, metrics={"cellcache.hit": 1},
+                )
+                path = manifest.save(out_dir) if out_dir else None
+                return result, manifest, path
     result, manifest = _capture(
-        experiment, params, lambda: fn(**call), kind="run"
+        experiment, params, lambda: fn(**params, **extra), kind="run"
     )
     if key is not None:
-        cache.store(key, experiment, result)
+        cache.store(key, canonical, result)
     path = manifest.save(out_dir) if out_dir else None
     return result, manifest, path
 

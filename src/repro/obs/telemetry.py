@@ -19,13 +19,14 @@ process-wide ``--metrics`` tables still show run totals).
 
 **Deterministic aggregation** (:func:`aggregate_run_dir`,
 :func:`write_telemetry`).  The per-cell snapshots recorded in the cell
-manifests are merged — scalars summed, histograms bucket-summed — in
-sorted-manifest-name order, which depends only on each cell's identity
-(experiment, params, seed), never on pool scheduling.  The ``exact``
-section of the resulting ``telemetry.json`` is therefore **bit-identical
-for any ``--jobs``**; wall-clock quantities, which are genuinely
-nondeterministic, are quarantined in a separate ``timing`` section as
-percentiles.
+manifests are folded into one registry by the rule that folds a cell's
+registry back into its process's (counters add, histograms
+bucket-merge), in sorted-manifest-name order, which depends only on
+each cell's identity (experiment, params, seed), never on pool
+scheduling.  The ``exact`` section of the resulting ``telemetry.json``
+is therefore **bit-identical for any ``--jobs``**; wall-clock
+quantities, which are genuinely nondeterministic, are quarantined in a
+separate ``timing`` section as percentiles.
 
 **Export**.  :func:`render_openmetrics` dumps a registry in OpenMetrics
 text format (``repro stats --format openmetrics``);
@@ -46,7 +47,7 @@ import glob
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
@@ -54,8 +55,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TELEMETRY_FILENAME",
     "cell_metrics_scope",
-    "merge_scalars",
-    "merge_histograms",
     "percentile_summary",
     "aggregate_manifests",
     "aggregate_run_dir",
@@ -122,58 +121,27 @@ def _is_histogram_dict(value: Any) -> bool:
     return isinstance(value, dict) and "buckets" in value and "count" in value
 
 
-def merge_scalars(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Key-wise sum of the counters.
-
-    Ints stay ints; float accumulation happens in the order the
-    snapshots are given, so callers wanting bit-identical output must
-    order snapshots deterministically (aggregation sorts by manifest
-    name)."""
-    out: Dict[str, Any] = {}
-    for snapshot in snapshots:
-        for name in sorted(snapshot):
-            value = snapshot[name]
-            if _is_histogram_dict(value) or not isinstance(value, (int, float)):
-                continue
-            if isinstance(value, bool):
-                value = int(value)
-            out[name] = out.get(name, 0) + value
-    return {name: out[name] for name in sorted(out)}
-
-
-def merge_histograms(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, dict]:
-    """Bucket-wise merge of every histogram-valued metric."""
-    out: Dict[str, dict] = {}
-    for snapshot in snapshots:
-        for name in sorted(snapshot):
-            value = snapshot[name]
-            if not _is_histogram_dict(value):
-                continue
-            merged = out.get(name)
-            if merged is None:
-                out[name] = {
-                    "count": value["count"],
-                    "sum": value["sum"],
-                    "min": value["min"],
-                    "max": value["max"],
-                    "buckets": dict(value["buckets"]),
-                }
-                continue
-            merged["count"] += value["count"]
-            merged["sum"] += value["sum"]
-            if value["min"] is not None and (
-                    merged["min"] is None or value["min"] < merged["min"]):
-                merged["min"] = value["min"]
-            if value["max"] is not None and (
-                    merged["max"] is None or value["max"] > merged["max"]):
-                merged["max"] = value["max"]
-            for bucket, count in value["buckets"].items():
-                merged["buckets"][bucket] = (
-                    merged["buckets"].get(bucket, 0) + count)
-    for merged in out.values():
-        merged["mean"] = (merged["sum"] / merged["count"]
-                          if merged["count"] else 0.0)
-    return {name: out[name] for name in sorted(out)}
+def _registry_of(snapshot: Dict[str, Any]) -> MetricsRegistry:
+    """The registry a manifest's metrics snapshot was taken from (the
+    inverse of :meth:`MetricsRegistry.snapshot`), so snapshots merge by
+    :func:`_fold_registry`'s rule; values that are neither a number
+    nor a histogram are skipped."""
+    registry = MetricsRegistry(enabled=True)
+    for name, value in snapshot.items():
+        if _is_histogram_dict(value):
+            finite = sorted((float(bucket[len("le_"):]), count)
+                            for bucket, count in value["buckets"].items()
+                            if bucket != "inf")
+            histogram = registry.histogram(name, [b for b, _ in finite])
+            histogram.counts = ([count for _, count in finite]
+                                + [value["buckets"].get("inf", 0)])
+            histogram.count = value["count"]
+            histogram.sum = value["sum"]
+            histogram.min = value["min"]
+            histogram.max = value["max"]
+        elif isinstance(value, (int, float)):
+            registry.counter(name).inc(value)
+    return registry
 
 
 def percentile_summary(values: Sequence[float]) -> Dict[str, Any]:
@@ -244,7 +212,10 @@ def aggregate_manifests(manifests: Sequence[dict]) -> dict:
     cells = [m for m in manifests if m.get("kind") == "cell"]
     runs = [m for m in manifests if m.get("kind") != "cell"]
     source = cells if cells else runs
-    snapshots = [m.get("metrics") or {} for m in source]
+    merged = MetricsRegistry(enabled=True)
+    for m in source:
+        _fold_registry(merged, _registry_of(m.get("metrics") or {}))
+    snapshot = merged.snapshot()
     wall = [m["wall_time_s"] for m in source
             if isinstance(m.get("wall_time_s"), (int, float))]
     experiments: Dict[str, int] = {}
@@ -261,8 +232,10 @@ def aggregate_manifests(manifests: Sequence[dict]) -> dict:
         "counter_source": "cells" if cells else "runs",
         "experiments": {k: experiments[k] for k in sorted(experiments)},
         "exact": {
-            "counters": merge_scalars(snapshots),
-            "histograms": merge_histograms(snapshots),
+            "counters": {name: value for name, value in snapshot.items()
+                         if not isinstance(value, dict)},
+            "histograms": {name: value for name, value in snapshot.items()
+                           if isinstance(value, dict)},
         },
         "timing": {
             "wall_time_s": percentile_summary(wall),

@@ -228,8 +228,14 @@ def starmap_kwargs(
     This is the shape every experiment sweep in :mod:`repro.experiments`
     reduces to: a list of per-cell keyword dictionaries (each carrying
     its own derived seed) applied to one module-level cell function.
+    Each cell is normalized here, where it enters
+    (:func:`repro.experiments.wire.normalize_params`), and runs, keys
+    and records with the normalized params, so a figure's partial
+    kwargs and the same cell sent over the wire share one cache entry.
     """
-    payloads = [(fn, dict(kw)) for kw in kwargs_list]
+    from repro.experiments.wire import normalize_params
+
+    payloads = [(fn, normalize_params(fn, kw)) for kw in kwargs_list]
     return _map(_invoke_kwargs, payloads, jobs, progress)
 
 
@@ -248,7 +254,9 @@ def map_payloads_completions(
     write-ahead journal needs; an exception it raises stops the map
     and cancels the cells not yet started.  Each payload names its own
     callable, so cache/manifest identity stays the cell's own
-    ``module:qualname``.  Results still return in submission order.
+    ``module:qualname``; its params are keyed as given, so pass them
+    normalized (a :class:`repro.experiments.wire.WireCell`'s are).
+    Results still return in submission order.
     """
     payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
     return _map(_invoke_kwargs, payloads, jobs, progress, on_result)

@@ -67,8 +67,6 @@ async def submit_batch_async(
     port: int,
     cells: Iterable[Union[WireCell, Dict[str, Any]]],
     *,
-    want_repr: bool = False,
-    batch_id: Optional[str] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
 ) -> BatchResult:
     """Submit once; raises :class:`Backpressure` on rejection.
@@ -81,13 +79,7 @@ async def submit_batch_async(
     reader, writer = await asyncio.open_connection(
         host, port, limit=protocol.MAX_LINE_BYTES)
     try:
-        request: Dict[str, Any] = {
-            "op": "submit", "batch": wire,
-            "return": "repr" if want_repr else "digest",
-        }
-        if batch_id is not None:
-            request["batch_id"] = batch_id
-        await protocol.write_message(writer, request)
+        await protocol.write_message(writer, {"op": "submit", "batch": wire})
         head = await protocol.read_message(reader)
         if head is None:
             raise ServiceError("connection closed before acceptance")
@@ -135,8 +127,6 @@ def submit_batch(
     port: int,
     cells: Iterable[Union[WireCell, Dict[str, Any]]],
     *,
-    want_repr: bool = False,
-    batch_id: Optional[str] = None,
     max_attempts: int = 1,
     on_cell: Optional[Callable[[CellResult], None]] = None,
 ) -> BatchResult:
@@ -150,8 +140,7 @@ def submit_batch(
     cells = list(cells)
 
     def once():
-        return submit_batch_async(host, port, cells, want_repr=want_repr,
-                                  batch_id=batch_id, on_cell=on_cell)
+        return submit_batch_async(host, port, cells, on_cell=on_cell)
 
     async def _run() -> BatchResult:
         for _ in range(max_attempts - 1):

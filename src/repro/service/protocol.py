@@ -7,11 +7,9 @@ docs/SERVICE.md), not in the framing.
 
 Client → server requests (``op`` discriminates):
 
-* ``{"op": "submit", "batch": [cell...], "return": "digest"|"repr"}``
-  — ``cell`` is the :mod:`repro.experiments.wire` shape
-  ``{"experiment": ..., "params": {...}}``.  ``"repr"`` asks for each
-  result's canonical ``repr`` string (the exact bytes the result
-  digest hashes), ``"digest"`` (default) returns digests only.
+* ``{"op": "submit", "batch": [cell...]}`` — ``cell`` is the
+  :mod:`repro.experiments.wire` shape ``{"experiment": ...,
+  "params": {...}}``; each result comes back as its digest.
 * ``{"op": "ping"}`` / ``{"op": "stats"}`` — liveness / counters.
 * ``{"op": "drain"}`` — stop accepting work, finish what is queued,
   reply ``{"type": "drained"}``, and shut the server down.
@@ -49,8 +47,8 @@ __all__ = [
 ]
 
 #: Stream limit for one protocol line.  Batches are many small cells,
-#: not one huge blob; a repr-returning response of a large result is
-#: the biggest legitimate line.
+#: not one huge blob; a large submitted batch is the biggest
+#: legitimate line.
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: Cell terminal statuses, in the order summaries report them.
@@ -107,7 +105,6 @@ class CellResult:
     digest: Optional[str] = None
     attempts: int = 1
     error: Optional[str] = None
-    result_repr: Optional[str] = None
 
     @classmethod
     def from_wire(cls, message: Dict[str, Any]) -> "CellResult":
@@ -119,7 +116,6 @@ class CellResult:
             digest=message.get("digest"),
             attempts=int(message.get("attempts", 1)),
             error=message.get("error"),
-            result_repr=message.get("result_repr"),
         )
 
 

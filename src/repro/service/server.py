@@ -5,9 +5,9 @@ NDJSON protocol (:mod:`repro.service.protocol`) and a process worker
 pool executes them; between the two sits the layer this module exists
 for — **manifest-keyed dedupe**:
 
-* every admitted cell is keyed by its content-addressed manifest digest
-  (:meth:`repro.obs.cellcache.CellCache.key_for` over the normalized
-  cell from :mod:`repro.experiments.wire`);
+* every admitted cell is normalized (:mod:`repro.experiments.wire`)
+  and keyed once, by :func:`repro.obs.cellcache.cell_key`, with or
+  without a cache; the worker gets the cell and its key;
 * a key with a **completed** result in the cell cache is served from
   disk (``status: cached, source: cache``) — digest-verified, so a
   corrupt entry is rejected (``service.cache_rejects``) and recomputed,
@@ -50,17 +50,19 @@ are answered by the ``stats`` op.
 from __future__ import annotations
 
 import asyncio
+import collections
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.wire import WireCell, WireError, cell_from_wire
 from repro.obs import count
-from repro.obs.cellcache import CellCache
+from repro.obs.cellcache import CellCache, cell_key
+from repro.obs.manifest import record_cell, resolve_experiment, result_digest
 from repro.service import protocol
 
 __all__ = [
@@ -94,8 +96,9 @@ class ServiceConfig:
     cell_timeout_s: float = 120.0
     max_retries: int = 2               # transport retries per cell
     cache_dir: Optional[str] = None    # cell cache root (None → no dedupe
-    #                                    against completed work, in-flight
-    #                                    dedupe still applies)
+    #                                    against completed work; cells are
+    #                                    keyed anyway, so in-flight dedupe
+    #                                    and the journal still apply)
     manifest_dir: Optional[str] = None  # per-cell manifests (record_cell)
     # When set, completed cells are journaled (key + digest) to this
     # run directory's ``journal.ndjson`` — the server-side half of the
@@ -108,15 +111,18 @@ class ServiceConfig:
 # Worker-side execution (module-level: must pickle for spawn pools)
 # ----------------------------------------------------------------------
 def execute_cell(
-    wire_cell: Dict[str, Any],
-    cache_dir: Optional[str],
+    cell: WireCell,
+    key: Optional[str],
+    cache: Optional[CellCache],
     manifest_dir: Optional[str],
     fault: Optional[Dict[str, Any]],
     inline: bool,
 ) -> Dict[str, Any]:
-    """Run one cell inside a worker; returns a JSON-safe outcome.
+    """Run one normalized cell inside a worker; returns a JSON-safe
+    outcome, after storing the result in ``cache`` under ``key`` (when
+    both are set; the service reads the cache, the worker stores).
 
-    ``{"ok": True, "digest": ..., "repr": ...}`` on success;
+    ``{"ok": True, "digest": ...}`` on success;
     ``{"ok": False, "error": ...}`` when the experiment itself raised
     (a *deterministic* failure — the server will not retry it).
     Transport-class failures (injected death, timeout) surface as
@@ -136,50 +142,30 @@ def execute_cell(
                 raise InjectedTransportFailure("injected worker death")
             os._exit(1)  # a real mid-cell worker kill, as the pool sees it
     try:
-        cell = cell_from_wire(wire_cell)
-        from repro.obs.manifest import resolve_experiment, result_digest
-
         fn = resolve_experiment(cell.experiment)
         if manifest_dir:
-            from repro.obs.manifest import record_cell
-
             result = record_cell(fn, dict(cell.params), manifest_dir)
         else:
             result = fn(**cell.params)
-    except InjectedTransportFailure:
-        raise
     except Exception as exc:  # deterministic: same cell → same failure
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    if cache_dir:
-        cache = CellCache(cache_dir)
-        key = cache.key_for(cell.experiment, cell.params)
-        if key is not None:
-            cache.store(key, cell.experiment, result)
-    return {"ok": True, "digest": result_digest(result),
-            "repr": repr(result)}
+    if cache is not None and key is not None:
+        cache.store(key, cell.experiment, result)
+    return {"ok": True, "digest": result_digest(result)}
 
 
 # ----------------------------------------------------------------------
 # Service
 # ----------------------------------------------------------------------
-@dataclass
-class _Tally:
-    """Served-cell accounting behind the summary and the ``stats`` op."""
-
-    cached: int = 0
-    computed: int = 0
-    retried: int = 0
-    failed: int = 0
-    dedupe_hits: int = 0
-
-    @property
-    def served(self) -> int:
-        return self.cached + self.computed + self.retried + self.failed
-
-    @property
-    def hit_rate(self) -> float:
-        served = self.served
-        return (self.cached / served) if served else 0.0
+#: The ``service.*`` counter each served-cell tally bumps: a retried
+#: cell counts as computed there, while ``stats`` reports it apart.
+_SERVED_COUNTERS = {
+    "cached": "service.cached",
+    "computed": "service.computed",
+    "retried": "service.computed",
+    "failed": "service.failed",
+    "dedupe_hits": "service.dedupe_hits",
+}
 
 
 class ExperimentService:
@@ -200,7 +186,9 @@ class ExperimentService:
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._batch_counter = 0
-        self._tally = _Tally()
+        #: Served cells by status (``protocol.CELL_STATUSES``), plus
+        #: ``dedupe_hits``; bumped only through :meth:`_served`.
+        self._tally: "collections.Counter[str]" = collections.Counter()
         self._pool_replacements = 0
         self._journal = None
         if self.config.journal_dir:
@@ -306,20 +294,24 @@ class ExperimentService:
             except (ConnectionError, OSError):
                 pass
 
+    def _served(self, tally: str) -> None:
+        """Count one served-cell event in the tally and its counter."""
+        self._tally[tally] += 1
+        count(_SERVED_COUNTERS[tally])
+
     def _stats(self) -> Dict[str, Any]:
         tally = self._tally
+        served = sum(tally[status] for status in protocol.CELL_STATUSES)
         return {
             "type": "stats",
             "pending": self._pending,
             "inflight": len(self._inflight),
             "draining": self._draining,
-            "served": tally.served,
-            "cached": tally.cached,
-            "computed": tally.computed,
-            "retried": tally.retried,
-            "failed": tally.failed,
-            "dedupe_hits": tally.dedupe_hits,
-            "hit_rate": round(tally.hit_rate, 6),
+            "served": served,
+            **{status: tally[status] for status in protocol.CELL_STATUSES},
+            "dedupe_hits": tally["dedupe_hits"],
+            "hit_rate": round(tally["cached"] / served if served else 0.0,
+                              6),
             "pool_replacements": self._pool_replacements,
         }
 
@@ -361,27 +353,23 @@ class ExperimentService:
         # Normalize every cell before admitting any: a batch with a
         # malformed cell is rejected whole, so admission stays
         # all-or-nothing and nothing half-simulates.
-        cells: List[WireCell] = []
         try:
-            for wire_dict in batch:
-                cells.append(cell_from_wire(wire_dict))
+            cells = [cell_from_wire(wire_dict) for wire_dict in batch]
         except WireError as exc:
             await protocol.write_message(writer, {
                 "type": "rejected", "reason": "bad_request",
                 "detail": str(exc)})
             return
         self._batch_counter += 1
-        batch_id = str(message.get("batch_id")
-                       or f"b{self._batch_counter:06d}")
-        want_repr = message.get("return") == "repr"
+        batch_id = f"b{self._batch_counter:06d}"
         count("service.batches")
         count("service.submitted", len(cells))
         self._adjust_pending(len(cells))
         await protocol.write_message(writer, {
             "type": "accepted", "batch_id": batch_id, "cells": len(cells)})
         tasks = [
-            asyncio.ensure_future(
-                self._serve_cell_tracked(index, cell, want_repr))
+            asyncio.ensure_future(self._serve_cell_tracked(
+                index, cell, cell_key(cell.experiment, cell.params)))
             for index, cell in enumerate(cells)
         ]
         summary = {status: 0 for status in protocol.CELL_STATUSES}
@@ -396,12 +384,12 @@ class ExperimentService:
             "type": "done", "batch_id": batch_id, "summary": summary})
 
     async def _serve_cell_tracked(self, index: int, cell: WireCell,
-                                  want_repr: bool) -> Dict[str, Any]:
+                                  key: Optional[str]) -> Dict[str, Any]:
         """Serve one cell, releasing its queue slot as *it* finishes
         (not when its whole batch does) so backpressure tracks real
         occupancy even while a slow sibling cell is still running."""
         try:
-            return await self._serve_cell(index, cell, want_repr)
+            return await self._serve_cell(index, cell, key)
         finally:
             self._adjust_pending(-1)
 
@@ -409,46 +397,32 @@ class ExperimentService:
     # Per-cell serving: cache → in-flight dedupe → compute
     # ------------------------------------------------------------------
     async def _serve_cell(self, index: int, cell: WireCell,
-                          want_repr: bool) -> Dict[str, Any]:
-        key = (self.cache.key_for(cell.experiment, cell.params)
-               if self.cache is not None else None)
+                          key: Optional[str]) -> Dict[str, Any]:
         base: Dict[str, Any] = {"type": "cell", "index": index, "key": key}
         if key is not None:
-            status, result = self.cache.fetch_outcome(key)
-            if status == "hit":
-                from repro.obs.manifest import result_digest
-
-                self._tally.cached += 1
-                count("service.cached")
-                message = dict(base, status="cached", source="cache",
-                               digest=result_digest(result), attempts=0)
-                if want_repr:
-                    message["result_repr"] = repr(result)
-                self._journal_cell(key, message["digest"], cell.experiment)
-                return message
-            if status == "corrupt":
-                count("service.cache_rejects")
+            if self.cache is not None:
+                status, result = self.cache.fetch_outcome(key)
+                if status == "hit":
+                    digest = result_digest(result)
+                    self._served("cached")
+                    self._journal_cell(key, digest, cell.experiment)
+                    return dict(base, status="cached", source="cache",
+                                digest=digest, attempts=0)
+                if status == "corrupt":
+                    count("service.cache_rejects")
             inflight = self._inflight.get(key)
             if inflight is not None:
-                self._tally.dedupe_hits += 1
-                count("service.dedupe_hits")
+                self._served("dedupe_hits")
                 outcome = await asyncio.shield(inflight)
-                if outcome["ok"]:
-                    self._tally.cached += 1
-                    count("service.cached")
-                else:
-                    self._tally.failed += 1
-                    count("service.failed")
-                message = dict(base, source="inflight",
-                               attempts=0, **self._outcome_fields(
-                                   outcome, want_repr))
-                message["status"] = ("cached" if outcome["ok"] else "failed")
-                return message
+                status = "cached" if outcome["ok"] else "failed"
+                self._served(status)
+                return dict(base, status=status, source="inflight",
+                            attempts=0, **self._outcome_fields(outcome))
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
         try:
-            outcome, attempts = await self._compute(cell)
+            outcome, attempts = await self._compute(cell, key)
             future.set_result(outcome)
         except BaseException as exc:
             future.set_exception(exc)
@@ -458,28 +432,19 @@ class ExperimentService:
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
         if not outcome["ok"]:
-            self._tally.failed += 1
-            count("service.failed")
-        elif attempts > 1:
-            self._tally.retried += 1
-            count("service.computed")
+            status = "failed"
         else:
-            self._tally.computed += 1
-            count("service.computed")
-        message = dict(base, source="fresh", attempts=attempts,
-                       **self._outcome_fields(outcome, want_repr))
-        if not outcome["ok"]:
-            message["status"] = "failed"
-        else:
-            message["status"] = "retried" if attempts > 1 else "computed"
-            self._journal_cell(key, message.get("digest"), cell.experiment)
-        return message
+            status = "retried" if attempts > 1 else "computed"
+            self._journal_cell(key, outcome["digest"], cell.experiment)
+        self._served(status)
+        return dict(base, status=status, source="fresh", attempts=attempts,
+                    **self._outcome_fields(outcome))
 
-    def _journal_cell(self, key: Optional[str], digest: Optional[str],
+    def _journal_cell(self, key: Optional[str], digest: str,
                       experiment: str) -> None:
-        """Journal one successfully computed cell (no-op when the
-        server has no journal, or the cell has no content key)."""
-        if self._journal is None or key is None or digest is None:
+        """Journal one successfully served cell (no-op when the server
+        has no journal, or the cell has no content key)."""
+        if self._journal is None or key is None:
             return
         try:
             self._journal.record(key, digest, experiment=experiment)
@@ -487,19 +452,13 @@ class ExperimentService:
             pass  # durability must never fail the serving path
 
     @staticmethod
-    def _outcome_fields(outcome: Dict[str, Any],
-                        want_repr: bool) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {}
-        if outcome.get("ok"):
-            fields["digest"] = outcome.get("digest")
-            if want_repr:
-                fields["result_repr"] = outcome.get("repr")
-        else:
-            fields["error"] = outcome.get("error")
-        return fields
+    def _outcome_fields(outcome: Dict[str, Any]) -> Dict[str, Any]:
+        if outcome["ok"]:
+            return {"digest": outcome["digest"]}
+        return {"error": outcome["error"]}
 
-    async def _compute(
-            self, cell: WireCell) -> Tuple[Dict[str, Any], int]:
+    async def _compute(self, cell: WireCell, key: Optional[str]
+                       ) -> Tuple[Dict[str, Any], int]:
         """Execute one novel cell with timeout + bounded transport retry.
 
         Returns ``(worker outcome, attempts_used)``.  Deterministic
@@ -507,9 +466,6 @@ class ExperimentService:
         transport failures retry the *identical* cell — never a
         re-seeded one — up to ``max_retries`` times.
         """
-        from repro.experiments.wire import cell_to_wire
-
-        wire_dict = cell_to_wire(cell)
         last_error = "unknown transport failure"
         for attempt in range(self.config.max_retries + 1):
             if attempt:
@@ -525,9 +481,8 @@ class ExperimentService:
                 # Submitting to a pool that a worker death has already
                 # broken raises here, not from the future.
                 exec_future = asyncio.get_running_loop().run_in_executor(
-                    self._pool, execute_cell, wire_dict,
-                    self.config.cache_dir, self.config.manifest_dir,
-                    fault, self.inline)
+                    self._pool, execute_cell, cell, key, self.cache,
+                    self.config.manifest_dir, fault, self.inline)
                 # Not wait_for(): an executor call cannot be cancelled
                 # once running, and wait_for would block on the
                 # cancellation until the slow worker finished — the

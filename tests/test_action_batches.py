@@ -21,7 +21,8 @@ and between two attacker pids, both machines take a core's TLB flush
 (an SGX AEX) and private-cache flush, and both reset the body's core
 for a context switch and park or unpark it in ``prefetch_disabled``
 (PreFence), so a walk is reused only where it is valid and survives
-flushes.  The test checks that each case occurred.
+flushes.  The test checks that each case occurred, and that one
+producer's loads overflow an STLB set between the flush beats.
 """
 
 import random
@@ -355,6 +356,24 @@ def arena_edges(env, returned):
     return _rounds(measure, returned), _touch_lines(list(EDGE_LINES))
 
 
+#: Fourteen 4 KiB pages in one STLB set (sets are ``vpn % 128``), one
+#: line each in its own cache sets, outside the 2 MiB-page arena: a
+#: pass overflows the set's 12 ways.
+STLB_SET_LINES = tuple(0x5000_0000 + k * (128 << 12) + k * 64
+                       for k in range(14))
+
+
+def stlb_set_overflow(env, returned):
+    prime = act.Loads(STLB_SET_LINES)
+    probe = act.TimedLoads(STLB_SET_LINES)
+
+    def measure():
+        yield prime
+        return (yield probe)
+    return (_rounds(measure, returned, n=12),
+            _touch_lines(list(STLB_SET_LINES)))
+
+
 def code_line_staller(env, returned):
     staller = CodeLineStaller(env.machine.config.geometry.llc, VICTIM_CODE,
                               ATTACKER_LLC_ARENA)
@@ -373,7 +392,7 @@ def polluter(env, returned):
 
 PRODUCERS = (flush_reload, prime_probe, dual_btb_probe, flush_reload_seeker,
              prime_probe_seeker, presence_oracle, tlb_evictor, fetch_mix,
-             code_line_staller, arena_edges, polluter)
+             code_line_staller, arena_edges, stlb_set_overflow, polluter)
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +524,9 @@ def test_batches_match_per_action_protocol(producer):
     if producer in (dual_btb_probe, fetch_mix):
         h = batched_env.machine.hierarchy
         assert h.prefetches_issued and h.prefetches_suppressed, seen
+    if producer is stlb_set_overflow:
+        stlbs = batched_env.machine.tlbs.stlb
+        assert sum(stlb.evictions for stlb in stlbs), seen
 
 
 def test_empty_batch_runs_nothing_and_costs_nothing():

@@ -12,6 +12,7 @@ import json
 import os
 import pickle
 
+from repro.experiments.wire import cell_from_wire
 from repro.obs.cellcache import CACHE_ENV, CellCache, cell_cache
 from repro.obs.manifest import result_digest, run_recorded
 from repro.parallel import starmap_kwargs
@@ -164,7 +165,8 @@ class TestCli:
         params = dict(tau=740.0, degrade_itlb=True, preemptions=40, seed=3)
         run_recorded("resolution", params)
         cache = cell_cache()
-        key = cache.key_for("resolution", params)
+        cell = cell_from_wire({"experiment": "resolution", "params": params})
+        key = cache.key_for(cell.experiment, cell.params)
         monkeypatch.delenv(CACHE_ENV, raising=False)
         fresh = run_resolution(**params)
         assert cache.digest_of(key) == result_digest(fresh)
@@ -235,3 +237,97 @@ class TestStatsAndPrune:
             assert metrics.counter("cellcache.bytes_read").value > 0
         finally:
             obs_mod.reset()
+
+
+class TestOneKeyPerCell:
+    """A cell has one form and one key whichever entry point it came
+    through: a figure's fan-out, a CLI verb, ``repro run`` or the
+    service."""
+
+    PREEMPTIONS = 30
+
+    def test_every_entry_point_is_served_from_one_entry(self, tmp_path,
+                                                        monkeypatch):
+        from repro.experiments.resolution import run_resolution
+        from repro.parallel import derive_seed
+        from repro.sweeps import run_sweep
+
+        from tests.service_harness import ServiceHarness
+
+        cache_dir = str(tmp_path / "cc")
+        monkeypatch.setenv(CACHE_ENV, cache_dir)
+        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+        n = self.PREEMPTIONS
+        # One Fig 4.3a cell, spelled as ``figure_4_3`` spells it, and
+        # one cell a CLI verb computed.
+        fig_seed = derive_seed(0, "fig4.3a", 740.0)
+        (fig,) = starmap_kwargs(
+            run_resolution, [dict(tau=740.0, preemptions=n, seed=fig_seed)],
+            jobs=1)
+        verb, _manifest, _path = run_recorded(
+            "resolution", dict(tau=760.0, preemptions=n, seed=5))
+        expected = [result_digest(fig), result_digest(verb)]
+
+        def entries():
+            return [name for name in os.listdir(cache_dir)
+                    if name.startswith("cell-") and name.endswith(".pkl")]
+
+        assert len(entries()) == 2
+
+        statuses = []
+        fetch_outcome = CellCache.fetch_outcome
+
+        def counting_fetch_outcome(cache, key):
+            status, result = fetch_outcome(cache, key)
+            statuses.append(status)
+            return status, result
+
+        monkeypatch.setattr(CellCache, "fetch_outcome",
+                            counting_fetch_outcome)
+        # The same two cells with int-spelled taus, as the wire and
+        # ``repro run --param tau=740`` spell them.
+        cells = [cell_from_wire({"experiment": "resolution", "params": {
+                     "tau": tau, "preemptions": n, "seed": seed}})
+                 for tau, seed in ((740, fig_seed), (760, 5))]
+        swept = run_sweep(str(tmp_path / "run"), cells, jobs=1)
+        assert [o.digest for o in swept.outcomes] == expected
+        assert statuses == ["hit", "hit"]
+        with ServiceHarness(cache_dir=cache_dir, workers=0) as harness:
+            batch = harness.submit(cells)
+        assert [(c.status, c.source) for c in batch.cells] == [
+            ("cached", "cache")] * 2
+        assert batch.digests == expected
+        assert statuses == ["hit"] * 4
+        assert len(entries()) == 2
+
+        # An int tau keys and runs as the float: it hits the float
+        # entry, and a fresh run with the cache off agrees with it.
+        int_hit, manifest, _path = run_recorded(
+            "resolution", dict(tau=760, preemptions=n, seed=5))
+        assert manifest.metrics == {"cellcache.hit": 1}
+        monkeypatch.delenv(CACHE_ENV)
+        int_fresh, _manifest, _path = run_recorded(
+            "resolution", dict(tau=760, preemptions=n, seed=5))
+        assert result_digest(int_hit) == result_digest(int_fresh) \
+            == expected[1]
+        assert len(entries()) == 2
+
+    def test_service_without_a_cache_dedupes_in_flight(self, tmp_path):
+        from repro.obs.journal import journal_path, replay
+
+        from tests.service_harness import ServiceHarness, resolution_cells
+
+        (cell,) = resolution_cells(1, seed=4)
+        journal_dir = str(tmp_path / "server-run")
+        with ServiceHarness(workers=0, journal_dir=journal_dir) as harness:
+            batch = harness.submit([cell] * 3)
+            assert sorted((c.status, c.source) for c in batch.cells) == [
+                ("cached", "inflight"), ("cached", "inflight"),
+                ("computed", "fresh")]
+            assert harness.metric("service.dedupe_hits") == 2
+            assert harness.metric("service.computed") == 1
+            assert len(set(batch.digests)) == 1
+        key = batch.cells[0].key
+        assert key is not None
+        assert replay(journal_path(journal_dir)).digest_for(key) \
+            == batch.digests[0]

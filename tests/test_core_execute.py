@@ -1,5 +1,8 @@
 """Unit tests for per-instruction execution on a core."""
 
+import functools
+import operator
+
 import pytest
 
 from repro.cpu.isa import Instruction, InstrKind, branch, load, nop, store
@@ -135,7 +138,8 @@ class TestFetchWalk:
         i, t = core.run_fetch_walk(walk, 0, 0.0, float("inf"), out)
         assert (i, out) == (len(FETCH_SEQUENCE),
                             [ref.execute(7, inst) for inst in FETCH_SEQUENCE])
-        assert t == sum(out)
+        # The walk adds left to right; ``sum`` compensates since 3.12.
+        assert t == functools.reduce(operator.add, out, 0.0)
         assert uarch_state(walked) == uarch_state(stepped)
 
         walked.hierarchy.prefetch_disabled.add(0)

@@ -204,8 +204,8 @@ class TestEndToEnd:
         from repro.cli import main
 
         out = tmp_path / "trace.json"
-        assert main(["--no-manifest", "trace", "resolution",
-                     "--preemptions", "60", "--out", str(out)]) == 0
+        assert main(["--no-manifest", "--trace", str(out), "resolution",
+                     "--preemptions", "60"]) == 0
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
         events = trace["traceEvents"]
@@ -255,7 +255,7 @@ class TestTracedCommands:
 
         runs, out = str(tmp_path / "runs"), tmp_path / "trace.json"
         for argv in (["--trace", str(out), "resolution"],
-                     ["trace", "resolution", "--out", str(out)]):
+                     ["--trace", str(out), "sweep", "--taus", "700,740"]):
             argv = ["--manifest-dir", runs, *argv, "--preemptions", "30"]
             assert main(argv) == 0
             cold = self._events(out)

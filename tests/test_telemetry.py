@@ -14,8 +14,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     aggregate_manifests,
     cell_metrics_scope,
-    merge_histograms,
-    merge_scalars,
     percentile_summary,
     render_openmetrics,
     render_report,
@@ -31,30 +29,52 @@ def _fresh_obs():
 
 
 # ----------------------------------------------------------------------
-# Merging primitives
+# Merging: manifest snapshots fold through the metrics registry
 # ----------------------------------------------------------------------
+def _exact(*snapshots):
+    return aggregate_manifests([
+        {"kind": "cell", "experiment": "x", "metrics": snapshot}
+        for snapshot in snapshots])["exact"]
+
+
 class TestMerging:
     def test_scalars_sum_keywise_and_ints_stay_ints(self):
-        merged = merge_scalars([{"a": 1, "b": 2.5}, {"a": 3, "c": True}])
+        merged = _exact({"a": 1, "b": 2.5}, {"a": 3, "c": True})["counters"]
         assert merged == {"a": 4, "b": 2.5, "c": 1}
         assert isinstance(merged["a"], int)
 
     def test_histogram_dicts_excluded_from_scalars(self):
         hist = {"count": 1, "sum": 2.0, "mean": 2.0, "min": 2.0,
                 "max": 2.0, "buckets": {"inf": 1}}
-        assert merge_scalars([{"h": hist, "a": 1}]) == {"a": 1}
+        exact = _exact({"h": hist, "a": 1})
+        assert exact["counters"] == {"a": 1}
+        assert exact["histograms"] == {"h": hist}
 
     def test_histograms_bucket_merge(self):
         h1 = {"count": 2, "sum": 3.0, "mean": 1.5, "min": 1.0, "max": 2.0,
               "buckets": {"le_10": 2, "inf": 0}}
         h2 = {"count": 1, "sum": 50.0, "mean": 50.0, "min": 50.0,
               "max": 50.0, "buckets": {"le_10": 0, "inf": 1}}
-        merged = merge_histograms([{"h": h1}, {"h": h2}])["h"]
+        merged = _exact({"h": h1}, {"h": h2})["histograms"]["h"]
         assert merged["count"] == 3
         assert merged["sum"] == 53.0
         assert merged["min"] == 1.0 and merged["max"] == 50.0
         assert merged["buckets"] == {"le_10": 2, "inf": 1}
         assert merged["mean"] == pytest.approx(53.0 / 3)
+
+    def test_snapshot_round_trips_through_the_registry(self):
+        """A snapshot read back with sorted keys (``le_10`` before
+        ``le_2``) folds to itself: bounds are ordered by value."""
+        registry = MetricsRegistry(enabled=True)
+        histogram = registry.histogram("h", (2.0, 10.0, 100.0, 1e6))
+        for value in (1, 5, 5, 50, 500, 5e6):
+            histogram.observe(value)
+        registry.counter("a").inc(3)
+        snapshot = json.loads(json.dumps(registry.snapshot(),
+                                         sort_keys=True))
+        exact = _exact(snapshot)
+        assert exact["histograms"] == {"h": snapshot["h"]}
+        assert exact["counters"] == {"a": 3}
 
     def test_percentiles_nearest_rank(self):
         summary = percentile_summary([3.0, 1.0, 2.0, 4.0])
