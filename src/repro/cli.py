@@ -227,18 +227,14 @@ def _cmd_mitigations(args: argparse.Namespace) -> None:
 
 def _axis_list(text: str) -> list:
     """Comma-separated axis values; a ``{...}`` entry is parsed as a
-    JSON mitigation spec, ``none`` as the undefended baseline."""
+    JSON mitigation spec.  Defense names, ``none`` included, pass as
+    given: the grid canonicalizes every spelling."""
     out = []
     for entry in text.split(","):
         entry = entry.strip()
         if not entry:
             continue
-        if entry.startswith("{"):
-            out.append(json.loads(entry))
-        elif entry.lower() in ("none", "off", "baseline"):
-            out.append(None)
-        else:
-            out.append(entry)
+        out.append(json.loads(entry) if entry.startswith("{") else entry)
     return out
 
 

@@ -17,7 +17,7 @@ from repro.core.primitive import ControlledPreemption, PreemptionConfig
 from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ComputeBody, ProgramBody
-from repro.parallel import run_trials
+from repro.parallel import derive_seed, starmap_kwargs
 from repro.sched.task import Task, TaskState
 
 
@@ -100,15 +100,12 @@ def run_colocation_campaign(
     campaign is reproducible and identical whether it runs serially or
     across a process pool.
     """
-    outcomes = run_trials(
-        run_colocation,
-        n_trials,
-        root_seed=seed,
-        identity="colocation",
-        jobs=jobs,
-        n_cores=n_cores,
-        attack_rounds=attack_rounds,
-    )
+    cells = [
+        dict(n_cores=n_cores, attack_rounds=attack_rounds,
+             seed=derive_seed(seed, "colocation", trial))
+        for trial in range(n_trials)
+    ]
+    outcomes = starmap_kwargs(run_colocation, cells, jobs=jobs)
     return ColocationCampaign(
         n_trials=n_trials,
         successes=sum(1 for o in outcomes if o.colocated),

@@ -256,12 +256,14 @@ def run_defense_grid(
     defense, so every defense faces the *same* scenario (same AES key,
     same GCD pair, same secret) and leakage columns compare directly.
     Results are bit-identical for any ``jobs`` and any axis ordering,
-    and each cell is independently cacheable.
+    and each cell is independently cacheable.  ``defenses`` are
+    mitigation specs in any spelling: every entry point canonicalizes
+    the list spec by spec (``__wire_canonical__``), and each cell its
+    own spec, so all spellings of one grid share its keys.
     """
-    canonical = [canonical_mitigation(d) for d in defenses]
     cells = []
     for workload in workloads:
-        for defense in canonical:
+        for defense in defenses:
             for scheduler in schedulers:
                 cells.append(dict(
                     workload=workload,
@@ -272,6 +274,15 @@ def run_defense_grid(
                 ))
     results = starmap_kwargs(run_defense_cell, cells, jobs=jobs)
     return DefenseGridResult(seed=seed, cells=list(results))
+
+
+def _canonical_defenses(defenses: Sequence[Any]) -> List[Any]:
+    return [canonical_mitigation(defense) for defense in defenses]
+
+
+run_defense_grid.__wire_canonical__ = {  # type: ignore[attr-defined]
+    "defenses": _canonical_defenses,
+}
 
 
 def format_defense_grid(result: DefenseGridResult) -> str:

@@ -19,7 +19,8 @@ the characterization uses, so their effect is directly comparable:
   documents that honestly by matching the baseline).
 
 Every cell is **plain data**: ``features``/``kernel_config`` travel as
-kwargs dicts and ``mitigation`` as a canonical policy spec, so each
+kwargs dicts and ``mitigation`` as a policy spec (canonicalized where
+the cell enters, by ``_run.__wire_canonical__``), so each
 cell has a content-addressed cache key (live dataclass objects would
 sanitize to an opaque ``repr`` and could never be cached or replayed)
 and the ablation dedupes across runs and ``--jobs`` values.
@@ -127,9 +128,9 @@ def evaluate_mitigations(
         dict(name="eevdf_run_to_parity", scheduler="eevdf",
              features=dict(run_to_parity=True)),
         # Active policies under the identical stepping harness.
-        dict(name="leash", mitigation=canonical_mitigation("leash")),
-        dict(name="schedguard", mitigation=canonical_mitigation("schedguard")),
-        dict(name="prefence", mitigation=canonical_mitigation("prefence")),
+        dict(name="leash", mitigation="leash"),
+        dict(name="schedguard", mitigation="schedguard"),
+        dict(name="prefence", mitigation="prefence"),
         # SGX τ values re-tuned the way an attacker would: AEX +
         # ERESUME inflate the scheduling overhead, and AEX-Notify's
         # warm-up handler inflates it further.

@@ -90,11 +90,12 @@ def build_env(
 ) -> ExperimentEnv:
     """Assemble a fresh machine + kernel for one experiment run.
 
-    ``mitigations`` installs scheduler-side defense policies: a
-    :class:`~repro.mitigations.policy.MitigationStack`, a single policy,
-    a wire spec (``"leash"`` / ``{"policy": ..., **kwargs}``), or a
-    sequence of those.  ``None`` (the default) leaves the kernel's
-    zero-cost path untouched.
+    ``mitigations`` installs a scheduler-side defense: a
+    :class:`~repro.mitigations.policy.MitigationStack` (hand-built
+    around live policies) or a wire spec (``"leash"`` /
+    ``{"policy": ..., **kwargs}``), built by
+    :func:`~repro.mitigations.policy.build_stack`.  ``None`` (the
+    default) leaves the kernel's zero-cost path untouched.
     """
     machine = Machine(machine_config or MachineConfig(n_cores=n_cores))
     policy = make_policy(scheduler, params, features)

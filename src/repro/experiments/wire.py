@@ -26,7 +26,14 @@ Normalization rules (:func:`normalize_params`):
 * an int provided where the signature says float — a float default,
   or a ``float`` annotation for required parameters like ``tau`` — is
   coerced (``740`` → ``740.0``), because JSON clients routinely drop
-  the ``.0``; bools are never coerced (``True`` is not ``1.0``);
+  the ``.0``; so are the int elements of a ``Sequence[float]``
+  parameter (``taus=[440, 740]`` → ``[440.0, 740.0]``), because a
+  composite derives its cells' seeds from those values; bools are
+  never coerced (``True`` is not ``1.0``);
+* ``jobs`` is execution-only: it never enters a cell's params, so a
+  composite keys alike at any ``--jobs`` and a ``jobs`` sent on the
+  wire runs the composite with its default (``REPRO_JOBS``, else
+  serial);
 * unknown parameter names are rejected up front (a typo must fail the
   request, not silently simulate the default and cache it under a key
   containing the typo);
@@ -38,6 +45,10 @@ Normalization rules (:func:`normalize_params`):
   ``{"policy": "leash"}`` vs the fully-defaulted kwargs dict, or
   ``None`` vs ``"none"`` vs ``"baseline"`` — keys identically, and a
   malformed spec fails the request instead of minting a junk key.
+  ``run_defense_grid`` canonicalizes its ``defenses`` list spec by
+  spec this way, and the mitigation policies' constructor kwargs
+  normalize through these same rules
+  (:func:`repro.mitigations.policy.canonical_mitigation`).
 
 Parameter *values* travel in the manifest's sanitized encoding
 (:func:`repro.obs.manifest._sanitize` — enums as ``{"__enum__": ...}``,
@@ -105,11 +116,25 @@ def _wants_float(parameter: inspect.Parameter) -> bool:
     return annotation is float or annotation == "float"
 
 
+def _wants_floats(parameter: inspect.Parameter) -> bool:
+    """Whether the signature declares this parameter a float sequence
+    (``Sequence[float]``: the swept τ, compute and slice values)."""
+    annotation = parameter.annotation
+    return annotation == "Sequence[float]" or annotation == Sequence[float]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def normalize_params(fn: Callable[..., Any],
                      params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fill signature defaults and coerce int→float against the
-    signature (defaults and annotations).
+    """Fill signature defaults, coerce int→float against the signature
+    (defaults and annotations, float sequences elementwise), run the
+    function's ``__wire_canonical__`` canonicalizers and leave ``jobs``
+    out.
 
+    ``fn`` is an experiment function or a mitigation policy class.
     The result is the params a cell runs, keys and records with: every
     entry point calls ``fn`` with exactly this dict, so ``740`` keys
     *and runs* as ``740.0``, and a cache hit is bit-identical to a
@@ -140,11 +165,16 @@ def normalize_params(fn: Callable[..., Any],
     canonicalizers = getattr(fn, "__wire_canonical__", None) or {}
     normalized: Dict[str, Any] = {}
     for pname, parameter in accepted.items():
+        if pname == "jobs":
+            continue  # execution-only: never part of a cell
         if pname in params:
             value = params[pname]
-            if (_wants_float(parameter) and isinstance(value, int)
-                    and not isinstance(value, bool)):
-                value = float(value)
+            if _is_int(value):
+                if _wants_float(parameter):
+                    value = float(value)
+            elif isinstance(value, (list, tuple)) and _wants_floats(parameter):
+                value = type(value)(float(v) if _is_int(v) else v
+                                    for v in value)
         elif parameter.default is not inspect.Parameter.empty:
             value = parameter.default
         else:

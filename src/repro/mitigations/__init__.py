@@ -35,7 +35,6 @@ from repro.mitigations.policy import (
     MITIGATION_POLICIES,
     MitigationPolicy,
     MitigationStack,
-    build_mitigation,
     build_stack,
     canonical_mitigation,
     mitigation_name,
@@ -87,7 +86,6 @@ __all__ = [
     "LeashPolicy",
     "SchedGuardPolicy",
     "PreFencePolicy",
-    "build_mitigation",
     "build_stack",
     "canonical_mitigation",
     "mitigation_name",

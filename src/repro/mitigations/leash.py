@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.mitigations.policy import (MitigationPolicy, _canonical_kwargs,
-                                      register_policy)
+from repro.mitigations.policy import MitigationPolicy, register_policy
 
 __all__ = ["LeashPolicy"]
 
@@ -65,12 +64,6 @@ class LeashPolicy(MitigationPolicy):
         self.cooldown_windows = int(cooldown_windows)
         self.throttle_slice_ns = float(throttle_slice_ns)
         self.vruntime_penalty_ns = float(vruntime_penalty_ns)
-        self._canonical_kwargs = _canonical_kwargs(type(self), dict(
-            window_ns=window_ns, flag_threshold=flag_threshold,
-            cooldown_windows=cooldown_windows,
-            throttle_slice_ns=throttle_slice_ns,
-            vruntime_penalty_ns=vruntime_penalty_ns,
-        ))
         self._window_start = 0.0
         self._counts: Dict[int, int] = {}
         self._tasks: Dict[int, Any] = {}

@@ -23,7 +23,11 @@ module gives them a common shape:
 * a registry + :func:`build_stack` / :func:`canonical_mitigation`, so a
   defense travels the experiment wire as plain JSON
   (``{"policy": "leash", "window_ns": 1e6, ...}``) and equal spellings
-  canonicalize to one cell-cache key.
+  canonicalize to one cell-cache key.  A policy's kwargs normalize
+  through the wire's own rules
+  (:func:`repro.experiments.wire.normalize_params` over the policy
+  class), so the spec is the one record of a defense; a live policy
+  is never turned back into one.
 
 Policies are deliberately kernel-agnostic: the kernel only calls the
 hooks when a stack is installed, so the default (no mitigations) path
@@ -32,18 +36,23 @@ is bit-identical to a kernel without this module.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+
+# Bound under its own name: ``bench/layers.py`` counts the calls made
+# through the name ``normalize_params`` as cells entering the harness
+# (its ``wire`` layer), while a policy's kwargs are canonicalized
+# inside a cell, as part of the experiment.
+from repro.experiments.wire import normalize_params as _normalize_kwargs
 
 __all__ = [
     "MitigationPolicy",
     "MitigationStack",
     "MITIGATION_POLICIES",
     "register_policy",
-    "build_mitigation",
     "build_stack",
     "canonical_mitigation",
     "mitigation_name",
+    "protected_names",
 ]
 
 
@@ -85,13 +94,6 @@ class MitigationPolicy:
         """JSON-safe counters/state for reporting."""
         return {}
 
-    def spec(self) -> Dict[str, Any]:
-        """The canonical wire spec that rebuilds this policy."""
-        kwargs = getattr(self, "_canonical_kwargs", {})
-        out: Dict[str, Any] = {"policy": self.name}
-        out.update(kwargs)
-        return out
-
 
 class MitigationStack:
     """Ordered composition of mitigation policies.
@@ -113,12 +115,6 @@ class MitigationStack:
 
     def __len__(self) -> int:
         return len(self.policies)
-
-    def find(self, name: str) -> Optional[MitigationPolicy]:
-        for policy in self.policies:
-            if policy.name == name:
-                return policy
-        return None
 
     def on_attach(self, kernel: Any) -> None:
         for policy in self.policies:
@@ -149,9 +145,6 @@ class MitigationStack:
     def snapshot(self) -> Dict[str, Any]:
         return {policy.name: policy.snapshot() for policy in self.policies}
 
-    def specs(self) -> List[Dict[str, Any]]:
-        return [policy.spec() for policy in self.policies]
-
 
 #: Registry of policy names → classes.  Concrete policies register at
 #: import time (see :mod:`repro.mitigations.leash` et al.).
@@ -167,78 +160,45 @@ def register_policy(cls: type) -> type:
     return cls
 
 
-MitigationSpec = Union[None, str, Mapping[str, Any], MitigationPolicy]
+MitigationSpec = Union[None, str, Mapping[str, Any]]
 
 
-def _ctor_params(cls: type) -> Dict[str, inspect.Parameter]:
-    params: Dict[str, inspect.Parameter] = {}
-    for pname, parameter in inspect.signature(cls).parameters.items():
-        if parameter.kind in (inspect.Parameter.VAR_KEYWORD,
-                              inspect.Parameter.VAR_POSITIONAL):
-            continue
-        params[pname] = parameter
-    return params
+def protected_names(protect: Iterable[Any]) -> List[str]:
+    """A ``protect`` collection's canonical form: its names as strings,
+    sorted and deduplicated, so ``["b", "a", "a"]`` and ``("a", "b")``
+    key and behave identically.  SchedGuard and PreFence canonicalize
+    their spec with it and build their ``protect`` tuple from it."""
+    return sorted({str(name) for name in protect})
 
 
-def _canonical_kwargs(cls: type,
-                      kwargs: Mapping[str, Any]) -> Dict[str, Any]:
-    """Normalize constructor kwargs against the policy signature.
+def canonical_mitigation(spec: MitigationSpec) -> Optional[Dict[str, Any]]:
+    """The canonical, JSON-safe form of a mitigation spec.
 
-    Same rules as the wire (:func:`repro.experiments.wire.
-    normalize_params`): defaults are filled in, ints coerce to float
-    where the default is a float, unknown names are rejected.  String
-    collections (tuple defaults like ``protect``) sort and dedupe so
-    ``["b", "a", "a"]`` and ``("a", "b")`` key identically.
+    ``None``/``"none"``/``"off"``/``"baseline"`` (also as
+    ``{"policy": name}``) → ``None``, so a defense-off cell can never
+    share a key with any defense-on cell; a policy name or a
+    ``{"policy": name, **kwargs}`` dict → ``{"policy": name,
+    **kwargs}`` with the kwargs normalized against the policy class by
+    :func:`repro.experiments.wire.normalize_params` (defaults filled,
+    ints coerced where the default is a float, unknown names rejected,
+    the class's ``__wire_canonical__`` applied), so equal spellings
+    dedupe to one cache key.
     """
-    params = _ctor_params(cls)
-    unknown = sorted(set(kwargs) - set(params))
-    if unknown:
-        raise ValueError(
-            f"unknown kwarg(s) {unknown} for mitigation policy "
-            f"{cls.name!r}; accepted: {sorted(params)}"
-        )
-    out: Dict[str, Any] = {}
-    for pname, parameter in params.items():
-        default = parameter.default
-        if pname in kwargs:
-            value = kwargs[pname]
-        elif default is not inspect.Parameter.empty:
-            value = default
-        else:
-            raise ValueError(
-                f"missing required kwarg {pname!r} for mitigation "
-                f"policy {cls.name!r}"
-            )
-        if (isinstance(default, float) and isinstance(value, int)
-                and not isinstance(value, bool)):
-            value = float(value)
-        if isinstance(default, tuple) and isinstance(value, (list, tuple)):
-            value = sorted({str(v) for v in value})
-        out[pname] = value
-    return out
-
-
-def _split_spec(spec: MitigationSpec) -> Optional[Dict[str, Any]]:
-    """Reduce any accepted spelling to ``{"policy": name, **kwargs}``
-    with canonical kwargs, or ``None`` for the no-defense spellings."""
     if spec is None:
         return None
-    if isinstance(spec, MitigationPolicy):
-        return dict(spec.spec())
     if isinstance(spec, str):
         name, kwargs = spec, {}
     elif isinstance(spec, Mapping):
-        payload = dict(spec)
-        name = payload.pop("policy", None)
+        kwargs = dict(spec)
+        name = kwargs.pop("policy", None)
         if not isinstance(name, str) or not name:
             raise ValueError(
                 f"mitigation spec {spec!r} is missing its 'policy' name"
             )
-        kwargs = payload
     else:
         raise TypeError(
-            f"mitigation spec must be None, a name, a dict, or a "
-            f"MitigationPolicy; got {type(spec).__name__}"
+            f"mitigation spec must be None, a name or a dict; "
+            f"got {type(spec).__name__}"
         )
     if name in ("none", "off", "baseline"):
         if kwargs:
@@ -250,62 +210,32 @@ def _split_spec(spec: MitigationSpec) -> Optional[Dict[str, Any]]:
             f"unknown mitigation policy {name!r}; "
             f"known: {sorted(MITIGATION_POLICIES)}"
         )
-    out: Dict[str, Any] = {"policy": name}
-    out.update(_canonical_kwargs(cls, kwargs))
-    return out
-
-
-def canonical_mitigation(spec: MitigationSpec) -> Optional[Dict[str, Any]]:
-    """The canonical, JSON-safe form of a mitigation spec.
-
-    ``None``/``"none"``/``"off"``/``"baseline"`` → ``None`` (so a
-    defense-off cell can never share a key with any defense-on cell);
-    everything else → ``{"policy": name, **full_kwargs}`` with every
-    constructor default filled in, floats coerced, and string
-    collections sorted — equal spellings dedupe to one cache key.
-    """
-    return _split_spec(spec)
-
-
-def build_mitigation(spec: MitigationSpec) -> Optional[MitigationPolicy]:
-    """Instantiate one policy from any accepted spec spelling."""
-    if isinstance(spec, MitigationPolicy):
-        return spec
-    canonical = _split_spec(spec)
-    if canonical is None:
-        return None
-    payload = dict(canonical)
-    name = payload.pop("policy")
-    cls = MITIGATION_POLICIES[name]
-    return cls(**payload)
+    return {"policy": name, **_normalize_kwargs(cls, kwargs)}
 
 
 def build_stack(
-    specs: Union[MitigationSpec, "MitigationStack",
-                 Sequence[MitigationSpec]],
+    spec: Union[MitigationSpec, MitigationStack],
 ) -> Optional[MitigationStack]:
-    """Build a :class:`MitigationStack` (or ``None`` for no defense).
+    """Build a one-policy :class:`MitigationStack` from a spec (or
+    ``None`` for no defense).
 
-    Accepts ``None``, a single spec in any spelling, an existing stack,
-    or a sequence of specs.  An empty result is ``None`` so the kernel
-    keeps its zero-cost default path.
+    Accepts ``None``, a policy name, a spec dict, or an existing stack
+    (passed through).  An empty result is ``None`` so the kernel keeps
+    its zero-cost default path.
     """
-    if specs is None:
+    if isinstance(spec, MitigationStack):
+        return spec if len(spec) else None
+    canonical = canonical_mitigation(spec)
+    if canonical is None:
         return None
-    if isinstance(specs, MitigationStack):
-        return specs if len(specs) else None
-    if isinstance(specs, (str, Mapping, MitigationPolicy)):
-        specs = [specs]
-    policies = [p for p in (build_mitigation(s) for s in specs)
-                if p is not None]
-    if not policies:
-        return None
-    return MitigationStack(policies)
+    kwargs = dict(canonical)
+    cls = MITIGATION_POLICIES[kwargs.pop("policy")]
+    return MitigationStack([cls(**kwargs)])
 
 
 def mitigation_name(spec: MitigationSpec) -> str:
     """Short display name for a spec (``"none"`` for no defense)."""
-    canonical = _split_spec(spec)
+    canonical = canonical_mitigation(spec)
     if canonical is None:
         return "none"
     return str(canonical["policy"])

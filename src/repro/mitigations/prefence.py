@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.mitigations.policy import (MitigationPolicy, _canonical_kwargs,
+from repro.mitigations.policy import (MitigationPolicy, protected_names,
                                       register_policy)
 
 __all__ = ["PreFencePolicy"]
@@ -31,13 +31,11 @@ __all__ = ["PreFencePolicy"]
 @register_policy
 class PreFencePolicy(MitigationPolicy):
     name = "prefence"
+    __wire_canonical__ = {"protect": protected_names}
 
     def __init__(self, *, protect: Tuple[str, ...] = ()):
         #: Empty = fence every task (prefetch never crosses a switch).
-        self.protect = tuple(sorted({str(p) for p in protect}))
-        self._canonical_kwargs = _canonical_kwargs(type(self), dict(
-            protect=protect,
-        ))
+        self.protect = tuple(protected_names(protect))
         self._hierarchy: Any = None
         self.fences = 0
         self.unfences = 0

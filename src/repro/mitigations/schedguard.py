@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.mitigations.policy import (MitigationPolicy, _canonical_kwargs,
+from repro.mitigations.policy import (MitigationPolicy, protected_names,
                                       register_policy)
 
 __all__ = ["SchedGuardPolicy"]
@@ -37,6 +37,7 @@ __all__ = ["SchedGuardPolicy"]
 @register_policy
 class SchedGuardPolicy(MitigationPolicy):
     name = "schedguard"
+    __wire_canonical__ = {"protect": protected_names}
 
     def __init__(
         self,
@@ -47,10 +48,7 @@ class SchedGuardPolicy(MitigationPolicy):
         if slot_ns <= 0:
             raise ValueError("slot_ns must be positive")
         self.slot_ns = float(slot_ns)
-        self.protect = tuple(sorted({str(p) for p in protect}))
-        self._canonical_kwargs = _canonical_kwargs(type(self), dict(
-            slot_ns=slot_ns, protect=protect,
-        ))
+        self.protect = tuple(protected_names(protect))
         self._slot_until: Dict[int, float] = {}
         #: Every slot ever opened: (pid, start, end).
         self.slot_log: List[Tuple[int, float, float]] = []

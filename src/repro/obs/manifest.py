@@ -250,20 +250,18 @@ def run_recorded(
     stored it.  The entry is keyed as ``module:qualname``, the cell's
     one identity; the manifest keeps the name it was called by.
 
-    ``extra_kwargs`` are execution-only knobs (``jobs``, callbacks)
-    that do not affect the result and are therefore excluded from the
-    key and the manifest — the recorded ``params`` alone must
-    re-create the result, and a ``--jobs 8`` re-run hits the entry a
-    serial run stored.
+    ``extra_kwargs`` are execution-only knobs (``jobs``) that do not
+    affect the result: normalization leaves ``jobs`` out of the
+    params, so they stay out of the key and the manifest — the
+    recorded ``params`` alone must re-create the result, and a
+    ``--jobs 8`` re-run hits the entry a serial run stored.
     Returns ``(result, manifest, manifest_path_or_None)``.
     """
     from repro.experiments.wire import normalize_params
 
     fn = resolve_experiment(experiment)
-    extra = dict(extra_kwargs or {})
-    params = {name: value
-              for name, value in normalize_params(fn, params).items()
-              if name not in extra}
+    extra = extra_kwargs or {}
+    params = normalize_params(fn, params)
     canonical = f"{fn.__module__}:{fn.__qualname__}"
     cache = key = None
     if os.environ.get("REPRO_CELL_CACHE_DIR", "").strip():

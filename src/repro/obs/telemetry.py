@@ -346,16 +346,23 @@ def _shape_ok(telemetry: Any) -> bool:
 def report_health(run_dir: str) -> Tuple[str, List[str]]:
     """``(report_text, warnings)`` for ``repro report <run-dir>``.
 
-    Degrades instead of tracebacking: a missing, truncated, or
-    wrong-shaped ``telemetry.json`` falls back to aggregating the
-    manifests on the fly, unreadable manifests are skipped, and every
-    degradation is reported as a warning — a crashed sweep's run dir
-    still yields the partial picture it can support.
+    The manifests are the record: whenever the dir holds any, the
+    report aggregates them, so a ``telemetry.json`` an earlier run
+    wrote cannot hide the runs after it.  Only a dir without manifests
+    (an exported CI artifact) is read from its ``telemetry.json``.
+
+    Degrades instead of tracebacking: unreadable manifests are
+    skipped, a truncated or wrong-shaped ``telemetry.json`` leaves the
+    empty aggregate, and every degradation is reported as a warning —
+    a crashed sweep's run dir still yields the partial picture it can
+    support.
     """
     warnings: List[str] = []
-    telemetry: Optional[dict] = None
+    telemetry = aggregate_run_dir(run_dir, skipped=warnings)
     path = os.path.join(run_dir, TELEMETRY_FILENAME)
-    if os.path.exists(path):
+    # So far ``warnings`` only names the manifests that were skipped.
+    holds_manifests = telemetry["runs"] or telemetry["cells"] or warnings
+    if not holds_manifests and os.path.exists(path):
         try:
             with open(path) as fh:
                 loaded = json.load(fh)
@@ -363,11 +370,7 @@ def report_health(run_dir: str) -> Tuple[str, List[str]]:
                 raise ValueError("not a telemetry aggregate")
             telemetry = loaded
         except (OSError, ValueError) as exc:
-            warnings.append(
-                f"{TELEMETRY_FILENAME} unreadable ({exc}); "
-                "re-aggregating from manifests")
-    if telemetry is None:
-        telemetry = aggregate_run_dir(run_dir, skipped=warnings)
+            warnings.append(f"{TELEMETRY_FILENAME} unreadable ({exc})")
     return render_report(run_dir, telemetry), warnings
 
 
@@ -375,9 +378,10 @@ def render_report(run_dir: str,
                   telemetry: Optional[dict] = None) -> str:
     """Human-readable run-health report for ``repro report <run-dir>``.
 
-    Reads ``telemetry.json`` when present (or aggregates on the fly) and
-    summarizes throughput, fast-forward coverage, cache behaviour,
-    per-phase timing and the per-experiment manifest record.
+    Aggregates the manifests (or, for a dir without any, reads
+    ``telemetry.json``) and summarizes throughput, fast-forward
+    coverage, cache behaviour, per-phase timing and the per-experiment
+    manifest record.
     """
     if telemetry is None:
         text, _warnings = report_health(run_dir)

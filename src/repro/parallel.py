@@ -45,7 +45,6 @@ __all__ = [
     "parallel_map",
     "starmap_kwargs",
     "map_payloads_completions",
-    "run_trials",
 ]
 
 
@@ -261,27 +260,3 @@ def map_payloads_completions(
     payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
     return _map(_invoke_kwargs, payloads, jobs, progress, on_result)
 
-
-def run_trials(
-    fn: Callable[..., R],
-    n_trials: int,
-    *,
-    root_seed: int = 0,
-    jobs: Optional[int] = None,
-    seed_arg: str = "seed",
-    identity: object = None,
-    **common: Any,
-) -> List[R]:
-    """Run ``n_trials`` independent repetitions of one trial function.
-
-    Trial ``i`` receives ``common`` plus
-    ``seed_arg=derive_seed(root_seed, identity, i)``; results arrive in
-    trial order.  This is the SGX-Step-style campaign primitive: many
-    i.i.d. repetitions of one cell, differing only in their derived
-    seed.
-    """
-    cells = [
-        {**common, seed_arg: derive_seed(root_seed, identity, index)}
-        for index in range(n_trials)
-    ]
-    return starmap_kwargs(fn, cells, jobs=jobs)

@@ -13,7 +13,7 @@ import os
 import pickle
 
 from repro.experiments.wire import cell_from_wire
-from repro.obs.cellcache import CACHE_ENV, CellCache, cell_cache
+from repro.obs.cellcache import CACHE_ENV, CellCache, cell_cache, cell_key
 from repro.obs.manifest import result_digest, run_recorded
 from repro.parallel import starmap_kwargs
 
@@ -311,6 +311,85 @@ class TestOneKeyPerCell:
         assert result_digest(int_hit) == result_digest(int_fresh) \
             == expected[1]
         assert len(entries()) == 2
+
+    def test_int_taus_key_and_run_like_the_sweep_verb(self, tmp_path,
+                                                      monkeypatch, capsys):
+        from repro.cli import main
+        from repro.obs.manifest import _restore, load_manifest
+        from repro.sweeps import run_sweep
+
+        runs = tmp_path / "runs"
+        assert main(["--jobs", "1", "--seed", "1", "--manifest-dir",
+                     str(runs), "sweep", "--taus", "440,740",
+                     "--preemptions", str(self.PREEMPTIONS)]) == 0
+        capsys.readouterr()
+        (path,) = runs.glob("run-sweep-*.json")
+        verb = load_manifest(str(path))
+        verb_params = {k: _restore(v) for k, v in verb.params.items()}
+        cache_dir = runs / "cellcache"
+        assert len(list(cache_dir.glob("cell-*.pkl"))) == 3  # sweep + 2
+
+        cell = cell_from_wire({"experiment": "sweep", "params": {
+            "taus": [440, 740], "preemptions": self.PREEMPTIONS,
+            "seed": 1}})
+        assert cell.params == verb_params
+        assert cell.params["taus"] == [440.0, 740.0]
+        assert all(isinstance(t, float) for t in cell.params["taus"])
+        key = cell_key(cell.experiment, cell.params)
+        assert key == cell_key(cell.experiment, verb_params)
+        assert (cache_dir / f"cell-{key}.pkl").exists()
+
+        # Served from the verb's entry, and run afresh with the same
+        # digest.
+        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+        monkeypatch.setenv(CACHE_ENV, str(cache_dir))
+        served = run_sweep(str(tmp_path / "served"), [cell], jobs=1)
+        monkeypatch.delenv(CACHE_ENV)
+        fresh = run_sweep(str(tmp_path / "fresh"), [cell], jobs=1)
+        assert [o.digest for o in served.outcomes] == [verb.result_digest]
+        assert [o.digest for o in fresh.outcomes] == [verb.result_digest]
+        assert len(list(cache_dir.glob("cell-*.pkl"))) == 3
+
+    def test_jobs_in_a_wire_cell_changes_neither_params_nor_key(self):
+        params = {"taus": [440.0, 740.0], "preemptions": 30, "seed": 1}
+        plain = cell_from_wire({"experiment": "sweep", "params": params})
+        pooled = cell_from_wire({"experiment": "sweep",
+                                 "params": {**params, "jobs": 2}})
+        assert "jobs" not in plain.params
+        assert pooled == plain
+        assert (cell_key(pooled.experiment, pooled.params)
+                == cell_key(plain.experiment, plain.params))
+
+    def test_defense_grid_spellings_share_one_key(self, tmp_path, capsys):
+        from repro.cli import main
+
+        runs = tmp_path / "runs"
+        assert main(["--jobs", "1", "--seed", "1", "--manifest-dir",
+                     str(runs), "defense-grid", "--workloads", "benign",
+                     "--defenses", "none,leash", "--schedulers", "cfs"]) == 0
+        capsys.readouterr()
+        cache_dir = runs / "cellcache"
+        assert len(list(cache_dir.glob("cell-*.pkl"))) == 3  # grid + 2
+        keys = set()
+        for defenses in (["none", "leash"], [None, {"policy": "leash"}]):
+            cell = cell_from_wire({"experiment": "defense-grid", "params": {
+                "workloads": ["benign"], "defenses": defenses,
+                "schedulers": ["cfs"], "seed": 1}})
+            keys.add(cell_key(cell.experiment, cell.params))
+        (key,) = keys
+        assert (cache_dir / f"cell-{key}.pkl").exists()  # the verb's key
+
+    def test_figure_4_3_int_taus_key_like_floats(self):
+        def figure(taus):
+            return cell_from_wire({
+                "experiment": "repro.experiments.resolution:figure_4_3",
+                "params": {"taus_a": taus, "seed": 1}})
+
+        ints, floats = figure([700, 740]), figure([700.0, 740.0])
+        assert all(isinstance(t, float) for t in ints.params["taus_a"])
+        assert ints == floats
+        assert (cell_key(ints.experiment, ints.params)
+                == cell_key(floats.experiment, floats.params))
 
     def test_service_without_a_cache_dedupes_in_flight(self, tmp_path):
         from repro.obs.journal import journal_path, replay
