@@ -227,14 +227,23 @@ def _cmd_mitigations(args: argparse.Namespace) -> None:
 
 def _axis_list(text: str) -> list:
     """Comma-separated axis values; a ``{...}`` entry is parsed as a
-    JSON mitigation spec.  Defense names, ``none`` included, pass as
-    given: the grid canonicalizes every spelling."""
-    out = []
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        out.append(json.loads(entry) if entry.startswith("{") else entry)
+    JSON mitigation spec, so only commas outside its brackets and
+    strings separate entries.  Defense names, ``none`` included, pass
+    as given: the grid canonicalizes every spelling."""
+    decode = json.JSONDecoder().raw_decode
+    out, i = [], 0
+    while i < len(text):
+        if text[i] == "," or text[i].isspace():
+            i += 1
+        elif text[i] == "{":
+            spec, i = decode(text, i)
+            if not text[i:].lstrip().startswith(",") and text[i:].strip():
+                raise ValueError(f"text after a JSON spec: {text[i:]!r}")
+            out.append(spec)
+        else:
+            end = (text + ",").index(",", i)
+            out.append(text[i:end].strip())
+            i = end
     return out
 
 

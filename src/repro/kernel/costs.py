@@ -16,6 +16,7 @@ experiments see realistic spread but remain reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.sim.rng import RngStreams
 
@@ -59,55 +60,47 @@ class CostParams:
     eresume_sd: float = 25.0
 
 
-class CostModel:
-    """Draws jittered kernel-path costs from named RNG streams."""
+def _bound_draw(rng: RngStreams, stream: str, mean: float,
+                sd: float) -> Callable[[], float]:
+    """One path's draw, ``max(gauss(mean, sd), 0.25 * mean)`` on its own
+    stream, with ``gauss``, mean, σ and floor bound once and ``max``
+    written as a compare that returns the same float."""
+    gauss = rng.stream(stream).gauss
+    floor = mean * 0.25
 
-    def __init__(self, rng: RngStreams, params: CostParams = CostParams()):
-        self.rng = rng
-        self.params = params
-        # Memoized bound draw methods: every switch/wake draws several
-        # costs, and resolving stream-name → Random → bound method per
-        # draw was measurable in the sweep profile.  The bound methods
-        # pull from the same memoized Random instances, so the draw
-        # sequences are unchanged.
-        self._gauss_draws: dict = {}
-        self._slack_draw = None
-
-    def _draw(self, stream: str, mean: float, sd: float) -> float:
-        gauss = self._gauss_draws.get(stream)
-        if gauss is None:
-            gauss = self.rng.stream(stream).gauss
-            self._gauss_draws[stream] = gauss
+    def draw() -> float:
         value = gauss(mean, sd)
         # Costs are physically positive; clamp the rare deep-left tail.
-        return max(value, mean * 0.25)
+        return floor if floor > value else value
 
-    def syscall_entry(self) -> float:
-        return self._draw("cost.syscall", self.params.syscall_entry_mean,
-                          self.params.syscall_entry_sd)
+    return draw
 
-    def irq_entry(self) -> float:
-        return self._draw("cost.irq", self.params.irq_entry_mean,
-                          self.params.irq_entry_sd)
 
-    def context_switch(self) -> float:
-        return self._draw("cost.switch", self.params.switch_mean,
-                          self.params.switch_sd)
+class CostModel:
+    """Draws jittered kernel-path costs from named RNG streams.
 
-    def timer_fire(self) -> float:
-        return self._draw("cost.timer", self.params.timer_fire_mean,
-                          self.params.timer_fire_sd)
+    Each path's draw is bound here once; streams are seeded by name, so
+    binding them all up front changes no draw.
+    """
 
-    def signal_delivery(self) -> float:
-        return self._draw("cost.signal", self.params.signal_delivery_mean,
-                          self.params.signal_delivery_sd)
-
-    def aex(self) -> float:
-        return self._draw("cost.aex", self.params.aex_mean, self.params.aex_sd)
-
-    def eresume(self) -> float:
-        return self._draw("cost.eresume", self.params.eresume_mean,
-                          self.params.eresume_sd)
+    def __init__(self, rng: RngStreams, params: CostParams = CostParams()):
+        self.params = p = params
+        self.syscall_entry = _bound_draw(rng, "cost.syscall",
+                                         p.syscall_entry_mean,
+                                         p.syscall_entry_sd)
+        self.irq_entry = _bound_draw(rng, "cost.irq", p.irq_entry_mean,
+                                     p.irq_entry_sd)
+        self.context_switch = _bound_draw(rng, "cost.switch", p.switch_mean,
+                                          p.switch_sd)
+        self.timer_fire = _bound_draw(rng, "cost.timer", p.timer_fire_mean,
+                                      p.timer_fire_sd)
+        self.signal_delivery = _bound_draw(rng, "cost.signal",
+                                           p.signal_delivery_mean,
+                                           p.signal_delivery_sd)
+        self.aex = _bound_draw(rng, "cost.aex", p.aex_mean, p.aex_sd)
+        self.eresume = _bound_draw(rng, "cost.eresume", p.eresume_mean,
+                                   p.eresume_sd)
+        self._slack_draw = rng.stream("cost.slack").uniform
 
     def timer_slack_draw(self, slack_ns: float) -> float:
         """Actual extra delay within the programmed timer slack window.
@@ -119,10 +112,7 @@ class CostModel:
         """
         if slack_ns <= 1.0:
             return 0.0
-        draw = self._slack_draw
-        if draw is None:
-            draw = self._slack_draw = self.rng.stream("cost.slack").uniform
-        return draw(0.0, slack_ns)
+        return self._slack_draw(0.0, slack_ns)
 
     def expected_round_trip(self) -> float:
         """Mean overhead of one nap→wake→preempt cycle (no jitter);

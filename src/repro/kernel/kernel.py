@@ -37,14 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cpu.machine import Machine
 from repro.kernel import actions as act
 from repro.kernel.costs import CostModel
-from repro.kernel.threads import (
-    BlockRequest,
-    CoroutineBody,
-    ExecContext,
-    ProgramBody,
-    RunOutcome,
-    ThreadBody,
-)
+from repro.kernel.threads import BlockRequest, ExecContext, ProgramBody
 from repro.kernel.tracing import (
     ExitToUserRecord,
     KernelTracer,
@@ -104,7 +97,6 @@ class _Timer:
     interval: Optional[float] = None  # periodic (POSIX timer) when set
     is_signal: bool = False  # Method 2: delivery pays signal cost
     cancelled: bool = False
-    overruns: int = 0
 
 
 @dataclass
@@ -132,32 +124,38 @@ class _KernelExecContext(ExecContext):
     """
 
     __slots__ = ("kernel", "cpu", "task", "core", "asid", "_walker",
-                 "_base_inst", "_timed_extra", "_flush_ns", "_jitter")
+                 "_base_inst", "_timed_extra", "_flush_ns", "_rdtscp_ns",
+                 "_jitter", "_spec_window", "_spec_draw")
 
-    def __init__(self, kernel: "Kernel", cpu: int, task: Task):
+    def __init__(self, kernel: "Kernel", cpu: int,
+                 task: Optional[Task] = None):
         self.kernel = kernel
         self.cpu = cpu
         self.task = task
+        self.asid = None if task is None else task.pid
         self.core = kernel.machine.core(cpu)
-        self.asid = task.pid
-        # The batch loops run for every probe of every attack; their
-        # constants (the latency model is fixed for the kernel's life),
-        # this CPU's load walker (userspace attack buffers in the LLC
-        # arena use 2 MiB pages) and the ``timed_load`` jitter stream
-        # are bound once here.
-        lat = kernel.machine.config.latency
+        # Actions and batch loops run for every probe of every attack;
+        # their constants (the machine's configuration is fixed for the
+        # kernel's life), this CPU's load walker (userspace attack
+        # buffers in the LLC arena use 2 MiB pages) and the
+        # ``timed_load`` and ``spec`` draws are bound once here.
+        config = kernel.machine.config
+        lat = config.latency
         self._walker = LoadWalker(self.core.hierarchy, cpu, self.core.tlbs,
                                   ATTACKER_HUGE_REGION)
         self._base_inst = lat.base_inst
         self._timed_extra = 2 * lat.rdtscp + lat.base_inst
         self._flush_ns = cycles_to_ns(lat.clflush)
+        self._rdtscp_ns = cycles_to_ns(lat.rdtscp)
         self._jitter = kernel.rng.stream("timed_load").gauss
+        self._spec_window = config.spec_window
+        self._spec_draw = kernel.rng.stream("spec").randint
 
     def draw_spec_window(self) -> int:
-        window = self.kernel.machine.config.spec_window
+        window = self._spec_window
         if window <= 0:
             return 0
-        return self.kernel.rng.stream("spec").randint(0, window)
+        return self._spec_draw(0, window)
 
     # ------------------------------------------------------------------
     # Action execution: dispatched on exact action type through
@@ -175,7 +173,7 @@ class _KernelExecContext(ExecContext):
         return action.ns, None, None
 
     def _act_get_time(self, action, now):
-        cost = cycles_to_ns(self.kernel.machine.config.latency.rdtscp)
+        cost = self._rdtscp_ns
         return cost, now + cost, None
 
     def _act_set_timer_slack(self, action, now):
@@ -317,16 +315,17 @@ class Kernel:
         self._trace = obs.tracer
         self._tracing = self._trace.enabled
         self._trace.register(self.tracer, self.tasks, machine.n_cores)
-        # Kernel-footprint touchers, keyed by (cpu, offset): the switch
+        # Kernel-footprint touchers, per CPU and window: the switch
         # path touches one of 8 rotating line windows, so each (cpu,
-        # offset, kind) window's L1 sets are looked up once (see
+        # window, kind)'s L1 sets are looked up once (see
         # MemoryHierarchy.make_line_toucher) and reused thereafter.
-        self._kfoot_touchers: Dict[Tuple[int, int], Tuple] = {}
+        self._kfoot_touchers: List[List[Optional[Tuple]]] = [
+            [None] * 8 for _ in range(machine.n_cores)]
         # One pooled ExecContext per CPU (rebound per body invocation)
         # and the prebound kfoot window draw — both allocation-rate
         # fixes for the switch path.
-        self._exec_ctxs: List[Optional[_KernelExecContext]] = \
-            [None] * machine.n_cores
+        self._exec_ctxs = [_KernelExecContext(self, c)
+                           for c in range(machine.n_cores)]
         self._kfoot_draw = self.rng.stream("kfoot").randrange
         # Load balancing runs through one resident event, armed while
         # any task is left to schedule on a multi-core machine.
@@ -365,7 +364,8 @@ class Kernel:
         if not task.can_run_on(cpu):
             raise ValueError(f"{task} cannot run on cpu{cpu}")
         st = self.cpus[cpu]
-        self._charge_upto(cpu, self.sim.now)
+        if st.rq.current is not None:
+            self._charge(st, st.rq.current, self.sim.now)
         if wake_placement:
             if sleep_vruntime is not None:
                 task.last_sleep_vruntime = sleep_vruntime
@@ -459,7 +459,7 @@ class Kernel:
     def arm_oneshot_timer(self, task: Task, cpu: int, nominal_expiry: float) -> _Timer:
         """nanosleep-style timer: fires within the task's timer slack."""
         actual = nominal_expiry + self.costs.timer_slack_draw(task.timer_slack)
-        timer = _Timer(expiry=actual, task=task, cpu=cpu)
+        timer = _Timer(actual, task, cpu)
         self.cpus[cpu].timers.append(timer)
         self._kick_for_timer(cpu, timer)
         return timer
@@ -496,10 +496,12 @@ class Kernel:
         """Ensure an idle CPU wakes up to deliver the new timer."""
         st = self.cpus[cpu]
         if st.rq.current is None and not st.switching:
-            self._schedule_dispatch(cpu, max(self.sim.now, timer.expiry))
+            self._schedule_dispatch(cpu, timer.expiry)
 
     # ------------------------------------------------------------------
-    # Dispatch machinery
+    # Dispatch machinery.  Helpers that run every round are inlined and
+    # each ``max`` is a compare returning the same float; see
+    # docs/ARCHITECTURE.md for what must stay a call.
     # ------------------------------------------------------------------
     def _ctx(self, cpu: int, task: Task) -> _KernelExecContext:
         """Pooled per-CPU ExecContext, rebound to ``task``.
@@ -509,17 +511,15 @@ class Kernel:
         single instance per CPU replaces a per-invocation allocation.
         """
         ctx = self._exec_ctxs[cpu]
-        if ctx is None:
-            ctx = _KernelExecContext(self, cpu, task)
-            self._exec_ctxs[cpu] = ctx
-        else:
-            ctx.task = task
-            ctx.asid = task.pid
+        ctx.task = task
+        ctx.asid = task.pid
         return ctx
 
     def _schedule_dispatch(self, cpu: int, time: float) -> None:
+        now = self.sim.now
+        if now > time:
+            time = now
         dispatch = self.cpus[cpu].dispatch
-        time = max(time, self.sim.now)
         entry = dispatch.entry
         if entry is None or entry[0] > time + _EPS:
             self.sim.arm(dispatch, time)
@@ -532,7 +532,10 @@ class Kernel:
         if st.switching:
             return
         now = self.sim.now
-        self._charge_upto(cpu, now)
+        rq = st.rq
+        curr = rq.current
+        if curr is not None and now > st.accounted_until:
+            self._charge(st, curr, now)
 
         # 2. blocking syscall from the previous window
         if st.pending_block is not None:
@@ -557,27 +560,29 @@ class Kernel:
             # must happen in this dispatch, or a periodic timer shorter
             # than the IRQ path would starve it forever (an interrupt
             # storm must not livelock the scheduler).
-            if st.rq.current is not None:
-                self._charge_task(cpu, st.rq.current, now + irq_ns)
+            curr = rq.current
+            if curr is not None:
+                self._charge(st, curr, now + irq_ns)
 
         # 4. scheduler tick (catch up if several lapsed while the CPU
         # was busy in an IRQ window or a long switch)
         if st.tick_next is not None and now >= st.tick_next - _EPS:
             while st.tick_next is not None and now >= st.tick_next - _EPS:
                 st.tick_next += self.params.tick
-            curr = st.rq.current
+            curr = rq.current
             if curr is not None:
-                resched = self.policy.tick_preempt(st.rq, curr)
+                resched = self.policy.tick_preempt(rq, curr)
                 if self._mit is not None:
-                    self._mit.on_tick(st.rq, curr, now)
+                    self._mit.on_tick(rq, curr, now)
                     resched = self._mit.filter_tick_preempt(
-                        st.rq, curr, resched, now)
+                        rq, curr, resched, now)
                 if resched:
                     st.need_resched = True
                     st.resched_reason = "tick"
 
         # 5. context switch (delayed past the IRQ window just consumed)
-        if st.rq.current is None or st.need_resched:
+        curr = rq.current
+        if curr is None or st.need_resched:
             self._begin_switch(cpu, at=now + irq_ns if irq_ns else None)
             return
         if irq_ns:
@@ -585,24 +590,7 @@ class Kernel:
             self._schedule_dispatch(cpu, now + irq_ns)
             return
 
-        # 6. run the body
-        curr = st.rq.current
-        horizon = self._next_event_time(cpu)
-        if horizon <= now + _EPS:
-            self._schedule_dispatch(cpu, horizon)
-            return
-        ctx = self._ctx(cpu, curr)
-        outcome = curr.body.run(ctx, now, horizon)
-        self._charge_task(cpu, curr, outcome.end)
-        if outcome.exited:
-            st.pending_block = BlockRequest("exit")
-        elif outcome.block is not None:
-            st.pending_block = outcome.block
-        self._schedule_dispatch(cpu, outcome.end)
-
-    def _next_event_time(self, cpu: int) -> float:
-        """The CPU's event horizon: its earliest live timer or tick."""
-        st = self.cpus[cpu]
+        # 6. run the body up to the event horizon (next live timer or tick)
         horizon = st.tick_next
         for timer in st.timers:
             if not timer.cancelled and (horizon is None
@@ -611,25 +599,37 @@ class Kernel:
         if horizon is None:
             # A running task with no tick cannot happen (tick is armed
             # whenever the CPU is busy), but stay safe.
-            return self.sim.now + self.params.tick
-        return horizon
+            horizon = now + self.params.tick
+        if horizon <= now + _EPS:
+            self._schedule_dispatch(cpu, horizon)
+            return
+        ctx = self._exec_ctxs[cpu]
+        ctx.task = curr
+        ctx.asid = curr.pid
+        outcome = curr.body.run(ctx, now, horizon)
+        end = outcome.end
+        self._charge(st, curr, end)
+        if outcome.exited:
+            st.pending_block = BlockRequest("exit")
+        elif outcome.block is not None:
+            st.pending_block = outcome.block
+        if now > end:
+            end = now
+        entry = st.dispatch.entry
+        if entry is None or entry[0] > end + _EPS:
+            self.sim.arm(st.dispatch, end)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _charge_upto(self, cpu: int, time: float) -> None:
-        st = self.cpus[cpu]
-        curr = st.rq.current
-        if curr is not None and time > st.accounted_until:
-            self._charge_task(cpu, curr, time)
-
-    def _charge_task(self, cpu: int, task: Task, upto: float) -> None:
-        st = self.cpus[cpu]
+    def _charge(self, st: _CpuState, task: Task, upto: float) -> None:
+        """update_curr: charge ``st``'s current ``task`` up to ``upto``."""
         delta = upto - st.accounted_until
         if delta > 0:
             self.policy.charge(st.rq, task, delta)
             st.accounted_until = upto
-            self.tracer.record_vruntime(upto, task.pid, task.vruntime)
+            if self.tracer.sample_vruntime:
+                self.tracer.record_vruntime(upto, task.pid, task.vruntime)
 
     # ------------------------------------------------------------------
     # Blocking syscalls (Scenario 3)
@@ -680,7 +680,6 @@ class Kernel:
             next_expiry = timer.expiry + timer.interval
             while next_expiry <= self.sim.now + _EPS:
                 next_expiry += timer.interval
-                timer.overruns += 1
             next_timer = _Timer(
                 expiry=next_expiry,
                 task=task,
@@ -690,7 +689,6 @@ class Kernel:
             )
             self.cpus[timer.cpu].timers.append(next_timer)
         if task.state is not TaskState.SLEEPING:
-            timer.overruns += 1
             return extra
         if timer.is_signal:
             extra += self.costs.signal_delivery()
@@ -702,30 +700,27 @@ class Kernel:
         place its vruntime (Eq 2.1) and run the preemption check (Eq 2.2)."""
         target = cpu if task.can_run_on(cpu) else self.balancer.select_cpu(task)
         st = self.cpus[target]
-        self._charge_upto(target, self.sim.now)
-        self.policy.place_waking(st.rq, task)
-        st.rq.add(task)
+        rq = st.rq
+        now = self.sim.now
+        curr = rq.current
+        if curr is not None and now > st.accounted_until:
+            self._charge(st, curr, now)
+        self.policy.place_waking(rq, task)
+        rq.add(task)
         task.wakeups += 1
-        curr = st.rq.current
+        curr = rq.current
         preempt = False
         if curr is not None:
-            preempt = self.policy.wants_wakeup_preempt(st.rq, curr, task)
+            preempt = self.policy.wants_wakeup_preempt(rq, curr, task)
             if self._mit is not None:
                 # Mitigations see every attempt (LEASH's perf signal),
                 # and may veto the grant (SchedGuard's blocking slot).
                 preempt = self._mit.filter_wakeup_preempt(
-                    st.rq, curr, task, preempt, self.sim.now)
-        self.tracer.record_wakeup(
-            WakeupRecord(
-                self.sim.now,
-                target,
-                task.pid,
-                task.vruntime,
-                curr.pid if curr else None,
-                curr.vruntime if curr else 0.0,
-                preempt,
-            )
-        )
+                    rq, curr, task, preempt, now)
+        self.tracer.record_wakeup(WakeupRecord(
+            now, target, task.pid, task.vruntime,
+            curr.pid if curr else None, curr.vruntime if curr else 0.0,
+            preempt))
         if preempt:
             assert curr is not None
             curr.preemptions_suffered += 1
@@ -745,24 +740,25 @@ class Kernel:
     # ------------------------------------------------------------------
     def _begin_switch(self, cpu: int, at: Optional[float] = None) -> None:
         st = self.cpus[cpu]
-        now = at if at is not None else self.sim.now
+        sim_now = self.sim.now
+        now = at if at is not None else sim_now
         st.need_resched = False
-        prev = st.rq.current
+        rq = st.rq
+        prev = rq.current
         if prev is not None:
             # Involuntary deschedule: apply SGX AEX / speculative smear.
-            ctx = self._ctx(cpu, prev)
-            prev.body.on_preempted(ctx)
+            prev.body.on_preempted(self._ctx(cpu, prev))
             if prev.enclave:
                 self.machine.tlbs.flush_core(cpu)
             prev.state = TaskState.RUNNABLE
-            st.rq.current = None
-            st.rq.add(prev)
+            rq.current = None
+            rq.add(prev)
         next_task = st.switch_to
         st.switch_to = None
-        if next_task is not None and next_task not in st.rq.queued:
+        if next_task is not None and next_task not in rq.queued:
             next_task = None  # migrated or state changed meanwhile
         if next_task is None:
-            next_task = self.policy.pick_next(st.rq)
+            next_task = self.policy.pick_next(rq)
         if next_task is None:
             # Idle.
             st.tick_next = None
@@ -775,7 +771,7 @@ class Kernel:
             return
         if self._mit is not None:
             self._mit.on_context_switch(cpu, prev, next_task, now)
-        st.rq.remove(next_task)
+        rq.remove(next_task)
         st.switching = True
         cost = self.costs.context_switch()
         if prev is not None and prev.enclave:
@@ -793,7 +789,8 @@ class Kernel:
             )
         )
         st.incoming = next_task
-        self.sim.arm(st.finish_switch, max(now + cost, self.sim.now))
+        end = now + cost
+        self.sim.arm(st.finish_switch, sim_now if sim_now > end else end)
 
     def _finish_switch(self, cpu: int) -> None:
         st = self.cpus[cpu]
@@ -804,7 +801,8 @@ class Kernel:
         task.state = TaskState.RUNNING
         task.slice_exec = 0.0
         st.accounted_until = now
-        self.machine.core(cpu).on_context_switch()
+        core = self.machine.cores[cpu]
+        core.on_context_switch()
         self._touch_kernel_footprint(cpu)
         if st.tick_next is None:
             st.tick_next = now + self.params.tick
@@ -814,7 +812,7 @@ class Kernel:
             if self.config.aex_notify_depth > 0 and isinstance(task.body, ProgramBody):
                 # The trusted handler runs inside the enclave after
                 # ERESUME; its warm-up work extends the resume delay.
-                self.machine.core(cpu).warm_resume(
+                core.warm_resume(
                     task.pid, task.body.program, self.config.aex_notify_depth
                 )
                 delay += self.costs.eresume()
@@ -822,14 +820,14 @@ class Kernel:
         self._schedule_dispatch(cpu, now + delay)
 
     def _record_exit(self, cpu: int, task: Task) -> None:
-        pc = None
-        retired = None
-        if isinstance(task.body, ProgramBody):
-            pc = task.body.program.current_pc
-            retired = task.body.program.retired
-        self.tracer.record_exit(
-            ExitToUserRecord(self.sim.now, cpu, task.pid, pc, retired)
-        )
+        body = task.body
+        if isinstance(body, ProgramBody):
+            program = body.program
+            record = ExitToUserRecord(self.sim.now, cpu, task.pid,
+                                      program.current_pc, program.retired)
+        else:
+            record = ExitToUserRecord(self.sim.now, cpu, task.pid)
+        self.tracer.record_exit(record)
 
     def _touch_kernel_footprint(self, cpu: int) -> None:
         """Model the kernel's own cache footprint on the switch path.
@@ -839,7 +837,7 @@ class Kernel:
         uniform noise.  This is the channel noise §4.3 attributes to the
         kernel and mitigates by monitoring structures larger than L1.
         """
-        offset = self._kfoot_draw(0, 8) * 64
+        window = self._kfoot_draw(0, 8)
         # The footprint's LLC sets model where this kernel build's
         # switch-path text/data happen to map — chosen away from the
         # victims' hot sets, the common case on a 16K-set LLC.  (When
@@ -847,9 +845,10 @@ class Kernel:
         # Each toucher accesses its window's lines in order, as
         # per-line access() calls would, with the L1 sets looked up
         # once per window.
-        touchers = self._kfoot_touchers.get((cpu, offset))
+        touchers = self._kfoot_touchers[cpu][window]
         if touchers is None:
             hierarchy = self.machine.hierarchy
+            offset = window * 64
             base = KERNEL_REGION_BASE + 1500 * 64 + offset
             data_base = KERNEL_REGION_BASE + 0x10_0000 + 1800 * 64 + offset
             touchers = (
@@ -863,7 +862,7 @@ class Kernel:
                           data_base + KERNEL_FOOTPRINT_DATA_LINES * 64, 64),
                     kind="data"),
             )
-            self._kfoot_touchers[(cpu, offset)] = touchers
+            self._kfoot_touchers[cpu][window] = touchers
         touchers[0]()
         touchers[1]()
 
@@ -876,8 +875,9 @@ class Kernel:
         # renormalization rebases the task against min/avg vruntime
         # baselines, which are stale until the running tasks are
         # charged up to `now` (update_curr before detach_task).
-        for cpu in range(len(self.cpus)):
-            self._charge_upto(cpu, now)
+        for st in self.cpus:
+            if st.rq.current is not None:
+                self._charge(st, st.rq.current, now)
         for migration in self.balancer.balance(now):
             self.tracer.record_migration(MigrationRecord(
                 migration.time, migration.src_cpu, migration.dst_cpu,

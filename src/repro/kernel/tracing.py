@@ -15,10 +15,11 @@ from typing import List, Optional
 
 from repro.obs.ring import RingBuffer
 
-#: Frozen record dataclass; slotted where ``dataclass`` supports it
-#: (Python 3.10+), which keeps long record streams small.
-_record = (dataclass(frozen=True, slots=True) if sys.version_info >= (3, 10)
-           else dataclass(frozen=True))
+#: Record dataclass; slotted where ``dataclass`` supports it (Python
+#: 3.10+), which keeps long record streams small.  Not frozen, which
+#: would triple the cost of building one: nothing mutates or hashes a
+#: record, and its ``repr`` (what digests hash) is the same either way.
+_record = dataclass(slots=True) if sys.version_info >= (3, 10) else dataclass
 
 
 @_record
@@ -101,21 +102,11 @@ class KernelTracer:
         self.migrations: RingBuffer = RingBuffer()
         self.vruntime_samples: RingBuffer = RingBuffer()
         self.sample_vruntime = sample_vruntime
-
-    # ------------------------------------------------------------------
-    # Recording (called by the kernel)
-    # ------------------------------------------------------------------
-    def record_switch(self, record: SwitchRecord) -> None:
-        self.switches.append(record)
-
-    def record_exit(self, record: ExitToUserRecord) -> None:
-        self.exits.append(record)
-
-    def record_wakeup(self, record: WakeupRecord) -> None:
-        self.wakeups.append(record)
-
-    def record_migration(self, record: MigrationRecord) -> None:
-        self.migrations.append(record)
+        # Recording (called by the kernel): the streams' own appends.
+        self.record_switch = self.switches.append
+        self.record_exit = self.exits.append
+        self.record_wakeup = self.wakeups.append
+        self.record_migration = self.migrations.append
 
     def record_vruntime(self, time: float, pid: int, vruntime: float) -> None:
         if self.sample_vruntime:

@@ -167,7 +167,12 @@ def protected_names(protect: Iterable[Any]) -> List[str]:
     """A ``protect`` collection's canonical form: its names as strings,
     sorted and deduplicated, so ``["b", "a", "a"]`` and ``("a", "b")``
     key and behave identically.  SchedGuard and PreFence canonicalize
-    their spec with it and build their ``protect`` tuple from it."""
+    their spec with it and build their ``protect`` tuple from it.  A
+    bare string, which would protect each of its characters, is
+    rejected as an unknown kwarg is."""
+    if isinstance(protect, (str, bytes)):
+        raise TypeError(f"protect must be a list of task names, not the "
+                        f"string {protect!r} (write [{protect!r}])")
     return sorted({str(name) for name in protect})
 
 

@@ -25,7 +25,8 @@ from typing import Optional
 from repro.sched.features import SchedFeatures
 from repro.sched.params import SchedParams
 from repro.sched.runqueue import RunQueue
-from repro.sched.task import Task
+from repro.sched.task import (MAX_NICE, MIN_NICE, NICE_0_LOAD,
+                              SCHED_PRIO_TO_WEIGHT, Task, nice_to_weight)
 
 
 class SchedPolicy(ABC):
@@ -41,7 +42,11 @@ class SchedPolicy(ABC):
         """Account ``exec_ns`` of CPU time to ``task`` (update_curr)."""
         if exec_ns < 0:
             raise ValueError(f"negative exec time {exec_ns}")
-        task.vruntime += task.vruntime_delta(exec_ns)
+        # Task.vruntime_delta inlined (nice_to_weight raises out of range).
+        nice = task.nice
+        weight = (SCHED_PRIO_TO_WEIGHT[nice - MIN_NICE]
+                  if MIN_NICE <= nice <= MAX_NICE else nice_to_weight(nice))
+        task.vruntime += exec_ns * NICE_0_LOAD / weight
         task.sum_exec_runtime += exec_ns
         task.slice_exec += exec_ns
         rq.update_min_vruntime()

@@ -24,7 +24,6 @@ class RunQueue:
         self.queued: List[Task] = []  # runnable, excluding `current`
         self.current: Optional[Task] = None
         self.min_vruntime: float = 0.0
-        self.nr_switches: int = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -72,16 +71,19 @@ class RunQueue:
 
     def avg_vruntime(self) -> float:
         """EEVDF: load-weighted average vruntime over runnable tasks."""
-        tasks = list(self.all_tasks())
+        tasks = (self.queued if self.current is None
+                 else [self.current, *self.queued])
         if not tasks:
             return self.min_vruntime
-        total_weight = sum(t.weight for t in tasks)
         # Left to right on purpose: from 3.12 on, ``sum()`` adds floats
         # with compensated summation, which would make the EEVDF
-        # schedule depend on the Python version.
+        # schedule depend on the Python version (int weights add exactly).
+        total_weight = 0
         weighted = 0.0
         for t in tasks:
-            weighted += t.vruntime * t.weight
+            weight = t.weight
+            total_weight += weight
+            weighted += t.vruntime * weight
         return weighted / total_weight
 
     def leftmost(self) -> Optional[Task]:

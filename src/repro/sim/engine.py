@@ -74,10 +74,12 @@ class Simulator:
     [5.0, 7.0, 10.0]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "events_fired")
+    __slots__ = ("now", "_heap", "_seq", "events_fired")
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in nanoseconds, the time of the event
+        #: running or last run: a slot only :meth:`drain` writes.
+        self.now: float = 0.0
         self._heap: List[_HeapEntry] = []
         self._seq = 0
         #: Events executed so far — the engine-throughput numerator for
@@ -85,11 +87,6 @@ class Simulator:
         #: event; everything else obs needs is pulled from existing
         #: state at snapshot time.
         self.events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -120,17 +117,17 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, priority=priority)
+        return self.call_at(self.now + delay, callback, priority=priority)
 
     def arm(self, event: Event, time: float) -> None:
         """Run ``event`` at absolute time ``time``, and not at any time
         it was armed at before.  It takes a fresh ``seq``, as a
         ``call_at`` does.  :meth:`drain` disarms an event just before
         running it, so a callback may re-arm its own event."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
                 f"cannot schedule event at {time} ns; simulation time is "
-                f"already {self._now} ns"
+                f"already {self.now} ns"
             )
         if event.entry is not None:
             self._disarm(event)
@@ -174,7 +171,7 @@ class Simulator:
             time, _, _, event = heappop(heap)
             event.entry = None
             self.events_fired += 1
-            self._now = time
+            self.now = time
             event.callback()
             count += 1
             if max_events is not None and count >= max_events:

@@ -54,6 +54,21 @@ class TestValidation:
         args = build_parser().parse_args(["sweep", "--taus", "700, 740"])
         assert args.taus == [700.0, 740.0]
 
+    def test_defenses_split_only_outside_json_specs(self):
+        args = build_parser().parse_args([
+            "defense-grid", "--defenses",
+            ' none, {"policy": "schedguard", "protect": ["a,b", "}"]},'
+            'leash,'])
+        assert args.defenses == [
+            "none", {"policy": "schedguard", "protect": ["a,b", "}"]},
+            "leash"]
+
+    def test_defenses_text_after_a_json_spec_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["defense-grid", "--defenses", '{"policy": "leash"}x'])
+        assert "invalid" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_budget_command_runs(self, capsys):
@@ -74,6 +89,15 @@ class TestCommands:
     def test_btb_command_runs(self, capsys):
         assert main(["btb", "--pairs", "1"]) == 0
         assert "branch accuracy" in capsys.readouterr().out
+
+    def test_defense_grid_takes_a_multi_key_json_spec(self, capsys):
+        """docs/MITIGATIONS.md's own example: the spec's inner comma
+        must not split it."""
+        assert main(["--no-manifest", "defense-grid", "--workloads",
+                     "benign", "--schedulers", "cfs", "--defenses",
+                     'none,{"policy":"schedguard","slot_ns":1000000}']) == 0
+        out = capsys.readouterr().out
+        assert "benign   none" in out and "benign   schedguard" in out
 
     def test_manifest_written_by_default_dir_flag(self, tmp_path, capsys):
         assert main(["--manifest-dir", str(tmp_path), "budget",

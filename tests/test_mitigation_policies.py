@@ -90,6 +90,17 @@ class TestCanonicalMitigation:
         with pytest.raises(ValueError, match="unknown parameter"):
             canonical_mitigation({"policy": "leash", "windw_ns": 1.0})
 
+    @pytest.mark.parametrize("policy_cls", [SchedGuardPolicy,
+                                            PreFencePolicy])
+    def test_bare_string_protect_rejected(self, policy_cls):
+        """Iterated, "victim" would protect the names v, i, c, t, m."""
+        with pytest.raises(ValueError, match="not the string 'victim'"):
+            canonical_mitigation({"policy": policy_cls.name,
+                                  "protect": "victim"})
+        with pytest.raises(TypeError, match="list of task names"):
+            policy_cls(protect="victim")
+        assert policy_cls(protect=["victim"]).protect == ("victim",)
+
     def test_spec_builds_the_policy_it_names(self):
         (policy,) = build_stack({"policy": "schedguard", "slot_ns": 250_000,
                                  "protect": ["web", "db", "web"]})
