@@ -419,7 +419,7 @@ class Core:
                 forwarded = self._try_fast_forward(asid, program, t, deadline)
                 if forwarded:
                     count, t = forwarded
-                    program.retire_bulk(count)
+                    program.retired += count
                     self.stats.instructions_retired += count
                     self.stats.ff_insts_fast_forwarded += count
                     retired += count
@@ -441,7 +441,7 @@ class Core:
                 if bulk > 0:
                     # Uniform straight-line region on a warm line: retire
                     # arithmetically without touching uarch state.
-                    program.retire_bulk(bulk)
+                    program.retired += bulk
                     self.stats.instructions_retired += bulk
                     self.stats.ff_uniform_bulk_retires += 1
                     self.stats.ff_insts_fast_forwarded += bulk

@@ -67,14 +67,6 @@ class Program(ABC):
     def retire(self) -> None:
         self.retired += 1
 
-    def retire_bulk(self, count: int) -> None:
-        """Advance the retirement cursor by ``count`` instructions.
-
-        The executor's arithmetic fast paths retire hundreds of uniform
-        instructions per call; one addition replaces that many
-        :meth:`retire` calls."""
-        self.retired += count
-
     def reset(self) -> None:
         self.retired = 0
 
@@ -144,54 +136,70 @@ _CLOSED_FORM_MIN_LINES = 8
 
 class _TwinConstants:
     """Per-``(program, per_inst)`` constants of
-    :meth:`StraightlineProgram.steady_twin`, and the closed form of its
-    tight run.
+    :meth:`StraightlineProgram.steady_twin`, and the binade arithmetic
+    of its closed forms: the tight run's and a long window's head's.
 
-    A tight-run line is two float adds, ``t += per_inst`` then
-    ``t += full_bulk``.  Inside one binade of ``t`` every float is a
-    multiple of ``ulp(t)``, so each add rounds its constant to the same
-    multiple of the ulp, ``r_a·ulp`` or ``r_b·ulp``, whatever ``t`` is,
-    and ``k`` lines advance ``t`` by exactly ``k·(r_a + r_b)·ulp``.  Two
-    cases break that: a constant that is an odd multiple of half an ulp
-    (an exact tie, which round-half-even settles by the low bit of
-    ``t``), and ``t < 1``, where the adds leave the binade at once.
-    There the caller adds line by line.
+    Every add of the twin puts ``run * per_inst`` on ``t`` for a run of
+    1 to ``per_line - 1`` instructions (a chunk head is a run of one).
+    Inside one binade of ``t`` every float is a multiple of ``ulp(t)``,
+    so each such add rounds its constant to the same multiple of the
+    ulp, ``ulps[run]·ulp``, whatever ``t`` is, and a sequence of adds
+    that stays in the binade advances ``t`` by exactly the sum of their
+    ``ulps``.  A tight-run line is two adds, ``t += per_inst`` then
+    ``t += full_bulk``, so ``k`` lines advance ``t`` by
+    ``k·(ulps[1] + ulps[per_line - 1])·ulp``.  Two cases break that: a
+    constant that is an odd multiple of half an ulp (an exact tie, which
+    round-half-even settles by the low bit of ``t``), and ``t < 1``,
+    where the adds leave the binade at once.  There the caller adds line
+    by line.
     """
 
     __slots__ = ("per_inst", "per_line", "per_loop", "two_loops",
-                 "full_run", "full_bulk", "full_guard", "tight_guard",
-                 "last_tight", "last_closed", "closed_window", "low", "top",
-                 "ulp", "adds")
+                 "long_window", "full_run", "full_bulk", "full_guard",
+                 "tight_guard", "last_tight", "last_closed",
+                 "closed_window", "low", "top", "ulp", "ulps", "adds",
+                 "loop_end")
 
     def __init__(self, program: "StraightlineProgram", per_inst: float):
         per_line = 64 // program.inst_size
+        loop_insts = program.loop_insts
         self.per_inst = per_inst
         self.per_line = per_line
-        self.per_loop = cycles_to_ns(float(program.loop_insts))
-        self.two_loops = 2 * self.per_loop
-        self.full_run = per_line - 1
-        self.full_bulk = self.full_run * per_inst  # == run * per_inst, run full
-        self.full_guard = per_line * per_inst      # == (run + 1) * per_inst
+        self.per_loop = per_loop = cycles_to_ns(float(loop_insts))
+        self.two_loops = two_loops = 2 * per_loop
+        # Routing for the head's closed form: a window that still holds
+        # two whole loops after the head.  The head ends in a line of
+        # per_line - 2 bulk instructions, so it takes lines of at least
+        # four instructions and a loop of whole lines.
+        self.long_window = (two_loops + per_loop
+                            if per_line >= 4 and not loop_insts % per_line
+                            else math.inf)
+        # run * per_inst and (run + 1) * per_inst for a full run.
+        self.full_run = full_run = per_line - 1
+        self.full_bulk = full_run * per_inst
+        self.full_guard = full_guard = per_line * per_inst
         # Conservative routing guard for the tight run: when the window
         # still holds per_line + 3 base instructions, the chunk head
         # cannot straddle the deadline and the full-line bulk guard
         # certainly passes, so the per-line decisions are forced and
         # only the two float adds remain.  Routing compares never touch
         # ``t`` itself.
-        self.tight_guard = (per_line + 3) * per_inst
+        self.tight_guard = tight_guard = (per_line + 3) * per_inst
         # Last line boundary whose bulk is still a full run (the final
         # line stops one short of the loop-back jump).
-        self.last_tight = program.loop_insts - 2 * per_line
+        self.last_tight = last_tight = loop_insts - 2 * per_line
         # Routing for the closed form: runs of fewer lines are cheaper to
         # add line by line.  The window bound is the guard of the run's
         # last such line, give or take the rounding of ``t``.
-        self.last_closed = self.last_tight - (_CLOSED_FORM_MIN_LINES - 1) * per_line
-        self.closed_window = (self.tight_guard
-                              + (_CLOSED_FORM_MIN_LINES - 1) * self.full_guard)
-        # Binade [low, top) of the last closed form, its ulp, and
-        # r_a + r_b there (0: the closed form does not apply).
+        self.last_closed = last_tight - (_CLOSED_FORM_MIN_LINES - 1) * per_line
+        self.closed_window = (tight_guard
+                              + (_CLOSED_FORM_MIN_LINES - 1) * full_guard)
+        # Binade [low, top) of the last closed form, its ulp, the ulps
+        # of each run there (None: the closed forms do not apply), a
+        # tight-run line's ulps, and the last line's plus the jump's.
         self.low = self.top = self.ulp = 0.0
-        self.adds = 0
+        self.ulps: Optional[List[int]] = None
+        self.adds = self.loop_end = 0
 
     def tight_lines(self, t: float, deadline: float,
                     lines: int) -> Tuple[int, float]:
@@ -237,24 +245,31 @@ class _TwinConstants:
 
     def _enter_binade(self, t: float) -> None:
         if t < 1.0:
-            self.low, self.top, self.adds = 0.0, 1.0, 0
+            self.low, self.top, self.ulps, self.adds = 0.0, 1.0, None, 0
             return
         ulp = math.ulp(t)
-        # Dividing by a power of two is exact, so the quotients carry the
-        # exact rounding of each constant to the ulp grid.
-        quot_a = self.per_inst / ulp
-        quot_b = self.full_bulk / ulp
-        frac_a = quot_a % 1.0
-        frac_b = quot_b % 1.0
-        if frac_a == 0.5 or frac_b == 0.5:
-            adds = 0  # an exact tie
-        else:
-            adds = (int(quot_a) + (frac_a > 0.5)
-                    + int(quot_b) + (frac_b > 0.5))
+        # Dividing by a power of two is exact, so each quotient carries
+        # the exact rounding of its constant to the ulp grid.
+        per_line = self.per_line
+        per_inst = self.per_inst
+        ulps: Optional[List[int]] = [0]
+        for run in range(1, per_line if per_line > 1 else 2):
+            quot = run * per_inst / ulp
+            frac = quot % 1.0
+            if frac == 0.5:
+                ulps = None  # an exact tie
+                break
+            ulps.append(int(quot) + (frac > 0.5))
         self.top = math.ldexp(1.0, math.frexp(t)[1])
         self.low = self.top / 2
         self.ulp = ulp
-        self.adds = adds
+        self.ulps = ulps
+        if ulps is None:
+            self.adds = 0
+        else:
+            self.adds = ulps[1] + ulps[per_line - 1]
+            if per_line >= 4:
+                self.loop_end = ulps[1] + ulps[per_line - 2] + ulps[1]
 
 
 class StraightlineProgram(Program):
@@ -303,6 +318,19 @@ class StraightlineProgram(Program):
                 inst = Instruction(pc=pc, kind=InstrKind.NOP, size=self.inst_size)
             self._slot_cache[slot] = inst
         return inst
+
+    @property
+    def done(self) -> bool:
+        total = self.total
+        return total is not None and self.retired >= total
+
+    @property
+    def current_pc(self) -> Optional[int]:
+        retired = self.retired
+        total = self.total
+        if total is not None and retired >= total:
+            return None
+        return self.base_pc + retired % self.loop_insts * self.inst_size
 
     def uniform_region_length(self, index: int) -> int:
         """Instructions until the next line boundary or loop-back jump.
@@ -401,14 +429,11 @@ class StraightlineProgram(Program):
         Returns ``(instructions, end_time_ns)``, or None when nothing
         retires.
         """
-        loop_insts = self.loop_insts
-        total = self.total
         consts = self._twin_consts
         if consts is None or consts.per_inst != per_inst:
             consts = self._twin_consts = _TwinConstants(self, per_inst)
-        per_line = consts.per_line
-        per_loop = consts.per_loop
-        two_loops = consts.two_loops
+        loop_insts = self.loop_insts
+        total = self.total
         idx = idx0
         if total is None:
             # Unbounded stream (the §4.3 resolution victim) — the hot
@@ -427,7 +452,10 @@ class StraightlineProgram(Program):
             # anyway.  Every ``t`` update below is operation-for-
             # operation the sequence the generic loop performs, or the
             # exact closed form of a run of them.
+            per_line = consts.per_line
             last_bulk_slot = loop_insts - 1  # stop before the loop jump
+            per_loop = consts.per_loop
+            two_loops = consts.two_loops
             full_run = consts.full_run
             full_bulk = consts.full_bulk
             full_guard = consts.full_guard
@@ -436,26 +464,62 @@ class StraightlineProgram(Program):
             last_closed = consts.last_closed
             closed_window = consts.closed_window
             slot = idx % loop_insts
+            if slot and deadline - t >= consts.long_window:
+                # A long window (a tick of a victim running alone) from
+                # mid-loop: its head, up to the loop-back, in closed form
+                # (see _TwinConstants), so the loop below starts at the
+                # whole-loop multiply.  The head is the chunk head at
+                # ``slot``; the rest of its line, a bulk add or, for a
+                # rest of one, the chunk head the loop adds instead (a
+                # run of one either way); a tight-run line per full line
+                # up to the last; the last line's chunk head and bulk
+                # of per_line - 2; and the jump.  A head that would
+                # reach the binade's top, or end within ``tight_guard``
+                # of the deadline (where the loop's per-line decisions
+                # are not all forced), is left to the loop.
+                if not consts.low <= t < consts.top:
+                    consts._enter_binade(t)
+                ulps = consts.ulps
+                if ulps is not None:
+                    n = ulps[1]
+                    head = slot + 1
+                    if head <= last_bulk_slot:
+                        run = -head % per_line  # 0 at a line boundary
+                        if run >= last_bulk_slot - head:
+                            # The last line: its rest, then the jump.
+                            n += ulps[last_bulk_slot - head] + ulps[1]
+                        else:
+                            n += (ulps[run] + consts.loop_end
+                                  + ((last_tight - head - run) // per_line + 1)
+                                  * consts.adds)
+                    ulp = consts.ulp
+                    if n < (consts.top - t) / ulp:
+                        # Exact: a multiple of the ulp below ``top``.
+                        end = t + n * ulp
+                        if deadline - end >= tight_guard:
+                            idx += loop_insts - slot
+                            slot = 0
+                            t = end
             while t < deadline:
-                if slot == 0:
-                    window = deadline - t
-                    if window >= two_loops:
-                        loops = int(window / per_loop)
-                        idx += loops * loop_insts
-                        t += loops * per_loop
-                        continue
-                elif not slot % per_line:
+                if not slot % per_line:
+                    if not slot:
+                        window = deadline - t
+                        if window >= two_loops:
+                            loops = int(window / per_loop)
+                            idx += loops * loop_insts
+                            t += loops * per_loop
+                            continue
                     # Tight run over consecutive full warm lines: each
                     # line is exactly one chunk-head add plus one bulk
                     # add of the precomputed full-line product — the
                     # identical op pair the generic path performs when
                     # its (forced, see tight_guard) decisions all take
-                    # the full-line branch.  A run long enough to repay
-                    # it takes the closed form first; the loop adds
-                    # whatever the closed form left (short runs, a tie
-                    # binade, t < 1, the lines past a power of two).
-                    # Slot never wraps here (last_tight keeps the
-                    # loop-back jump line out).
+                    # the full-line branch, at the loop top too.  A run
+                    # long enough to repay it takes the closed form
+                    # first; the loop adds whatever the closed form left
+                    # (short runs, a tie binade, t < 1, the lines past a
+                    # power of two).  Slot never wraps here (last_tight
+                    # keeps the loop-back jump line out).
                     if slot <= last_closed and deadline - t >= closed_window:
                         lines, t = consts.tight_lines(
                             t, deadline, (last_tight - slot) // per_line + 1)
@@ -503,6 +567,9 @@ class StraightlineProgram(Program):
             if count < 1:
                 return None
             return count, t
+        per_line = consts.per_line
+        per_loop = consts.per_loop
+        two_loops = consts.two_loops
         while t < deadline:
             if certified is not None and idx - idx0 >= certified:
                 break  # past the certified region: execute() decides

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cpu.machine import Machine
 from repro.kernel import actions as act
 from repro.kernel.costs import CostModel
-from repro.kernel.threads import BlockRequest, ExecContext, ProgramBody
+from repro.kernel.threads import BlockRequest, ExecContext
 from repro.kernel.tracing import (
     ExitToUserRecord,
     KernelTracer,
@@ -809,20 +809,19 @@ class Kernel:
         delay = 0.0
         if task.enclave:
             delay = self.costs.eresume()
-            if self.config.aex_notify_depth > 0 and isinstance(task.body, ProgramBody):
+            program = task.body.program
+            if self.config.aex_notify_depth > 0 and program is not None:
                 # The trusted handler runs inside the enclave after
                 # ERESUME; its warm-up work extends the resume delay.
-                core.warm_resume(
-                    task.pid, task.body.program, self.config.aex_notify_depth
-                )
+                core.warm_resume(task.pid, program,
+                                 self.config.aex_notify_depth)
                 delay += self.costs.eresume()
         self._record_exit(cpu, task)
         self._schedule_dispatch(cpu, now + delay)
 
     def _record_exit(self, cpu: int, task: Task) -> None:
-        body = task.body
-        if isinstance(body, ProgramBody):
-            program = body.program
+        program = task.body.program
+        if program is not None:
             record = ExitToUserRecord(self.sim.now, cpu, task.pid,
                                       program.current_pc, program.retired)
         else:

@@ -49,6 +49,11 @@ class RunOutcome:
 class ThreadBody(ABC):
     """Behaviour of one task."""
 
+    #: The victim program a body replays through the core (a
+    #: :class:`ProgramBody`'s), else None: what the kernel reads a
+    #: task's PC and retired count from.
+    program: Optional[Program] = None
+
     @abstractmethod
     def run(self, ctx: "ExecContext", start: float, deadline: float) -> RunOutcome:
         """Consume CPU from ``start`` until ``deadline``, a blocking

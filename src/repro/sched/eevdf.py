@@ -29,6 +29,11 @@ from repro.sched.base import SchedPolicy
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
 
+#: Float slack of the eligibility test, ``vruntime <= avg_vruntime +
+#: slack``: what :meth:`EevdfScheduler.is_eligible` and the pick both
+#: test.
+_ELIGIBILITY_SLACK = 1e-9
+
 
 class EevdfScheduler(SchedPolicy):
     name = "eevdf"
@@ -46,7 +51,7 @@ class EevdfScheduler(SchedPolicy):
 
     def is_eligible(self, rq: RunQueue, task: Task) -> bool:
         """Eligibility: vruntime not past the weighted average."""
-        return task.vruntime <= rq.avg_vruntime() + 1e-9
+        return task.vruntime <= rq.avg_vruntime() + _ELIGIBILITY_SLACK
 
     # ------------------------------------------------------------------
     # Placement
@@ -117,6 +122,9 @@ class EevdfScheduler(SchedPolicy):
             candidates.append(rq.current)
         if not candidates:
             return None
-        eligible = [t for t in candidates if self.is_eligible(rq, t)]
+        # is_eligible's test against one average: the candidates do not
+        # move it.
+        bound = rq.avg_vruntime() + _ELIGIBILITY_SLACK
+        eligible = [t for t in candidates if t.vruntime <= bound]
         pool = eligible or candidates  # nothing eligible → earliest deadline overall
         return min(pool, key=lambda t: (t.deadline, t.vruntime, t.pid))

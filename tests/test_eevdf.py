@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.kernel.threads import ComputeBody
-from repro.sched.eevdf import EevdfScheduler
+from repro.sched.eevdf import _ELIGIBILITY_SLACK, EevdfScheduler
 from repro.sched.features import SchedFeatures
 from repro.sched.params import SchedParams
 from repro.sched.runqueue import RunQueue
@@ -214,6 +214,61 @@ class TestSelection:
         a = make("a", vruntime=10 * MS, deadline=99 * MS)
         rq.add(a)
         assert sched.pick_next(rq) is a
+
+    def test_pick_takes_one_average(self, sched, rq, monkeypatch):
+        """A pick tests every candidate against one load-weighted
+        average, as ``is_eligible`` does, instead of recomputing it per
+        candidate."""
+        rq.current = make("curr", vruntime=5 * MS, deadline=9 * MS)
+        for i, (vruntime, deadline) in enumerate(
+                [(1 * MS, 8 * MS), (2 * MS, 4 * MS), (8 * MS, 1 * MS)]):
+            rq.add(make(f"t{i}", vruntime=vruntime, deadline=deadline))
+        averages = []
+        avg_vruntime = RunQueue.avg_vruntime
+
+        def counted(queue):
+            averages.append(queue)
+            return avg_vruntime(queue)
+
+        monkeypatch.setattr(RunQueue, "avg_vruntime", counted)
+        assert sched.pick_next(rq).name == "t1"
+        assert len(averages) == 1
+        assert sched.tick_preempt(rq, rq.current)
+        assert len(averages) == 2
+
+    def test_pick_takes_a_task_exactly_at_the_bound(self, sched, rq):
+        """A task whose vruntime equals the average plus the slack is
+        eligible, as ``is_eligible`` says, and its earlier deadline
+        wins."""
+        at_bound = make("at_bound", vruntime=2 * _ELIGIBILITY_SLACK,
+                        deadline=1.0)
+        rq.add(make("behind", vruntime=0.0, deadline=2.0))
+        rq.add(at_bound)
+        assert rq.avg_vruntime() + _ELIGIBILITY_SLACK == at_bound.vruntime
+        assert sched.is_eligible(rq, at_bound)
+        assert sched.pick_next(rq) is at_bound
+
+    @given(tasks=st.lists(st.tuples(
+        st.floats(0.0, 1e7), st.floats(0.0, 1e7), nice_full_range),
+        min_size=1, max_size=6), with_current=st.booleans())
+    def test_pick_matches_per_candidate_eligibility(self, tasks,
+                                                    with_current):
+        """The same task as a pick that asks ``is_eligible`` of each
+        candidate."""
+        sched, rq = EevdfScheduler(PARAMS), RunQueue(0)
+        built = [make(f"t{i}", vruntime=v, nice=nice, deadline=d)
+                 for i, (v, d, nice) in enumerate(tasks)]
+        for pid, task in enumerate(built):
+            task.pid = pid
+        if with_current:
+            rq.current = built.pop()
+        for task in built:
+            rq.add(task)
+        candidates = list(rq.queued) + ([rq.current] if with_current else [])
+        pool = ([t for t in candidates if sched.is_eligible(rq, t)]
+                or candidates)
+        want = min(pool, key=lambda t: (t.deadline, t.vruntime, t.pid))
+        assert sched._pick_among(rq, include_current=with_current) is want
 
     def test_empty_queue(self, sched, rq):
         assert sched.pick_next(rq) is None

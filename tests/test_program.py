@@ -135,6 +135,19 @@ class TestStraightlineProgram:
         profile = p.loop_profile(0)
         assert profile.max_loops == 40 // p.loop_insts
 
+    @pytest.mark.parametrize("total", [None, 1, 37, 2 * 16 + 5])
+    def test_cursor_reads_match_the_stream(self, total):
+        """``done`` and ``current_pc`` read the cursor arithmetically;
+        they agree with the instruction stream, before, at and past the
+        end of a bounded one."""
+        p = StraightlineProgram(base_pc=0x400000, inst_size=4,
+                                loop_bytes=64, total=total)
+        for retired in list(range(3 * p.loop_insts)) + [10**9]:
+            p.retired = retired
+            inst = p.instruction_at(retired)
+            assert p.done is (inst is None)
+            assert p.current_pc == (None if inst is None else inst.pc)
+
     def test_finite_profile_none_when_no_full_loop_left(self):
         p = StraightlineProgram(loop_bytes=64, total=40)
         per_loop = p.loop_insts

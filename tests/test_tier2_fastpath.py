@@ -9,8 +9,10 @@ per-instruction interpreter through the fast-forward oracle.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -117,6 +119,95 @@ def test_steady_twin_bit_identical_to_generic_loop():
         if got is not None:
             # repr-equality of floats is not enough; require the bits.
             assert got[1].hex() == want[1].hex()
+
+
+def _long_window_cases():
+    """``(program, per_inst, t, deadlines)`` for the every-slot sweep.
+
+    Loops of one, two and a few lines at several instruction sizes, and
+    the production 4 KiB loop of 4-byte instructions; ``per_inst`` of
+    one, two and four cycles (at four, a head from early in the loop
+    outlasts a window of three loops, and only the head's guard stops
+    it), and 3·2^-10 ns on loops of at most 64 instructions (the
+    reference adds a loop's tail line by line, and at that ``per_inst``
+    a 4 KiB tail is 97,000 instructions); clocks in an ordinary binade,
+    just below 2^31 (so a head or the whole-loop multiply crosses the
+    power of two) and in the 2^43 tie binade; deadlines at the long
+    window's routing bound ``two_loops + per_loop`` and a few ulps
+    either side, three loops plus a few instructions (the head's end
+    decides whether the multiply still runs), and a 1 ms tick.
+    """
+    cycle = cycles_to_ns(1.0)
+    programs = [StraightlineProgram(0x400000, inst_size=size, loop_bytes=loop)
+                for size in (1, 2, 4, 5, 8, 12, 16)
+                for loop in (64, 128, 256, 480, 512)
+                if not loop % size]
+    programs.append(StraightlineProgram())  # the §4.3 victim: 4 KiB, 4 B
+    for program in programs:
+        per_loop = cycles_to_ns(float(program.loop_insts))
+        bound = 3 * per_loop
+        per_insts = [cycle, 2 * cycle, 4 * cycle]
+        if program.loop_insts <= 64:
+            per_insts.append(3 * 2.0 ** -10)
+        for per_inst in per_insts:
+            for t in (1e8 + 0.3, 2.0 ** 31 - 3.3, 2.0 ** 43 + 12345):
+                ulp = math.ulp(t)
+                deadlines = [t + bound - 4 * ulp, t + bound, t + bound + 4 * ulp,
+                             t + bound + 5 * per_inst, t + 1e6]
+                yield program, per_inst, t, deadlines
+
+
+def test_long_windows_every_slot_match_generic_loop():
+    """From every loop slot, windows long enough for the head's closed
+    form end where the generic loop ends, to the bit: the head up to
+    the loop-back as an ulp count, the whole-loop multiply, and the
+    tail's tight lines from the loop top, with every fallback (a tie
+    binade, a head crossing a power of two, a head ending too near the
+    deadline, lines under four instructions, loops of partial lines)."""
+    cases = 0
+    for program, per_inst, t, deadlines in _long_window_cases():
+        for deadline in deadlines:
+            for slot in range(program.loop_insts):
+                idx0 = 7 * program.loop_insts + slot
+                got = program.steady_twin(idx0, t, deadline, per_inst, None)
+                want = _program_steady_loop(program, idx0, t, deadline,
+                                            per_inst, None)
+                assert got == want and got[1].hex() == want[1].hex(), (
+                    program.inst_size, program.loop_insts, per_inst.hex(),
+                    slot, t.hex(), deadline.hex())
+                cases += 1
+    assert cases > 100_000
+
+
+def test_long_window_head_takes_the_closed_form():
+    """The sweep above passes whether or not the head's closed form
+    runs; on the §4.3 victim's 1 ms ticks it must run from every slot
+    but the loop top, where the multiply comes first."""
+    program = StraightlineProgram()
+    source, first = inspect.getsourcelines(StraightlineProgram.steady_twin)
+    taken = first + next(i for i, line in enumerate(source)
+                         if "idx += loop_insts - slot" in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == taken:
+            hits.append(frame.f_locals["slot"])
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is StraightlineProgram.steady_twin.__code__:
+            return local
+        return None
+
+    t, per_inst = 3.2e9 + 0.123, cycles_to_ns(1.0)
+    outer = sys.gettrace()  # a coverage run's tracer, restored after
+    sys.settrace(tracer)
+    try:
+        for slot in range(program.loop_insts):
+            program.steady_twin(slot, t, t + 1e6, per_inst, None)
+    finally:
+        sys.settrace(outer)
+    assert hits == list(range(1, program.loop_insts))
 
 
 # ----------------------------------------------------------------------
