@@ -26,7 +26,6 @@ from repro import (
     build_env,
     expected_preemptions,
 )
-from repro.sched.task import TaskState
 
 US = 1_000.0
 MS = 1_000_000.0
@@ -82,10 +81,7 @@ def main() -> None:
               f"Δ = {gap / MS:.3f}")
     drift = (gap0 - gap) / last_round
 
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=60e9,
-    )
+    attacker.run(env.kernel, max_time=60e9)
     count = env.tracer.consecutive_preemptions(victim.pid, attacker.task.pid)
     print(f"(e) Δ < S_preempt: Eq 2.2 fails after {count} preemptions")
     print(f"\nmodel check: ⌈budget / (Ia − Iv)⌉ with measured drift "

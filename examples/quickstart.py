@@ -42,10 +42,7 @@ def main() -> None:
     )
     attacker.launch(env.kernel, cpu=0)
 
-    env.kernel.run_until(
-        predicate=lambda: env.kernel.task_exited(attacker.task),
-        max_time=10e9,
-    )
+    attacker.run(env.kernel, max_time=10e9)
 
     tracer = env.tracer
     count = tracer.consecutive_preemptions(victim.pid, attacker.task.pid)

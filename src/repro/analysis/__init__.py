@@ -17,7 +17,6 @@ from repro.analysis.histogram import ResolutionStats, ascii_histogram, resolutio
 from repro.analysis.traces import (
     binary_trace_accuracy,
     branch_trace_accuracy,
-    concatenate_traces,
     coverage,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "resolution_stats",
     "binary_trace_accuracy",
     "branch_trace_accuracy",
-    "concatenate_traces",
     "coverage",
 ]

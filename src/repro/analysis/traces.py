@@ -1,15 +1,14 @@
-"""Trace scoring and stitching (§5.2, §5.3).
+"""Trace scoring (§5.2, §5.3).
 
-The SGX base64 attack recovers a prefix of the per-character LUT-line
-trace in each victim run; :func:`concatenate_traces` implements the
-paper's two-run protocol (first run covers the head, a delayed second
-run covers the tail).  Scoring helpers compute the coverage/accuracy
-numbers the paper reports.
+These helpers compute the coverage and accuracy numbers the paper
+reports for a recovered trace.  The §5.2 two-run protocol that builds
+the SGX trace (the first run covers the head, a delayed second run the
+tail) stitches in :func:`repro.attacks.sgx_base64.stitch_runs`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def coverage(recovered: Sequence[Optional[int]], truth: Sequence[int]) -> float:
@@ -50,32 +49,3 @@ def branch_trace_accuracy(
     )
     return correct / len(truth)
 
-
-def concatenate_traces(
-    first_half: Sequence[Optional[int]],
-    second_half: Sequence[Optional[int]],
-    total_length: int,
-) -> List[Optional[int]]:
-    """Stitch two partial traces of the same secret (§5.2).
-
-    ``first_half`` was captured from the start of run 1;
-    ``second_half`` from a delayed attack in run 2, aligned so that its
-    captured positions land in the tail.  The first run's data wins
-    where both observed a position.
-    """
-    result: List[Optional[int]] = [None] * total_length
-    for i, value in enumerate(second_half[:total_length]):
-        if value is not None:
-            result[i] = value
-    for i, value in enumerate(first_half[:total_length]):
-        if value is not None:
-            result[i] = value
-    return result
-
-
-def longest_observed_prefix(recovered: Sequence[Optional[int]]) -> int:
-    """Length of the contiguous observed prefix."""
-    for i, value in enumerate(recovered):
-        if value is None:
-            return i
-    return len(recovered)

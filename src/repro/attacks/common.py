@@ -175,16 +175,7 @@ def launch_synchronized_attack(
     kernel = env.kernel
     attacker.launch(kernel, cpu)
     # Let the attacker run its prologue and arm the hibernation timer.
-    kernel.run_until(
-        predicate=lambda: any(
-            t.task is attacker.task for t in kernel.cpus[cpu].timers
-        ),
-        max_time=kernel.now + 1e7,
-    )
-    timers = [t for t in kernel.cpus[cpu].timers if t.task is attacker.task]
-    if not timers:
-        raise RuntimeError("attacker failed to hibernate")
-    wake_time = timers[0].expiry
+    wake_time = attacker.wake_time(kernel, cpu, within=1e7)
     program = PhasedProgram(startup_ns, payload)
     if victim_task is None:
         victim_task = Task("victim", body=ProgramBody(program))

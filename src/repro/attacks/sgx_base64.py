@@ -60,7 +60,15 @@ class SgxRunTrace:
     def char_lines(
         self, group_chars: int = 64, *, drop_first_segment: bool = False
     ) -> List[Optional[int]]:
-        """Per-character LUT-line sequence from validity-loop rounds.
+        """Per-character LUT-line sequence: :meth:`char_segments`,
+        flattened."""
+        return [c for seg in self.char_segments(
+            group_chars, drop_first_segment=drop_first_segment) for c in seg]
+
+    def char_segments(
+        self, group_chars: int = 64, *, drop_first_segment: bool = False
+    ) -> List[List[int]]:
+        """Validity segments, one per 64-character group (capped).
 
         A round counts when the code set shows the victim fetching the
         validity loop; one LUT hit → one character, both → two in
@@ -91,29 +99,6 @@ class SgxRunTrace:
             # A trace that starts mid-group has a partial first segment
             # whose boundary artifact the 64-cap cannot remove; dropping
             # it also aligns the remainder to a group boundary.
-            segments = segments[1:]
-        return [c for seg in segments for c in seg[:group_chars]]
-
-    def char_segments(
-        self, group_chars: int = 64, *, drop_first_segment: bool = False
-    ) -> List[List[int]]:
-        """Validity segments, one per 64-character group (capped)."""
-        segments: List[List[int]] = []
-        current: List[int] = []
-        for code_active, lut0, lut1 in self.rounds:
-            if code_active:
-                if lut0 and lut1:
-                    current.extend([0, 1])
-                elif lut0:
-                    current.append(0)
-                elif lut1:
-                    current.append(1)
-            elif (lut0 or lut1) and current:
-                segments.append(current)
-                current = []
-        if current:
-            segments.append(current)
-        if drop_first_segment and segments:
             segments = segments[1:]
         return [seg[:group_chars] for seg in segments]
 

@@ -9,8 +9,10 @@ measurement when it lights up.  Seek rounds are nearly budget-neutral:
 the victim runs longer per round than the attacker spends measuring,
 so Eq 2.1's left arm keeps re-granting the full S_slack deficit.
 
-Two landmark probes are provided, matching the two channel families:
-Flush+Reload (shared pages) and Prime+Probe (SGX, no shared memory).
+A seeker is one of the two receivers, Flush+Reload (shared pages) or
+Prime+Probe (SGX, no shared memory), run over the landmark alone; its
+``measure()`` reduces the receiver's round to "did the landmark light
+up?".
 """
 
 from __future__ import annotations
@@ -18,37 +20,28 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.kernel import actions as act
-from repro.channels.prime_probe import PrimeProbeSet
-from repro.uarch.timing import LATENCY
+from repro.channels.flush_reload import FlushReload
+from repro.channels.prime_probe import PrimeProbe, PrimeProbeSet
 
 
-class FlushReloadSeeker:
-    """Reload-then-flush a single landmark line; True once it hits."""
+class FlushReloadSeeker(FlushReload):
+    """Flush+Reload over the landmark line; True once it hits."""
 
     def __init__(self, marker_addr: int, threshold: Optional[float] = None):
-        self.marker_addr = marker_addr
-        self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
-        self._reload = act.TimedLoads((marker_addr,))
-        self._flush = act.Flushes((marker_addr,))
+        super().__init__((marker_addr,), threshold)
 
     def measure(self) -> Iterator[act.Action]:
-        (latency,) = yield self._reload
-        yield self._flush
-        return latency < self.threshold
+        hits = yield from super().measure()
+        return hits[0]
 
 
-class PrimeProbeSeeker:
-    """Probe-then-prime one LLC set congruent to the landmark line."""
+class PrimeProbeSeeker(PrimeProbe):
+    """Prime+Probe over the one LLC set congruent to the landmark line;
+    True once the victim touched it (False on the priming round)."""
 
     def __init__(self, pp_set: PrimeProbeSet):
-        self.pp_set = pp_set
-        self._primed = False
+        super().__init__([pp_set])
 
     def measure(self) -> Iterator[act.Action]:
-        if not self._primed:
-            yield from self.pp_set.prime()
-            self._primed = True
-            return False
-        result = yield from self.pp_set.probe()
-        yield from self.pp_set.prime()
-        return result.victim_touched
+        results = yield from super().measure()
+        return results is not None and results[0].victim_touched

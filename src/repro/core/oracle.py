@@ -15,26 +15,24 @@ executed during the nap.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Sequence
 
+from repro.channels.flush_reload import FlushReload
 from repro.kernel import actions as act
 from repro.obs import get_obs
-from repro.uarch.timing import LATENCY
 
 
 class ZeroStepFilter:
     """Drop samples in which no monitored line was touched.
 
     Works on any payload that is a sequence of hit booleans (the
-    Flush+Reload result format) or has a truthy ``any_activity``.
+    Flush+Reload result format).
     """
 
     @staticmethod
     def is_zero_step(data: Any) -> bool:
         if data is None:
             return True
-        if hasattr(data, "any_activity"):
-            return not data.any_activity
         if isinstance(data, (list, tuple)):
             return not any(data)
         return False
@@ -44,38 +42,29 @@ class ZeroStepFilter:
         return [d for d in payloads if not cls.is_zero_step(d)]
 
 
-class VictimPresenceOracle:
+class VictimPresenceOracle(FlushReload):
     """"Victim ran last?" template oracle (§4.3).
 
-    ``template_lines`` are addresses of cache lines on the victim's
-    instruction path (pre-computed at cache-line granularity from a
-    profiling run).  ``measure()`` reloads them: any hit means the
-    victim executed since the attacker last flushed; the lines are then
-    flushed to re-arm the oracle.  Intended to be composed with a real
-    measurer — record the round's data only when the oracle is true.
+    Flush+Reload over cache lines on the victim's instruction path
+    (pre-computed at cache-line granularity from a profiling run):
+    ``measure()`` is true when any of them hit, i.e. the victim
+    executed since the attacker last flushed them.  Intended to be
+    composed with a real measurer — record the round's data only when
+    the oracle is true.
     """
 
-    def __init__(self, template_lines: Sequence[int], threshold: Optional[float] = None):
-        if not template_lines:
-            raise ValueError("need at least one template line")
-        self.template_lines = list(template_lines)
-        self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
-        self._reload = act.TimedLoads(self.template_lines)
-        self._flush = act.Flushes(self.template_lines)
-
     def measure(self) -> Iterator[act.Action]:
-        latencies = yield self._reload
-        yield self._flush
-        threshold = self.threshold
-        return any(latency < threshold for latency in latencies)
+        hits = yield from super().measure()
+        return any(hits)
 
 
 class OracleGatedMeasurer:
     """Compose a presence oracle with a payload measurer.
 
-    The oracle runs first; the payload is recorded as ``(present,
-    data)`` so analysis can keep only rounds where the victim ran last
-    — the §4.3 recipe for surviving the ``((V|N)A)+`` regime.
+    The payload is measured first, then the oracle; the round is
+    recorded as ``(present, data)`` so analysis can keep only rounds
+    where the victim ran last — the §4.3 recipe for surviving the
+    ``((V|N)A)+`` regime.
     """
 
     def __init__(self, oracle: VictimPresenceOracle, measurer: Any):

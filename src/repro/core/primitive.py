@@ -26,7 +26,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.threads import CoroutineBody
 from repro.core.wakeup import WakeupMethod
 from repro.obs import get_obs
-from repro.sched.task import Task
+from repro.sched.task import Task, TaskState
 
 
 @dataclass
@@ -136,6 +136,28 @@ class ControlledPreemption:
         """Pin the attacker to the victim's logical core and start it."""
         self.task.pin_to(cpu)
         return kernel.spawn(self.task, cpu=cpu)
+
+    def wake_time(self, kernel: Kernel, cpu: int, *, within: float) -> float:
+        """Run ``kernel`` until the hibernation timer is armed on ``cpu``
+        (for at most ``within`` ns) and return its expiry: the wake-up
+        that lands the first preemption."""
+        st = kernel.cpus[cpu]
+        task = self.task
+        # The kernel rebinds ``st.timers`` as timers fire: read it anew.
+        kernel.run_until(
+            predicate=lambda: any(t.task is task for t in st.timers),
+            max_time=kernel.now + within,
+        )
+        for timer in st.timers:
+            if timer.task is task:
+                return timer.expiry
+        raise RuntimeError("attacker failed to hibernate")
+
+    def run(self, kernel: Kernel, *, max_time: float) -> None:
+        """Run ``kernel`` until the attacker exits (or ``max_time``)."""
+        task = self.task
+        kernel.run_until(predicate=lambda: task.state is TaskState.EXITED,
+                         max_time=max_time)
 
     # ------------------------------------------------------------------
     def _body(self) -> Iterator[act.Action]:

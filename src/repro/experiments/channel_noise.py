@@ -16,12 +16,12 @@ BTB attack's immunity to the same pollution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.kernel import actions as act
 from repro.kernel.kernel import Kernel
 from repro.kernel.threads import CoroutineBody
-from repro.parallel import parallel_map, starmap_kwargs
+from repro.parallel import starmap_kwargs
 from repro.sched.task import Task
 from repro.sim.rng import RngStreams
 from repro.victims.aes_ttable import TTABLE_BASE
@@ -156,26 +156,20 @@ def aes_accuracy_under_pollution(
     )
 
 
-def _btb_pair_accuracy(cell) -> float:
-    from repro.attacks.btb_gcd import run_btb_gcd_attack
-
-    p, q, seed, polluted = cell
-    return run_btb_gcd_attack(p, q, seed=seed, polluter=polluted).accuracy
-
-
 def btb_accuracy_under_pollution(
     *, n_pairs: int = 4, polluted: bool = True, seed: int = 0,
     jobs: Optional[int] = None,
 ) -> NoiseImpactResult:
     """§4.3 remedy 2: core-private channels are immune to cross-core
     noise — the BTB attack's accuracy must not move under pollution."""
-    from repro.attacks.btb_gcd import random_prime_pairs
+    from repro.attacks.btb_gcd import random_prime_pairs, run_btb_gcd_attack
 
     cells = [
-        (p, q, seed + index * 13, polluted)
+        dict(a=p, b=q, seed=seed + index * 13, polluter=polluted)
         for index, (p, q) in enumerate(random_prime_pairs(n_pairs, seed=seed))
     ]
-    accuracies = parallel_map(_btb_pair_accuracy, cells, jobs=jobs)
+    accuracies = [run.accuracy for run in
+                  starmap_kwargs(run_btb_gcd_attack, cells, jobs=jobs)]
     return NoiseImpactResult(
         attack="btb-train-probe",
         polluted=polluted,

@@ -18,7 +18,7 @@ from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ComputeBody, ProgramBody
 from repro.parallel import derive_seed, starmap_kwargs
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 
 
 @dataclass
@@ -52,10 +52,7 @@ def run_colocation(
                          extra_compute_ns=12_000.0)
     )
     attacker.launch(kernel, result.target_cpu)
-    kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=kernel.now + 10e9,
-    )
+    attacker.run(kernel, max_time=kernel.now + 10e9)
     preemptions = env.tracer.consecutive_preemptions(
         result.victim.pid, attacker.task.pid
     )

@@ -28,7 +28,7 @@ from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ProgramBody
 from repro.parallel import starmap_kwargs
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 
 MS = 1_000_000
 
@@ -58,10 +58,7 @@ def _slice_cell(
     attacker.task.slice = slice_ms * MS  # sched_setattr request
     env.kernel.spawn(victim, cpu=0)
     attacker.launch(env.kernel, 0)
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=60e9,
-    )
+    attacker.run(env.kernel, max_time=60e9)
     count = env.tracer.consecutive_preemptions(victim.pid, attacker.task.pid)
     drift = extra_compute_ns  # Iv ≈ 0 for the straightline victim
     return SliceSweepPoint(

@@ -40,7 +40,7 @@ from repro.kernel.threads import ProgramBody
 from repro.mitigations.policy import canonical_mitigation
 from repro.parallel import starmap_kwargs
 from repro.sched.features import SchedFeatures
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 from repro.victims.sgx import make_enclave_task
 
 
@@ -86,10 +86,7 @@ def _run(
     )
     env.kernel.spawn(victim, cpu=0)
     attacker.launch(env.kernel, 0)
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=30e9,
-    )
+    attacker.run(env.kernel, max_time=30e9)
     count = len(env.tracer.preemption_switches(attacker.task.pid))
     samples = env.tracer.retired_per_preemption(victim.pid, attacker.task.pid)[1:]
     if samples:

@@ -21,7 +21,7 @@ from repro.core.primitive import ControlledPreemption, PreemptionConfig
 from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ComputeBody, ProgramBody
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 
 
 @dataclass
@@ -71,15 +71,7 @@ def run_noise_experiment(
     # Read the hibernation timer once armed: the attacker's prologue can
     # be delayed by the busy noise thread, so the wake time must be
     # observed, not assumed.
-    kernel.run_until(
-        predicate=lambda: any(
-            t.task is attacker.task for t in kernel.cpus[0].timers
-        ),
-        max_time=kernel.now + 1e9,
-    )
-    wake_time = next(
-        t.expiry for t in kernel.cpus[0].timers if t.task is attacker.task
-    )
+    wake_time = attacker.wake_time(kernel, 0, within=1e9)
 
     def wake_victim() -> None:
         # Victim slept at a vruntime `victim_lag_ns` behind the noise
@@ -92,10 +84,7 @@ def run_noise_experiment(
         )
 
     kernel.sim.call_at(wake_time - 2_000.0, wake_victim)
-    kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=30e9,
-    )
+    attacker.run(kernel, max_time=30e9)
 
     pids = {victim.pid: "victim", noise.pid: "noise", attacker.task.pid: "attacker"}
     series: Dict[str, List[Tuple[float, float]]] = {n: [] for n in pids.values()}

@@ -24,7 +24,7 @@ from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ProgramBody
 from repro.parallel import derive_seed, starmap_kwargs
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 
 
 @dataclass
@@ -69,10 +69,7 @@ def run_budget_measurement(
     )
     env.kernel.spawn(victim, cpu=0)
     attacker.launch(env.kernel, 0)
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=60e9,
-    )
+    attacker.run(env.kernel, max_time=60e9)
     count = env.tracer.consecutive_preemptions(victim.pid, attacker.task.pid)
     drift = _measured_drift(env, attacker.task.pid)
     if drift != drift:  # NaN: no two successful preemptions to fit

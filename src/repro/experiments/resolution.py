@@ -21,7 +21,7 @@ from repro.experiments.setup import build_env
 from repro.kernel.threads import ProgramBody
 from repro.obs import get_obs
 from repro.parallel import derive_seed, starmap_kwargs
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 from repro.victims.layout import ATTACKER_TLB_ARENA
 
 #: τ values (ns) used for the figure sweeps.  Chosen the way the
@@ -89,10 +89,7 @@ def run_resolution(
             name=f"attacker{episode}",
         )
         attacker.launch(env.kernel, 0)
-        env.kernel.run_until(
-            predicate=lambda: attacker.task.state is TaskState.EXITED,
-            max_time=env.kernel.now + 10e9,
-        )
+        attacker.run(env.kernel, max_time=env.kernel.now + 10e9)
         new = env.tracer.retired_per_preemption(victim.pid, attacker.task.pid)
         # The first delta of an episode spans the hibernation (the victim
         # ran alone); the paper's measurement starts "from when the

@@ -36,6 +36,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.obs import _env_flag
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -77,12 +79,6 @@ class _Progress:
             sys.stderr.flush()
 
 
-def _progress_enabled(progress: Optional[bool]) -> bool:
-    if progress is not None:
-        return progress
-    return os.environ.get("REPRO_PROGRESS", "").strip() not in ("", "0", "false")
-
-
 def derive_seed(root_seed: int, *identity: object) -> int:
     """Derive a 63-bit trial seed from ``root_seed`` and a stable identity.
 
@@ -115,7 +111,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 def parallel_map(
     fn: Callable[[T], R], items: Sequence[T], *, jobs: Optional[int] = None,
-    progress: Optional[bool] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across a process pool.
 
@@ -127,22 +122,22 @@ def parallel_map(
     ``fn`` and every item must be picklable when ``jobs > 1`` (i.e. a
     module-level function and plain-data arguments).
 
-    ``progress`` (or ``REPRO_PROGRESS=1``) renders a live completed/
-    total + throughput line on stderr as cells finish.
+    ``REPRO_PROGRESS=1`` renders a live completed/total + throughput
+    line on stderr as cells finish.
     """
-    return _map(fn, list(items), jobs, progress)
+    return _map(fn, list(items), jobs)
 
 
 def _map(fn: Callable[[T], R], items: List[T], jobs: Optional[int],
-         progress: Optional[bool],
          on_result: Optional[Callable[[int, R], None]] = None) -> List[R]:
     """The one loop behind every map here: serial or pooled, with the
-    progress meter, reporting ``on_result(index, result)`` in
+    progress meter (``REPRO_PROGRESS``, read with the same rule as
+    ``REPRO_METRICS``), reporting ``on_result(index, result)`` in
     completion order and returning results in input order."""
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(items)
     meter = (_Progress(len(items))
-             if _progress_enabled(progress) and len(items) > 1 else None)
+             if len(items) > 1 and _env_flag("REPRO_PROGRESS") else None)
 
     def finish(index: int, result: Any) -> None:
         results[index] = result
@@ -220,7 +215,6 @@ def starmap_kwargs(
     kwargs_list: Iterable[Dict[str, Any]],
     *,
     jobs: Optional[int] = None,
-    progress: Optional[bool] = None,
 ) -> List[R]:
     """``[fn(**kw) for kw in kwargs_list]`` with optional parallelism.
 
@@ -235,14 +229,13 @@ def starmap_kwargs(
     from repro.experiments.wire import normalize_params
 
     payloads = [(fn, normalize_params(fn, kw)) for kw in kwargs_list]
-    return _map(_invoke_kwargs, payloads, jobs, progress)
+    return _map(_invoke_kwargs, payloads, jobs)
 
 
 def map_payloads_completions(
     payloads: Sequence[Any],
     *,
     jobs: Optional[int] = None,
-    progress: Optional[bool] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """:func:`starmap_kwargs` over explicit ``(fn, kwargs)`` payloads,
@@ -258,5 +251,5 @@ def map_payloads_completions(
     Results still return in submission order.
     """
     payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
-    return _map(_invoke_kwargs, payloads, jobs, progress, on_result)
+    return _map(_invoke_kwargs, payloads, jobs, on_result)
 

@@ -220,7 +220,7 @@ def _chaos_tick(completed: int) -> None:
         os.kill(os.getpid(), signal.SIGTERM)
 
 
-def _pool_executor(jobs: Optional[int], progress: Optional[bool]) -> Executor:
+def _pool_executor(jobs: Optional[int]) -> Executor:
     """The local executor: the cells on :mod:`repro.parallel`'s pool."""
 
     def execute(cells: List[WireCell],
@@ -228,7 +228,7 @@ def _pool_executor(jobs: Optional[int], progress: Optional[bool]) -> Executor:
         payloads = [(resolve_experiment(cell.experiment), cell.params)
                     for cell in cells]
         map_payloads_completions(
-            payloads, jobs=jobs, progress=progress,
+            payloads, jobs=jobs,
             on_result=lambda pos, result: on_done(pos, result_digest(result)))
 
     return execute
@@ -240,7 +240,6 @@ def run_sweep(
     *,
     jobs: Optional[int] = None,
     resume: bool = False,
-    progress: Optional[bool] = None,
     should_abort: Optional[Callable[[], bool]] = None,
     executor: Optional[Executor] = None,
 ) -> SweepResult:
@@ -250,7 +249,7 @@ def run_sweep(
     saved spec (passing cells too merely cross-checks the digest).
     Journaled cells are served from the journal — **never recomputed**
     — and ``executor`` computes the rest (default: the local pool with
-    ``jobs`` and ``progress``), each completion journaled
+    ``jobs``), each completion journaled
     (fsync-batched) as it is reported.
 
     After each journal record the chaos ``runner.tick`` point is
@@ -299,7 +298,7 @@ def run_sweep(
                     f"sweep interrupted after {completed} cells", completed)
 
         try:
-            (executor or _pool_executor(jobs, progress))(
+            (executor or _pool_executor(jobs))(
                 [sweep_cells[index] for index in pending], on_done)
         finally:
             # Crash/interrupt path included: everything that completed

@@ -48,7 +48,7 @@ from repro.sim.rng import RngStreams
 from repro.validate.harness import make_validate_policy
 from repro.validate.invariants import Violation
 from repro.validate.workload import (WORKLOAD_PID_BASE, WorkloadSpec,
-                                     build_tasks)
+                                     spawn_tasks)
 from repro.victims.gcd import build_gcd_program
 
 __all__ = [
@@ -271,23 +271,7 @@ def run_defense_case(spec: WorkloadSpec, scheduler: str, defense: str, *,
     tracer = KernelTracer()
     kernel = Kernel(machine, sched_policy, rng, tracer=tracer,
                     mitigations=stack)
-    for task, tspec in build_tasks(spec):
-        cpu = None
-        if tspec.pinned_cpu is not None:
-            cpu = min(tspec.pinned_cpu, spec.n_cpus - 1)
-
-        def do_spawn(task=task, tspec=tspec, cpu=cpu):
-            kernel.spawn(
-                task, cpu=cpu,
-                wake_placement=tspec.wake_placement,
-                sleep_vruntime=(tspec.sleep_vruntime
-                                if tspec.wake_placement else None),
-            )
-
-        if tspec.spawn_at_ns > 0:
-            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn)
-        else:
-            do_spawn()
+    spawn_tasks(kernel, spec)
     if defense == "prefence":
         # Branchy driver: the only workload member whose instruction
         # stream exercises the front-end prefetcher (see module doc).

@@ -49,7 +49,7 @@ from repro.validate.uarch import (
     run_fastforward_case,
     run_uarch_case,
 )
-from repro.validate.workload import WorkloadSpec, build_tasks, generate_workload
+from repro.validate.workload import WorkloadSpec, generate_workload, spawn_tasks
 
 #: Scheduler params come from the paper's 16-core testbed, like every
 #: experiment in this repo (see repro.experiments.setup).
@@ -216,25 +216,7 @@ def run_case(spec: WorkloadSpec, scheduler: str, *,
         inject_llc_leak(machine.hierarchy)
     elif bug == "lost-kick":
         kernel._kick = lambda cpu: None
-    tasks = []
-    for task, tspec in build_tasks(spec):
-        cpu = None
-        if tspec.pinned_cpu is not None:
-            cpu = min(tspec.pinned_cpu, spec.n_cpus - 1)
-
-        def do_spawn(task=task, tspec=tspec, cpu=cpu):
-            kernel.spawn(
-                task, cpu=cpu,
-                wake_placement=tspec.wake_placement,
-                sleep_vruntime=(tspec.sleep_vruntime
-                                if tspec.wake_placement else None),
-            )
-
-        if tspec.spawn_at_ns > 0:
-            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn)
-        else:
-            do_spawn()
-        tasks.append(task)
+    tasks = spawn_tasks(kernel, spec)
     step_probe = StepProbe(kernel, monitor)
     uarch_probe = UarchProbe(machine, monitor)
     steps = 0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.kernel import actions as act
+from repro.kernel.kernel import Kernel
 from repro.kernel.threads import ComputeBody, CoroutineBody
 from repro.sched.task import Task
 from repro.sim.rng import RngStreams
@@ -30,6 +31,7 @@ __all__ = [
     "WorkloadSpec",
     "generate_workload",
     "build_tasks",
+    "spawn_tasks",
     "FEATURE_VARIANTS",
 ]
 
@@ -435,3 +437,29 @@ def build_tasks(spec: WorkloadSpec) -> List[Tuple[Task, TaskSpec]]:
                 min(c, spec.n_cpus - 1) for c in tspec.allowed_cpus)
         out.append((task, tspec))
     return out
+
+
+def spawn_tasks(kernel: Kernel, spec: WorkloadSpec) -> List[Task]:
+    """Build ``spec``'s tasks and spawn them on ``kernel``, each at its
+    ``spawn_at_ns`` (through the event queue) or at once, a pinned one
+    on its CPU clamped to the machine; returns the tasks."""
+    tasks = []
+    for task, tspec in build_tasks(spec):
+        cpu = None
+        if tspec.pinned_cpu is not None:
+            cpu = min(tspec.pinned_cpu, spec.n_cpus - 1)
+
+        def do_spawn(task=task, tspec=tspec, cpu=cpu):
+            kernel.spawn(
+                task, cpu=cpu,
+                wake_placement=tspec.wake_placement,
+                sleep_vruntime=(tspec.sleep_vruntime
+                                if tspec.wake_placement else None),
+            )
+
+        if tspec.spawn_at_ns > 0:
+            kernel.sim.call_at(tspec.spawn_at_ns, do_spawn)
+        else:
+            do_spawn()
+        tasks.append(task)
+    return tasks

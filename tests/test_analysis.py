@@ -1,4 +1,4 @@
-"""Analysis helpers: histograms, AES recovery, trace scoring/stitching."""
+"""Analysis helpers: histograms, AES recovery, trace scoring."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +13,7 @@ from repro.analysis.histogram import ascii_histogram, histogram, resolution_stat
 from repro.analysis.traces import (
     binary_trace_accuracy,
     branch_trace_accuracy,
-    concatenate_traces,
     coverage,
-    longest_observed_prefix,
 )
 from repro.victims.aes_ttable import TABLE_BYTE_POSITIONS, TTableAes
 
@@ -162,12 +160,3 @@ class TestTraceScoring:
     def test_branch_accuracy_missing_counts_wrong(self):
         truth = [True, False, True]
         assert branch_trace_accuracy([True], truth) == pytest.approx(1 / 3)
-
-    def test_concatenate_first_run_wins(self):
-        stitched = concatenate_traces([1, 1, None], [0, 0, 0, 0], 4)
-        assert stitched == [1, 1, 0, 0]
-
-    def test_longest_observed_prefix(self):
-        assert longest_observed_prefix([1, 0, None, 1]) == 2
-        assert longest_observed_prefix([1, 0]) == 2
-        assert longest_observed_prefix([None]) == 0

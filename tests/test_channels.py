@@ -9,7 +9,7 @@ from repro.channels.prime_probe import (
     PrimeProbeSet,
     prime_probe_threshold,
 )
-from repro.channels.seek import FlushReloadSeeker
+from repro.channels.seek import FlushReloadSeeker, PrimeProbeSeeker
 from repro.cpu.isa import nop
 from repro.cpu.machine import Machine, MachineConfig
 from repro.kernel import actions as act
@@ -182,3 +182,15 @@ class TestSeeker:
         assert driver.run(seeker.measure()) is True
         # The seeker re-flushes, so it re-arms itself.
         assert driver.run(seeker.measure()) is False
+
+    def test_prime_probe_seeker_primes_then_fires_on_landmark(self):
+        driver = Driver()
+        landmark = 0x610000
+        seeker = PrimeProbeSeeker(PrimeProbeSet.for_target(
+            driver.machine.config.geometry.llc, "seek", landmark, 0x3000_0000))
+        assert driver.run(seeker.measure()) is False  # priming round
+        assert driver.run(seeker.measure()) is False
+        driver.hierarchy.access(0, landmark)
+        assert driver.run(seeker.measure()) is True
+        assert driver.run(seeker.measure()) is False
+

@@ -10,7 +10,7 @@ from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel import actions as act
 from repro.kernel.threads import ProgramBody
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 from repro.uarch.cache import HierarchyGeometry
 from repro.victims.layout import ATTACKER_LLC_ARENA, ATTACKER_TLB_ARENA
 from tests.test_channels import Driver
@@ -26,10 +26,7 @@ def run_resolution(tau, degrader, rounds=300, seed=7):
     )
     env.kernel.spawn(victim, cpu=0)
     attacker.launch(env.kernel, 0)
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=30e9,
-    )
+    attacker.run(env.kernel, max_time=30e9)
     samples = env.tracer.retired_per_preemption(victim.pid, attacker.task.pid)
     return samples[1:-1], program
 

@@ -26,8 +26,8 @@ from repro.validate.harness import make_validate_policy, run_case
 from repro.validate.invariants import ref_migrate_delta
 from repro.validate.workload import (
     FEATURE_VARIANTS,
-    build_tasks,
     generate_workload,
+    spawn_tasks,
 )
 from tests.strategies import (
     FEATURE_VARIANT_NAMES,
@@ -49,16 +49,7 @@ def _run_kernel(spec, scheduler):
     machine = Machine(MachineConfig(n_cores=spec.n_cpus))
     kernel = Kernel(machine, policy, RngStreams(seed=spec.seed),
                     tracer=KernelTracer())
-    for task, tspec in build_tasks(spec):
-        cpu = None
-        if tspec.pinned_cpu is not None:
-            cpu = min(tspec.pinned_cpu, spec.n_cpus - 1)
-        if tspec.spawn_at_ns > 0:
-            kernel.sim.call_at(
-                tspec.spawn_at_ns,
-                lambda t=task, c=cpu: kernel.spawn(t, cpu=c))
-        else:
-            kernel.spawn(task, cpu=cpu)
+    spawn_tasks(kernel, spec)
     kernel.run_until(max_time=spec.horizon_ns)
     return kernel
 

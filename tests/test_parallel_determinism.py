@@ -13,7 +13,14 @@ import dataclasses
 
 import pytest
 
-from repro.parallel import derive_seed, parallel_map, resolve_jobs, starmap_kwargs
+import repro.parallel
+from repro.parallel import (
+    derive_seed,
+    map_payloads_completions,
+    parallel_map,
+    resolve_jobs,
+    starmap_kwargs,
+)
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +96,75 @@ class TestMapPrimitives:
         serial = starmap_kwargs(_mix, cells, jobs=1)
         parallel = starmap_kwargs(_mix, cells, jobs=2)
         assert serial == parallel
+
+
+@pytest.fixture
+def plain_cells(monkeypatch):
+    """Cells that neither hit a cache nor write manifests."""
+    monkeypatch.delenv("REPRO_CELL_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+
+
+class TestProgressMeter:
+    CELLS = [dict(a=1, b=2), dict(a=3, b=4)]
+
+    @pytest.mark.parametrize("value", ["off", "no", "False"])
+    def test_off_values_draw_nothing(self, value, monkeypatch, capsys,
+                                     plain_cells):
+        monkeypatch.setenv("REPRO_PROGRESS", value)
+        assert starmap_kwargs(_mix, self.CELLS, jobs=1) == [1002, 3004]
+        assert capsys.readouterr().err == ""
+
+    def test_on_draws_one_meter_line(self, monkeypatch, capsys, plain_cells):
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        starmap_kwargs(_mix, self.CELLS, jobs=1)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "[repro] 2/2 cells" in err
+
+
+class _PoolFailsToStart:
+    """A pool whose construction fails, as without fork or semaphores."""
+
+    def __init__(self, max_workers=None):
+        raise OSError("no semaphores here")
+
+
+class _PoolFailsToSubmit:
+    """A pool that starts but cannot submit; records its shutdowns."""
+
+    shutdowns = []
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args):
+        raise OSError("cannot fork")
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append(dict(wait=wait, cancel_futures=cancel_futures))
+
+
+class TestSerialFallback:
+    """A pool that raises OSError degrades the map to serial: the same
+    results in input order, each reported once."""
+
+    @pytest.mark.parametrize("pool", [_PoolFailsToStart, _PoolFailsToSubmit])
+    def test_pool_oserror_runs_serially(self, pool, monkeypatch, plain_cells):
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(_PoolFailsToSubmit, "shutdowns", [])
+        xs = list(range(6))
+        assert parallel_map(_square, xs, jobs=2) == [x * x for x in xs]
+        reported = []
+        payloads = [(_mix, dict(a=i, b=i + 1)) for i in range(5)]
+        results = map_payloads_completions(
+            payloads, jobs=2,
+            on_result=lambda index, result: reported.append((index, result)))
+        assert results == [i * 1000 + i + 1 for i in range(5)]
+        assert sorted(reported) == list(enumerate(results))
+        if pool is _PoolFailsToSubmit:
+            assert _PoolFailsToSubmit.shutdowns == [
+                dict(wait=False, cancel_futures=True)] * 2
 
 
 # ----------------------------------------------------------------------

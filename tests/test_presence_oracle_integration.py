@@ -10,7 +10,7 @@ from repro.core.primitive import ControlledPreemption, PreemptionConfig
 from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
 from repro.kernel.threads import ComputeBody, ProgramBody
-from repro.sched.task import Task, TaskState
+from repro.sched.task import Task
 
 
 class NullMeasurer:
@@ -40,14 +40,7 @@ def run_noisy_oracle_attack(rounds=600, seed=1):
     )
     kernel.spawn(noise, cpu=0)
     attacker.launch(kernel, 0)
-    kernel.run_until(
-        predicate=lambda: any(
-            t.task is attacker.task for t in kernel.cpus[0].timers
-        ),
-        max_time=1e9,
-    )
-    wake = next(t.expiry for t in kernel.cpus[0].timers
-                if t.task is attacker.task)
+    wake = attacker.wake_time(kernel, 0, within=1e9)
     # Victim woken just before the attack, 250 µs of vruntime behind the
     # noise thread (converges mid-attack, as in Fig 4.6).
     kernel.sim.call_at(
@@ -59,10 +52,7 @@ def run_noisy_oracle_attack(rounds=600, seed=1):
     )
     retired = []
     attacker.on_sample = lambda s: retired.append(program.retired)
-    kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=30e9,
-    )
+    attacker.run(kernel, max_time=30e9)
     return attacker, retired
 
 

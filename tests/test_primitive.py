@@ -11,7 +11,8 @@ from repro.core.primitive import ControlledPreemption, PreemptionConfig
 from repro.core.wakeup import WakeupMethod
 from repro.cpu.program import StraightlineProgram
 from repro.experiments.setup import build_env
-from repro.kernel.threads import ProgramBody
+from repro.kernel import actions as act
+from repro.kernel.threads import CoroutineBody, ProgramBody
 from repro.sched.params import SchedParams
 from repro.sched.task import Task, TaskState
 
@@ -25,10 +26,7 @@ def run_attack(config, scheduler="cfs", seed=0, **attacker_kwargs):
     attacker = ControlledPreemption(config, **attacker_kwargs)
     env.kernel.spawn(victim, cpu=0)
     attacker.launch(env.kernel, 0)
-    env.kernel.run_until(
-        predicate=lambda: attacker.task.state is TaskState.EXITED,
-        max_time=30e9,
-    )
+    attacker.run(env.kernel, max_time=30e9)
     return env, victim, attacker
 
 
@@ -143,6 +141,50 @@ class TestSamples:
         assert attacker.task.nice == 5
 
 
+def _napper():
+    """A neighbour whose short naps fire timers on the attacker's CPU."""
+    while True:
+        yield act.Compute(3_000.0)
+        yield act.Nanosleep(2_000.0)
+
+
+class TestEpisode:
+    def test_wake_time_stops_once_the_timer_is_armed(self):
+        # The attacker starts 50 µs in, after the napper's timers have
+        # fired, and each firing rebinds the CPU's timer list: the
+        # hibernation must still be seen the moment it is armed.
+        env = build_env("cfs", n_cores=1, seed=0)
+        env.kernel.spawn(Task("napper", body=CoroutineBody(_napper())), cpu=0)
+        attacker = ControlledPreemption(
+            PreemptionConfig(nap_ns=900.0, rounds=5, hibernate_ns=100e6))
+        env.kernel.sim.call_at(50_000.0,
+                               lambda: attacker.launch(env.kernel, 0))
+        wake = attacker.wake_time(env.kernel, 0, within=1e9)
+        assert env.kernel.now < 1e6
+        assert 100e6 <= wake - env.kernel.now < 100e6 + 1e6
+
+    def test_wake_time_raises_when_nothing_is_armed_in_time(self):
+        # Behind a running victim the attacker's prologue cannot arm
+        # its timer within 1 ns.
+        env = build_env("cfs", n_cores=1, seed=0)
+        env.kernel.spawn(Task("victim", body=ProgramBody(StraightlineProgram())),
+                         cpu=0)
+        attacker = ControlledPreemption(PreemptionConfig(nap_ns=900.0))
+        attacker.launch(env.kernel, 0)
+        with pytest.raises(RuntimeError, match="failed to hibernate"):
+            attacker.wake_time(env.kernel, 0, within=1.0)
+
+    def test_run_returns_when_the_attacker_exits(self):
+        env, victim, attacker = run_attack(
+            PreemptionConfig(nap_ns=900.0, rounds=20, hibernate_ns=100e6,
+                             stop_on_exhaustion=False))
+        assert attacker.task.state is TaskState.EXITED
+        assert victim.state is not TaskState.EXITED
+        assert len(attacker.samples) == 20
+        # The run stopped at the exit, not at max_time.
+        assert env.kernel.now < attacker.samples[-1].time + 1e6
+
+
 class TestMitigationsStopThePrimitive:
     def test_no_wakeup_preemption_blocks_everything(self):
         from repro.sched.features import SchedFeatures
@@ -158,8 +200,5 @@ class TestMitigationsStopThePrimitive:
         )
         env.kernel.spawn(victim, cpu=0)
         attacker.launch(env.kernel, 0)
-        env.kernel.run_until(
-            predicate=lambda: attacker.task.state is TaskState.EXITED,
-            max_time=30e9,
-        )
+        attacker.run(env.kernel, max_time=30e9)
         assert env.tracer.preemption_switches(attacker.task.pid) == []
