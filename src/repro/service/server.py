@@ -154,6 +154,10 @@ def execute_cell(
     return {"ok": True, "digest": result_digest(result)}
 
 
+def _started() -> None:
+    """A worker's first call: unpickling it has imported ``repro``."""
+
+
 # ----------------------------------------------------------------------
 # Service
 # ----------------------------------------------------------------------
@@ -209,13 +213,23 @@ class ExperimentService:
         self._idle.set()
         self._stopped = asyncio.Event()
         if not self.inline:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers, mp_context=_POOL_CONTEXT)
+            self._pool = self._new_pool()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=protocol.MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A worker pool whose workers all start now.  A spawn pool
+        starts a worker only when a call finds none idle, so a cell
+        (a retry, say) would otherwise spend its timeout on the
+        worker's interpreter start and ``import repro``."""
+        pool = ProcessPoolExecutor(max_workers=self.config.workers,
+                                   mp_context=_POOL_CONTEXT)
+        for _ in range(self.config.workers):
+            pool.submit(_started)
+        return pool
 
     async def serve_until_stopped(self) -> None:
         assert self._stopped is not None
@@ -516,8 +530,7 @@ class ExperimentService:
         async with self._pool_lock:
             if self._pool_generation != seen_generation:
                 return  # another cell already replaced it
-            old, self._pool = self._pool, ProcessPoolExecutor(
-                max_workers=self.config.workers, mp_context=_POOL_CONTEXT)
+            old, self._pool = self._pool, self._new_pool()
             old.shutdown(wait=False)
             self._pool_generation += 1
             self._pool_replacements += 1
